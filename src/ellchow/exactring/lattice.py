@@ -76,8 +76,11 @@ class Echelon:
         return len(self.rows)
 
     def copy(self) -> "Echelon":
+        # Neither kernel mutates a stored row in place: ``insert_row`` only
+        # rebinds ``rows[j]`` and appends fresh rows.  So the copy may share
+        # the row lists, and only the outer list and the pivot map are new.
         dup = Echelon.__new__(Echelon)
-        dup.rows = [list(r) for r in self.rows]
+        dup.rows = list(self.rows)
         dup.pivots = dict(self.pivots)
         return dup
 

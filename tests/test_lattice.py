@@ -1,8 +1,9 @@
 """Integer row-echelon lattices and Smith invariants.
 
 The compiled and pure kernels must agree operation-for-operation, echelon
-residues must be canonical coset representatives, and Smith invariants are
-cross-checked against an independent implementation (sympy).
+residues must be canonical coset representatives that do not depend on the
+order of insertion, and Smith invariants are cross-checked against an
+independent implementation (sympy).
 """
 
 import random
@@ -18,6 +19,7 @@ from ellchow.exactring.lattice import (
     flat_from_pairs,
     smith_invariants_of_rows,
 )
+from ellchow.keel import keel_presentation
 
 try:
     from ellchow.exactring import _echelon_c as compiled
@@ -200,6 +202,65 @@ def test_echelon_contains_and_rank():
     copy = e.copy()
     copy.insert(flat_from_pairs([(2, 1)]))
     assert copy.rank == 3 and e.rank == 2
+    # A gcd merge rebinds a pivot row in the copy; the copy shares its row
+    # lists with the original, which must not change.
+    rows_before = [list(r) for r in e.rows]
+    pivots_before = dict(e.pivots)
+    copy.insert(flat_from_pairs([(0, 3)]))
+    assert copy.rows[copy.pivots[0]][:2] == [0, 1]
+    assert e.rows == rows_before and e.pivots == pivots_before
+
+
+def _staircase_shape(e):
+    """Pivot columns with their leading coefficients (so also the rank):
+    invariants of the lattice, whatever the insertion order."""
+    return sorted((row[0], row[1]) for row in e.rows)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_staircase_does_not_depend_on_insertion_order(data):
+    width = data.draw(st.integers(min_value=1, max_value=6))
+    entries = st.integers(min_value=-9, max_value=9)
+    rows_dense = data.draw(
+        st.lists(st.lists(entries, min_size=width, max_size=width),
+                 min_size=1, max_size=6)
+    )
+    flats = [
+        flat_from_pairs([(i, c) for i, c in enumerate(r) if c]) for r in rows_dense
+    ]
+    order = data.draw(st.permutations(range(len(flats))))
+    probes = data.draw(
+        st.lists(st.lists(entries, min_size=width, max_size=width),
+                 min_size=1, max_size=4)
+    )
+    first, second = Echelon(), Echelon()
+    for f in flats:
+        first.insert(list(f))
+    for i in order:
+        second.insert(list(flats[i]))
+    assert _staircase_shape(first) == _staircase_shape(second)
+    for p in probes:
+        flat = flat_from_pairs([(i, c) for i, c in enumerate(p) if c])
+        assert first.residue(flat) == second.residue(flat)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_sorted_lattice_matches_unsorted_insertion(degree):
+    """``GradedPresentation.lattice`` inserts its product rows sorted; the
+    residues must equal those of inserting them in generation order."""
+    pres = keel_presentation(range(1, 6)).presentation
+    unsorted = Echelon()
+    for row in pres._product_rows(degree, reduced=True):
+        unsorted.insert(row)
+    built = pres.lattice(degree)
+    assert _staircase_shape(built) == _staircase_shape(unsorted)
+    rng = random.Random(degree)
+    width = len(pres.basis(degree))
+    for _ in range(40):
+        cols = sorted(rng.sample(range(width), min(width, 8)))
+        flat = flat_from_pairs([(c, rng.randint(-6, 6)) for c in cols])
+        assert built.residue(flat) == unsorted.residue(flat)
 
 
 def test_membership_matches_brute_force():
