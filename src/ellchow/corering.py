@@ -40,27 +40,28 @@ _L = IntPolynomial.symbol("l")
 _NU = IntPolynomial.symbol("nu")
 
 
-@lru_cache(maxsize=None)
-def min_presentation(m: int) -> MinRing:
-    """Core ring: free on the Hodge class for ``m <= 5``; for ``m == 6``
-    two relations cut it down to the line-Grassmannian cohomology."""
-    if not 1 <= m <= 6:
-        raise ValueError("marking count must be between 1 and 6")
-    if m <= 5:
-        pres = GradedPresentation(["l"], [], name=f"min({m})")
-    else:
-        b0 = _L**4 - _L**2 * _NU - _NU**2
-        c0 = _L**5 - 3 * _L**3 * _NU + 2 * _L * _NU**2
-        pres = GradedPresentation(["l", "nu"], [b0, c0], name="min(6)")
-    return MinRing(m=m, presentation=pres)
-
-
 def core_relation_seeds() -> tuple[IntPolynomial, IntPolynomial]:
     """The two six-marking core relations, in ``l``/``nu`` coordinates."""
     return (
         _L**4 - _L**2 * _NU - _NU**2,
         _L**5 - 3 * _L**3 * _NU + 2 * _L * _NU**2,
     )
+
+
+@lru_cache(maxsize=None)
+def min_presentation(m: int) -> MinRing:
+    """Core ring: free on the Hodge class for ``m <= 5``; for ``m == 6``
+    the two :func:`core_relation_seeds` cut it down to the
+    line-Grassmannian cohomology."""
+    if not 1 <= m <= 6:
+        raise ValueError("marking count must be between 1 and 6")
+    if m <= 5:
+        pres = GradedPresentation(["l"], [], name=f"min({m})")
+    else:
+        pres = GradedPresentation(
+            ["l", "nu"], core_relation_seeds(), name="min(6)"
+        )
+    return MinRing(m=m, presentation=pres)
 
 
 def _schubert_single(a: int) -> IntPolynomial:

@@ -27,11 +27,6 @@ from .presentation import (
     InvariantFactors,
     NotDivisibleError,
     PresentationError,
-    divide_in_quotient,
-    graded_component,
-    hilbert_function,
-    reduces_to_zero,
-    smith_invariants,
 )
 
 __all__ = [
@@ -56,9 +51,4 @@ __all__ = [
     "InvariantFactors",
     "NotDivisibleError",
     "PresentationError",
-    "divide_in_quotient",
-    "graded_component",
-    "hilbert_function",
-    "reduces_to_zero",
-    "smith_invariants",
 ]

@@ -1,34 +1,147 @@
 """Integer lattices inside a free module Z^N.
 
-Wraps the flat-row echelon kernel in a small class API and adds a sparse
-Smith-normal-form routine for extracting invariant factors.  The kernel is
-chosen at import time: the compiled extension when available, otherwise the
-pure-Python twin.  Setting the environment variable ``ELLCHOW_PURE_KERNEL``
-to a non-empty value forces the pure kernel (useful for benchmarking and
-for debugging suspected kernel issues).
+A row is a flat list ``[col0, c0, col1, c1, ...]`` with strictly increasing
+column indices and nonzero integer coefficients.  A basis is kept in
+*staircase* form: ``pivots`` maps a pivot column to the index of the unique
+basis row leading at that column, and every stored row has positive leading
+coefficient.  No inter-row reduction is performed on the stored rows
+(this is not Hermite form), yet :func:`reduce_row` still produces a
+canonical representative of each residue class: at every pivot column the
+remainder is the floor residue in ``[0, a)``, and an induction on the
+leading column of differences shows two rows in the same coset reduce to
+the same result.
+
+:class:`Echelon` wraps the staircase in a small class API, and
+:func:`smith_invariants_of_rows` is a sparse Smith-normal-form routine for
+extracting invariant factors.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
-if os.environ.get("ELLCHOW_PURE_KERNEL"):
-    from . import _echelon_py as _kernel
+# Name of the echelon kernel, as recorded in benchmark results: there is one,
+# the pure-Python staircase below.
+KERNEL_NAME = "pure"
 
-    KERNEL_NAME = "pure"
-else:
-    try:
-        from . import _echelon_c as _kernel  # type: ignore[attr-defined]
 
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        from . import _echelon_py as _kernel
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended gcd: returns ``(g, x, y)`` with ``g = a*x + b*y`` and ``g > 0``
+    (for ``a``, ``b`` not both zero)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
-        KERNEL_NAME = "pure"
 
-xgcd = _kernel.xgcd
-row_combine = _kernel.row_combine
+def row_scale(row: list, s: int) -> list:
+    """``s * row`` as a fresh flat row (``s`` must be nonzero)."""
+    out = list(row)
+    for i in range(1, len(out), 2):
+        out[i] = out[i] * s
+    return out
+
+
+def row_combine(a: list, sa: int, b: list, sb: int) -> list:
+    """``sa*a + sb*b`` as a fresh flat row (zero entries dropped)."""
+    out: list = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ca, cb = a[i], b[j]
+        if ca == cb:
+            v = sa * a[i + 1] + sb * b[j + 1]
+            if v:
+                out.append(ca)
+                out.append(v)
+            i += 2
+            j += 2
+        elif ca < cb:
+            v = sa * a[i + 1]
+            if v:
+                out.append(ca)
+                out.append(v)
+            i += 2
+        else:
+            v = sb * b[j + 1]
+            if v:
+                out.append(cb)
+                out.append(v)
+            j += 2
+    while i < la:
+        v = sa * a[i + 1]
+        if v:
+            out.append(a[i])
+            out.append(v)
+        i += 2
+    while j < lb:
+        v = sb * b[j + 1]
+        if v:
+            out.append(b[j])
+            out.append(v)
+        j += 2
+    return out
+
+
+def insert_row(rows: list, pivots: dict, row: list) -> None:
+    """Add ``row`` to the staircase basis, preserving its invariants.
+
+    Walks the leading column of ``row``: an unclaimed column claims a new
+    pivot (sign-normalised); at a claimed column the row is either
+    eliminated (divisible case) or merged via an extended-gcd update that
+    replaces the pivot row by one leading with the gcd and continues with
+    a row whose leading column is strictly larger.
+    """
+    while row:
+        col = row[0]
+        c = row[1]
+        j = pivots.get(col)
+        if j is None:
+            if c < 0:
+                row = row_scale(row, -1)
+            pivots[col] = len(rows)
+            rows.append(row)
+            return
+        p = rows[j]
+        a = p[1]
+        if c % a == 0:
+            row = row_combine(row, 1, p, -(c // a))
+        else:
+            g, x, y = xgcd(a, c)
+            new_pivot = row_combine(p, x, row, y)
+            row = row_combine(row, a // g, p, -(c // g))
+            rows[j] = new_pivot
+
+
+def reduce_row(rows: list, pivots: dict, row: list) -> list:
+    """Canonical residue of ``row`` modulo the staircase basis.
+
+    At each pivot column the coefficient is floor-reduced into ``[0, a)``
+    where ``a`` is the (positive) pivot coefficient; non-pivot columns are
+    kept as-is.  Membership in the lattice is equivalent to an empty result.
+    """
+    cur = list(row)
+    i = 0
+    while i < len(cur):
+        col = cur[i]
+        j = pivots.get(col)
+        if j is not None:
+            c = cur[i + 1]
+            p = rows[j]
+            a = p[1]
+            q = c // a
+            if q:
+                cur = cur[:i] + row_combine(cur[i:], 1, p, -q)
+                continue
+        i += 2
+    return cur
 
 
 def flat_from_pairs(pairs: Iterable[tuple[int, int]]) -> list:
@@ -63,20 +176,20 @@ class Echelon:
         self.pivots: dict[int, int] = {}
 
     def insert(self, row: list) -> None:
-        _kernel.insert_row(self.rows, self.pivots, row)
+        insert_row(self.rows, self.pivots, row)
 
     def residue(self, row: list) -> list:
-        return _kernel.reduce_row(self.rows, self.pivots, row)
+        return reduce_row(self.rows, self.pivots, row)
 
     def contains(self, row: list) -> bool:
-        return not _kernel.reduce_row(self.rows, self.pivots, row)
+        return not reduce_row(self.rows, self.pivots, row)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def copy(self) -> "Echelon":
-        # Neither kernel mutates a stored row in place: ``insert_row`` only
+        # The kernel never mutates a stored row in place: ``insert_row`` only
         # rebinds ``rows[j]`` and appends fresh rows.  So the copy may share
         # the row lists, and only the outer list and the pivot map are new.
         dup = Echelon.__new__(Echelon)

@@ -292,8 +292,8 @@ class GradedPresentation:
         On the six-marking genus-zero ring to degree 3 this stores a third
         of the entries that generation order stores, with coefficients of
         3 bits instead of 8.  The order cannot change any result, because
-        the staircase residue is canonical for the lattice (see
-        ``_echelon_py``): the rank, the pivot columns and their leading
+        the staircase residue is canonical for the lattice (see the
+        ``lattice`` module): the rank, the pivot columns and their leading
         coefficients, residues and normal forms depend only on the span.
         The rows are sorted ascending and popped from the end, so each is
         freed once inserted.
@@ -423,28 +423,3 @@ class GradedPresentation:
                 )
             terms[h_basis[col - n_main]] = -coeff
         return self.normal_form(IntPolynomial(terms))
-
-
-# -- functional aliases matching the public operation names ---------------------
-
-
-def graded_component(pres: GradedPresentation, degree: int) -> GradedComponent:
-    return pres.graded_component(degree)
-
-
-def reduces_to_zero(pres: GradedPresentation, f: IntPolynomial) -> bool:
-    return pres.reduces_to_zero(f)
-
-
-def smith_invariants(pres: GradedPresentation, degree: int) -> InvariantFactors:
-    return pres.smith_invariants(degree)
-
-
-def hilbert_function(pres: GradedPresentation, d_max: int) -> list[int]:
-    return pres.hilbert_function(d_max)
-
-
-def divide_in_quotient(
-    pres: GradedPresentation, g: IntPolynomial, c: IntPolynomial
-) -> IntPolynomial:
-    return pres.divide_in_quotient(g, c)

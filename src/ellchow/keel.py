@@ -24,7 +24,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .exactring import GradedPresentation, IntPolynomial, subset_name
+from .exactring import GradedPresentation, IntPolynomial, name_elements, subset_name
+from .partitions import incomparable
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,7 @@ def keel_presentation(markings: Sequence[int], prefix: str = "d") -> KeelRing:
         relations.extend([q_ij - q_ih, q_ij - q_ik, q_ih - q_ik])
     # Incompatible boundary divisors do not meet.
     for sa, sb in combinations(symbols, 2):
-        ta = set(_subset_of(sa))
-        tb = set(_subset_of(sb))
-        if ta & tb and not (ta <= tb or tb <= ta):
+        if incomparable(name_elements(sa), name_elements(sb)):
             relations.append(
                 IntPolynomial.symbol(sa) * IntPolynomial.symbol(sb)
             )
@@ -106,11 +105,6 @@ def keel_presentation(markings: Sequence[int], prefix: str = "d") -> KeelRing:
         symbols, relations, name=f"keel({','.join(map(str, ms))})"
     )
     return KeelRing(markings=ms, prefix=prefix, presentation=pres)
-
-
-def _subset_of(symbol: str) -> tuple[int, ...]:
-    inner = symbol[symbol.index("{") + 1 : -1]
-    return tuple(int(x) for x in inner.split(","))
 
 
 def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntPolynomial:
@@ -134,11 +128,6 @@ class StableTree:
     leaf or edge connecting upward)."""
 
     children: tuple["StableTree | int", ...]
-
-    def vertex_count(self) -> int:
-        return 1 + sum(
-            c.vertex_count() for c in self.children if isinstance(c, StableTree)
-        )
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:

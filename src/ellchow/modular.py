@@ -20,7 +20,6 @@ nodal classes, entirely inside the ambient ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .corering import core_relation_seeds
@@ -44,11 +43,11 @@ from .partitions import (
 from .patch import (
     RestrictionData,
     ambient_symbols,
+    base_relations,
     classes_equal,
     ell_class,
     fundamental_class,
     nod_class,
-    relation_families,
     restrict_to_tail,
     six_marking_extras,
     tau,
@@ -112,12 +111,6 @@ def _disjoint_family_kills(
     return kills
 
 
-@lru_cache(maxsize=None)
-def _ambient_relations_sans_extras(n: int) -> tuple[IntPolynomial, ...]:
-    fams = relation_families(n)
-    return tuple(fams["four-point"] + fams["incompatible"] + fams["normal"])
-
-
 def qstable_presentation(n: int, q: QSpec) -> QPresentation:
     """The graded presentation of the compactification named by ``q``."""
     if q.n != n:
@@ -130,7 +123,7 @@ def qstable_presentation(n: int, q: QSpec) -> QPresentation:
     symbols = [s for s in ambient_symbols(n) if s not in deleted_names]
 
     relations: list[IntPolynomial] = [
-        rel.substitute(subs) for rel in _ambient_relations_sans_extras(n)
+        rel.substitute(subs) for rel in base_relations(n)
     ]
     if n == 6:
         if not survivors:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -164,16 +164,6 @@ def disc_completion(blocks: Iterable[Iterable[int]], n: int) -> SetPartition:
     return SetPartition.of(list(listed) + singletons, n)
 
 
-def validate_subset(b: Iterable[int], n: int) -> frozenset[int]:
-    """Check a boundary-divisor label: a subset of ``{1..n}`` of size >= 2."""
-    s = frozenset(b)
-    if not s <= set(range(1, n + 1)):
-        raise ValueError(f"subset {sorted(s)} not within 1..{n}")
-    if len(s) < 2:
-        raise ValueError("boundary subsets need at least two markings")
-    return s
-
-
 def incomparable(b1: Iterable[int], b2: Iterable[int]) -> bool:
     """True when the two subsets neither nest nor are disjoint."""
     s1, s2 = set(b1), set(b2)
@@ -263,10 +253,3 @@ def lp_minimal(n: int) -> QSpec:
     if n < 2:
         return QSpec(n, frozenset(p for p in enumerate_partitions(n)[:-1]))
     return smyth(n, n - 1)
-
-
-def partitions_coarser_than(s: SetPartition) -> tuple[SetPartition, ...]:
-    """All partitions ``t`` with ``refines(t, s)``, including ``s`` itself."""
-    return tuple(
-        t for t in enumerate_partitions(s.n) if refines(t, s)
-    )

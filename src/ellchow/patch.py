@@ -32,7 +32,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .corering import ClassTableError, min_class, core_relation_seeds
+from .corering import min_class, core_relation_seeds
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -143,6 +143,15 @@ def relation_families(n: int) -> dict[str, list[IntPolynomial]]:
     }
 
 
+@lru_cache(maxsize=None)
+def base_relations(n: int) -> tuple[IntPolynomial, ...]:
+    """The three relation families concatenated, four-point first, then
+    incompatible, then normal: every ambient relation but the six-marking
+    extras."""
+    fams = relation_families(n)
+    return tuple(fams["four-point"] + fams["incompatible"] + fams["normal"])
+
+
 # -- the patching driver -------------------------------------------------------
 
 
@@ -179,9 +188,8 @@ def _patch(
     f: IntPolynomial,
     target: Callable[[SetPartition], IntPolynomial],
     start_length: int | None,
-    checkpoint: Callable[[int, IntPolynomial], None] | None = None,
 ) -> IntPolynomial:
-    for level, strata in CoreLevelStratification(n).levels(start_length):
+    for _, strata in CoreLevelStratification(n).levels(start_length):
         corrections = IntPolynomial.zero()
         for s in strata:
             model = tail_model(n, s)
@@ -192,21 +200,15 @@ def _patch(
                     n, s, gbar
                 )
         f = f - corrections
-        if checkpoint is not None:
-            checkpoint(level, f)
     return f
 
 
-def fundamental_class(
-    n: int,
-    data: RestrictionData,
-    checkpoint: Callable[[int, IntPolynomial], None] | None = None,
-) -> IntPolynomial:
+def fundamental_class(n: int, data: RestrictionData) -> IntPolynomial:
     """The ambient class restricting to the prescribed value on every
     stratum, built by descending level patching from the seed."""
     if data.n != n:
         raise ValueError("restriction data is for a different marking count")
-    return _patch(n, data.seed, data.target, None, checkpoint)
+    return _patch(n, data.seed, data.target, None)
 
 
 def lift_relation(
@@ -286,14 +288,9 @@ def gorenstein_presentation(n: int) -> GradedPresentation:
     genus-one curves on ``n`` markings."""
     if not 1 <= n <= 6:
         raise ValueError("marking count must be between 1 and 6")
-    families = relation_families(n)
-    relations = (
-        families["four-point"]
-        + families["incompatible"]
-        + families["normal"]
-    )
+    relations = base_relations(n)
     if n == 6:
-        relations = relations + list(six_marking_extras())
+        relations = relations + six_marking_extras()
     return GradedPresentation(
         ambient_symbols(n), relations, name=f"gorenstein({n})"
     )

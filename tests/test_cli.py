@@ -177,12 +177,10 @@ def test_verify_json_format():
     }
 
 
-def test_verify_appendix_parallel_matches_serial():
-    code_serial, text_serial = invoke("verify", "appendix", "--n", "3")
-    code_par, text_par = invoke(
-        "verify", "appendix", "--n", "3", "--jobs", "4"
-    )
-    assert (code_serial, text_serial) == (code_par, text_par)
+def test_verify_rejects_jobs_option():
+    code, text = invoke("verify", "appendix", "--n", "3", "--jobs", "2")
+    assert code == 2
+    assert text == ""
 
 
 def test_verify_detects_wrong_fixtures(tmp_path):

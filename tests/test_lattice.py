@@ -1,8 +1,7 @@
 """Integer row-echelon lattices and Smith invariants.
 
-The compiled and pure kernels must agree operation-for-operation, echelon
-residues must be canonical coset representatives that do not depend on the
-order of insertion, and Smith invariants are cross-checked against an
+Echelon residues must be canonical coset representatives that do not depend
+on the order of insertion, and Smith invariants are cross-checked against an
 independent implementation (sympy).
 """
 
@@ -12,22 +11,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ellchow.exactring import _echelon_py as pure
 from ellchow.exactring.lattice import (
     KERNEL_NAME,
     Echelon,
     flat_from_pairs,
+    insert_row,
+    reduce_row,
+    row_combine,
     smith_invariants_of_rows,
+    xgcd,
 )
 from ellchow.keel import keel_presentation
-
-try:
-    from ellchow.exactring import _echelon_c as compiled
-except ImportError:  # pragma: no cover - compiled kernel is optional
-    compiled = None
-
-
-KERNELS = [pure] + ([compiled] if compiled is not None else [])
 
 
 # -- flat row encoding -------------------------------------------------------
@@ -49,21 +43,19 @@ def test_flat_from_pairs_sorts_and_drops_zeros():
 # -- kernel primitives -------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_xgcd_bezout(k):
+def test_xgcd_bezout():
     rng = random.Random(7)
     for _ in range(300):
         a = rng.randint(-10**9, 10**9)
         b = rng.randint(-10**9, 10**9)
-        g, x, y = k.xgcd(a, b)
+        g, x, y = xgcd(a, b)
         assert g == a * x + b * y
         if a or b:
             assert g > 0
             assert a % g == 0 and b % g == 0
 
 
-@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_row_combine_matches_dense(k):
+def test_row_combine_matches_dense():
     rng = random.Random(11)
     for _ in range(200):
         w = rng.randint(1, 8)
@@ -74,7 +66,7 @@ def test_row_combine_matches_dense(k):
             [(i, rng.randint(-9, 9)) for i in rng.sample(range(w), rng.randint(0, w))]
         )
         sa, sb = rng.randint(-4, 4), rng.randint(-4, 4)
-        got = dense(k.row_combine(list(a), sa, list(b), sb), w)
+        got = dense(row_combine(list(a), sa, list(b), sb), w)
         want = [sa * x + sb * y for x, y in zip(dense(a, w), dense(b, w))]
         assert got == want
 
@@ -98,8 +90,7 @@ def span_member_brute(rows, vec, bound=3):
     return False
 
 
-@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_insert_preserves_membership(k):
+def test_insert_preserves_membership():
     """After inserting rows, each original row must reduce to zero."""
     rng = random.Random(23)
     for _ in range(60):
@@ -111,19 +102,18 @@ def test_insert_preserves_membership(k):
             for r in rows_dense
         ]
         for f in flats:
-            k.insert_row(rows, pivots, list(f))
+            insert_row(rows, pivots, list(f))
         for f in flats:
-            assert k.reduce_row(rows, pivots, list(f)) == []
+            assert reduce_row(rows, pivots, list(f)) == []
 
 
-@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_staircase_invariants(k):
+def test_staircase_invariants():
     rng = random.Random(29)
     for _ in range(60):
         width = rng.randint(1, 6)
         rows, pivots = [], {}
         for r in random_rows(rng, rng.randint(1, 7), width):
-            k.insert_row(
+            insert_row(
                 rows, pivots, list(flat_from_pairs([(i, c) for i, c in enumerate(r) if c]))
             )
         lead_cols = [row[0] for row in rows]
@@ -133,8 +123,7 @@ def test_staircase_invariants(k):
         assert pivots == {row[0]: idx for idx, row in enumerate(rows)}
 
 
-@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_residue_is_canonical_on_cosets(k):
+def test_residue_is_canonical_on_cosets():
     """Vectors in the same coset of the span reduce to the same residue,
     and residue entries under pivot columns lie in [0, pivot)."""
     rng = random.Random(31)
@@ -142,12 +131,12 @@ def test_residue_is_canonical_on_cosets(k):
         width = rng.randint(1, 5)
         rows, pivots = [], {}
         for r in random_rows(rng, rng.randint(1, 4), width, bound=5):
-            k.insert_row(
+            insert_row(
                 rows, pivots, list(flat_from_pairs([(i, c) for i, c in enumerate(r) if c]))
             )
         vec = random_rows(rng, 1, width, bound=8)[0]
         flat = flat_from_pairs([(i, c) for i, c in enumerate(vec) if c])
-        res1 = k.reduce_row(rows, pivots, list(flat))
+        res1 = reduce_row(rows, pivots, list(flat))
         # shift by a random span element: same residue expected
         shift = [0] * width
         for row in rows:
@@ -156,36 +145,15 @@ def test_residue_is_canonical_on_cosets(k):
                 shift[i] += c * v
         shifted = [a + b for a, b in zip(vec, shift)]
         flat2 = flat_from_pairs([(i, c) for i, c in enumerate(shifted) if c])
-        res2 = k.reduce_row(rows, pivots, list(flat2))
+        res2 = reduce_row(rows, pivots, list(flat2))
         assert res1 == res2
         for i, v in zip(res1[::2], res1[1::2]):
             if i in pivots:
                 assert 0 <= v < rows[pivots[i]][1]
 
 
-def test_kernels_agree_operation_for_operation():
-    if compiled is None:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(37)
-    for _ in range(80):
-        width = rng.randint(1, 6)
-        rows_a, piv_a = [], {}
-        rows_b, piv_b = [], {}
-        for r in random_rows(rng, rng.randint(1, 8), width):
-            flat = flat_from_pairs([(i, c) for i, c in enumerate(r) if c])
-            pure.insert_row(rows_a, piv_a, list(flat))
-            compiled.insert_row(rows_b, piv_b, list(flat))
-            assert [list(x) for x in rows_a] == [list(x) for x in rows_b]
-            assert piv_a == piv_b
-        probe = random_rows(rng, 1, width, bound=20)[0]
-        flat = flat_from_pairs([(i, c) for i, c in enumerate(probe) if c])
-        assert pure.reduce_row(rows_a, piv_a, list(flat)) == compiled.reduce_row(
-            rows_b, piv_b, list(flat)
-        )
-
-
 def test_selected_kernel_is_named():
-    assert KERNEL_NAME in ("pure", "compiled")
+    assert KERNEL_NAME == "pure"
 
 
 # -- Echelon wrapper ----------------------------------------------------------
