@@ -50,7 +50,6 @@ from .partitions import (
     validate_qspec,
 )
 from .patch import (
-    CoreLevelStratification,
     RestrictionData,
     classes_equal,
     ell_class,
@@ -113,7 +112,6 @@ __all__ = [
     "s_min",
     "smyth",
     "validate_qspec",
-    "CoreLevelStratification",
     "RestrictionData",
     "classes_equal",
     "ell_class",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,7 +49,13 @@ from .patch import (
     relation_families,
     restricts_to_zero_everywhere,
 )
-from .strata import ell_model, restrict_to_ell, restrict_to_tail, tail_model
+from .strata import (
+    NuRestrictionError,
+    ell_model,
+    restrict_to_ell,
+    restrict_to_tail,
+    tail_model,
+)
 
 
 @dataclass(frozen=True)
@@ -101,17 +106,12 @@ def _parse_space(n: int, text: str) -> QSpec:
     raise ValueError(f"unknown space {text!r}")
 
 
-def _fixture_override(args) -> dict | None:
-    path = args.fixtures or os.environ.get("ELLCHOW_FIXTURES")
-    return load_fixture_file(path) if path else None
-
-
 # -- verify suites --------------------------------------------------------------
 
 
 def _verify_appendix(args) -> list[Check]:
     n = args.n
-    table = _fixture_override(args)
+    table = load_fixture_file(args.fixtures) if args.fixtures else None
     checks = []
     for s in enumerate_partitions(n):
         try:
@@ -231,7 +231,7 @@ def _cmd_present(args, out) -> int:
                 "relations": [r.to_json_obj() for r in pres.relations]
                 + [
                     IntPolynomial.monomial(m).to_json_obj()
-                    for m in _kill_monomials(pres)
+                    for m in pres.kill_monomials()
                 ],
             },
             out,
@@ -245,20 +245,9 @@ def _cmd_present(args, out) -> int:
             out.write("deleted: " + " ".join(sorted(qp.deleted)) + "\n")
         for r in pres.relations:
             out.write(f"  {r.text()}\n")
-        for m in _kill_monomials(pres):
+        for m in pres.kill_monomials():
             out.write(f"  {IntPolynomial.monomial(m).text()}\n")
     return 0
-
-
-def _kill_monomials(pres) -> list:
-    out = []
-    for name, cap in pres.max_exp.items():
-        if cap is not None:
-            out.append(((name, cap + 1),))
-    for kill in pres.squarefree_kills:
-        out.append(tuple((nm, 1) for nm in sorted(kill)))
-    out.extend(pres.general_kills)
-    return out
 
 
 def _cmd_class(args, out) -> int:
@@ -294,6 +283,8 @@ def _cmd_hilbert(args, out) -> int:
     n = args.n
     qp = qstable_presentation(n, _parse_space(n, args.space))
     d_max = args.degree if args.degree is not None else n
+    if d_max < 0:
+        raise ValueError(f"degree {d_max} is negative")
     ranks = hilbert_poincare(qp, d_max)
     if args.format == "json":
         json.dump({"space": qp.presentation.name, "ranks": ranks}, out)
@@ -410,6 +401,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     except (
         ValueError,
         PresentationError,
+        NuRestrictionError,
         ClassTableError,
         OSError,
         json.JSONDecodeError,

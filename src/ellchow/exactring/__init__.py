@@ -1,5 +1,9 @@
 """Exact integer computer algebra: sparse polynomials, lattice echelon
-forms, Smith invariants, and finitely presented graded rings."""
+forms, Smith invariants, and finitely presented graded rings.
+
+A graded piece is reached only through its relation lattice
+(``GradedPresentation.lattice``) or its Smith invariants, and both are
+built from the same product rows; there is no dense-matrix view of it."""
 
 from .lattice import (
     KERNEL_NAME,
@@ -22,7 +26,6 @@ from .poly import (
     term_sort_key,
 )
 from .presentation import (
-    GradedComponent,
     GradedPresentation,
     InvariantFactors,
     NotDivisibleError,
@@ -46,7 +49,6 @@ __all__ = [
     "symbol_degree",
     "symbol_key",
     "term_sort_key",
-    "GradedComponent",
     "GradedPresentation",
     "InvariantFactors",
     "NotDivisibleError",

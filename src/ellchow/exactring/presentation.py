@@ -49,16 +49,6 @@ class InvariantFactors:
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GradedComponent:
-    """Degree-``d`` data: the pruned monomial basis and the dense relation
-    rows spanning the subgroup to quotient by."""
-
-    degree: int
-    basis: tuple[Mono, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
 class GradedPresentation:
     """Z[symbols] / (relations), graded by total symbol degree."""
 
@@ -130,6 +120,21 @@ class GradedPresentation:
         self._free_symbols = frozenset(ordered) - used
 
     # -- monomial bookkeeping ------------------------------------------------
+
+    def kill_monomials(self) -> list[Mono]:
+        """The monomial relations set aside from ``relations``: exponent
+        caps in symbol order, then squarefree products, then the rest."""
+        out: list[Mono] = [
+            ((nm, cap + 1),)
+            for nm, cap in self.max_exp.items()
+            if cap is not None
+        ]
+        out.extend(
+            tuple((nm, 1) for nm in sorted(kill))
+            for kill in self.squarefree_kills
+        )
+        out.extend(self.general_kills)
+        return out
 
     def _is_killed(self, mono: Mono) -> bool:
         support = {nm for nm, _ in mono}
@@ -242,41 +247,45 @@ class GradedPresentation:
         reduced = [self.from_vector(r, delta) for r in ech.rows]
         return self._reduced_rels.setdefault(delta, reduced)
 
-    def _product_rows(self, degree: int, reduced: bool) -> Iterable[list]:
-        """The nonzero flat rows ``vector(mono * rel, degree)``: relation
-        degrees ascending, then multipliers ``mono`` in basis order, then
-        relations in list order.
+    def _product_columns(
+        self, mono: Mono, factors: Iterable[Mono], idx: dict[Mono, int]
+    ) -> dict[Mono, int | None]:
+        """The column of ``mono * f`` in ``idx`` for each monomial ``f`` of
+        ``factors``, ``None`` when the product is killed."""
+        cols: dict[Mono, int | None] = {}
+        for f in factors:
+            prod = mono_mul(mono, f)
+            col = idx.get(prod)
+            if col is None and not self._is_killed(prod):
+                raise PresentationError(
+                    f"monomial outside the ring: "
+                    f"{IntPolynomial.monomial(prod).text()}"
+                )
+            cols[f] = col
+        return cols
+
+    def _product_rows(self, degree: int) -> Iterable[list]:
+        """The nonzero flat rows ``vector(mono * rel, degree)`` of the
+        echelon-reduced relations: relation degrees ascending, then
+        multipliers ``mono`` in basis order, then relations in list order.
 
         The products are formed by index arithmetic instead of polynomial
         multiplication: each relation's terms are taken once per relation
         degree, and for each multiplier every relation monomial is mapped
-        once to the column of its product (``None`` when the product is
-        killed), then shared by all relations of that degree.
+        once to the column of its product, then shared by all relations of
+        that degree.
         """
         idx = self.basis_index(degree)
         for delta in sorted(self._rels_by_degree):
             if delta > degree:
                 continue
-            rels = (
-                self._reduced_relations(delta)
-                if reduced
-                else self._rels_by_degree[delta]
-            )
+            rels = self._reduced_relations(delta)
             if not rels:
                 continue
             rel_terms = [list(rel.items()) for rel in rels]
             rel_monos = dict.fromkeys(m for terms in rel_terms for m, _ in terms)
             for mono in self.basis(degree - delta):
-                cols: dict[Mono, int | None] = {}
-                for rm in rel_monos:
-                    prod = mono_mul(mono, rm)
-                    col = idx.get(prod)
-                    if col is None and not self._is_killed(prod):
-                        raise PresentationError(
-                            f"monomial outside the ring: "
-                            f"{IntPolynomial.monomial(prod).text()}"
-                        )
-                    cols[rm] = col
+                cols = self._product_columns(mono, rel_monos, idx)
                 for terms in rel_terms:
                     row = flat_from_pairs(
                         (cols[m], c) for m, c in terms if cols[m] is not None
@@ -301,7 +310,7 @@ class GradedPresentation:
         cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
-        rows = list(self._product_rows(degree, reduced=True))
+        rows = list(self._product_rows(degree))
         rows.sort(key=lambda r: (r[0], -len(r)))
         ech = Echelon()
         while rows:
@@ -309,17 +318,6 @@ class GradedPresentation:
         return self._lattice_cache.setdefault(degree, ech)
 
     # -- queries ---------------------------------------------------------------
-
-    def graded_component(self, degree: int) -> GradedComponent:
-        basis = tuple(self.basis(degree))
-        n = len(basis)
-        rows: list[tuple[int, ...]] = []
-        for flat in self._product_rows(degree, reduced=False):
-            dense = [0] * n
-            for i in range(0, len(flat), 2):
-                dense[flat[i]] = flat[i + 1]
-            rows.append(tuple(dense))
-        return GradedComponent(degree=degree, basis=basis, rows=tuple(rows))
 
     def reduces_to_zero(self, f: IntPolynomial) -> bool:
         for d, comp in f.homogeneous_components().items():
@@ -339,7 +337,7 @@ class GradedPresentation:
 
     def smith_invariants(self, degree: int) -> InvariantFactors:
         diag = smith_invariants_of_rows(
-            self._product_rows(degree, reduced=True)
+            self._product_rows(degree)
         )
         return InvariantFactors(
             degree=degree,
@@ -386,10 +384,7 @@ class GradedPresentation:
                 sign = lead.constant()
                 quotient = IntPolynomial.zero()
                 rem = g
-                while rem.degree_in(x) >= top and not rem.is_zero():
-                    k = rem.degree_in(x)
-                    if k < top:
-                        break
+                while (k := rem.degree_in(x)) >= top:
                     part = rem.coefficient_in(x, k)
                     t = part * sign * IntPolynomial.symbol(x, k - top)
                     quotient = quotient + t
@@ -406,11 +401,18 @@ class GradedPresentation:
     def _divide_general(
         self, g: IntPolynomial, c: IntPolynomial, dg: int, dc: int
     ) -> IntPolynomial:
-        n_main = len(self.basis(dg))
+        idx = self.basis_index(dg)
+        n_main = len(idx)
         h_basis = self.basis(dg - dc)
+        c_terms = list(c.items())
         ech = self.lattice(dg).copy()
         for i, mono in enumerate(h_basis):
-            row = self.vector(IntPolynomial.monomial(mono) * c, dg)
+            # A killed product leaves the row empty but for the augmented
+            # column, which must still be inserted.
+            cols = self._product_columns(mono, (m for m, _ in c_terms), idx)
+            row = flat_from_pairs(
+                (cols[m], k) for m, k in c_terms if cols[m] is not None
+            )
             ech.insert(row + [n_main + i, 1])
         residue = self.lattice(dg).residue(self.vector(g, dg))
         residue = ech.residue(residue)

@@ -5,7 +5,9 @@ moduli of stable genus-zero curves marked by ``markings`` plus one implicit
 extra point ``*``: one degree-one generator ``D_T`` per subset ``T`` of the
 markings with ``2 <= |T| < |markings|`` (labelled by the side away from
 ``*``), linear four-point relations, and vanishing products of
-incompatible divisors.
+incompatible divisors.  Its two builders, ``divisor_sum`` and
+``four_point_relations``, also write the ambient relations of
+:mod:`ellchow.patch` and the whole-block pullbacks of :mod:`ellchow.strata`.
 
 ``psi_star`` writes the cotangent class at ``*`` as a sum of boundary
 divisors avoiding two chosen markings; the class is independent of the
@@ -45,22 +47,49 @@ class KeelRing:
         return IntPolynomial.symbol(subset_name(self.prefix, t))
 
 
-def _pair_sum(
-    ring_markings: Sequence[int],
+def divisor_sum(
+    markings: Sequence[int],
     prefix: str,
     inside: tuple[int, ...],
     outside: tuple[int, ...],
 ) -> IntPolynomial:
-    """Sum of divisors D_T with ``inside``-markings in T and
-    ``outside``-markings (and the implicit point) out of T."""
+    """Sum of the divisors D_T of the ring on ``markings`` with the
+    ``inside`` markings in T and the ``outside`` markings (and the implicit
+    point) out of T."""
     total = IntPolynomial.zero()
-    rest = [m for m in ring_markings if m not in inside and m not in outside]
+    rest = [m for m in markings if m not in inside and m not in outside]
     for r in range(len(rest) + 1):
         for extra in combinations(rest, r):
             t = tuple(sorted(inside + extra))
-            if 2 <= len(t) < len(ring_markings):
+            if 2 <= len(t) < len(markings):
                 total = total + IntPolynomial.symbol(subset_name(prefix, t))
     return total
+
+
+def four_point_relations(
+    markings: Sequence[int], prefix: str, within: Sequence[int]
+) -> list[IntPolynomial]:
+    """The linear four-point relations of the ring on ``markings`` for the
+    triples and quadruples of the sorted markings ``within``."""
+
+    def sep(pair: tuple[int, int], away: tuple[int, ...]) -> IntPolynomial:
+        return divisor_sum(markings, prefix, pair, away)
+
+    relations: list[IntPolynomial] = []
+    # The implicit point as fourth marking.
+    for i, j, h in combinations(within, 3):
+        a = sep((i, j), (h,))
+        b = sep((i, h), (j,))
+        c = sep((j, h), (i,))
+        relations.extend([a - b, a - c, b - c])
+    # Four explicit markings: either side of a separating divisor may carry
+    # the pair, the implicit point rides along.
+    for i, j, h, k in combinations(within, 4):
+        q_ij = sep((i, j), (h, k)) + sep((h, k), (i, j))
+        q_ih = sep((i, h), (j, k)) + sep((j, k), (i, h))
+        q_ik = sep((i, k), (j, h)) + sep((j, h), (i, k))
+        relations.extend([q_ij - q_ih, q_ij - q_ik, q_ih - q_ik])
+    return relations
 
 
 def keel_presentation(markings: Sequence[int], prefix: str = "d") -> KeelRing:
@@ -76,24 +105,7 @@ def keel_presentation(markings: Sequence[int], prefix: str = "d") -> KeelRing:
         for size in range(2, len(ms))
         for t in combinations(ms, size)
     ]
-    relations: list[IntPolynomial] = []
-
-    def sep(pair: tuple[int, int], away: tuple[int, ...]) -> IntPolynomial:
-        return _pair_sum(ms, prefix, pair, away)
-
-    # Four-point relations with the implicit point as fourth marking.
-    for i, j, h in combinations(ms, 3):
-        a = sep((i, j), (h,))
-        b = sep((i, h), (j,))
-        c = sep((j, h), (i,))
-        relations.extend([a - b, a - c, b - c])
-    # Four-point relations among the explicit markings: either side of a
-    # separating divisor may carry the pair, the implicit point rides along.
-    for i, j, h, k in combinations(ms, 4):
-        q_ij = sep((i, j), (h, k)) + sep((h, k), (i, j))
-        q_ih = sep((i, h), (j, k)) + sep((j, k), (i, h))
-        q_ik = sep((i, k), (j, h)) + sep((j, h), (i, k))
-        relations.extend([q_ij - q_ih, q_ij - q_ik, q_ih - q_ik])
+    relations = four_point_relations(ms, prefix, ms)
     # Incompatible boundary divisors do not meet.
     for sa, sb in combinations(symbols, 2):
         if incomparable(name_elements(sa), name_elements(sb)):
@@ -115,7 +127,7 @@ def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntP
     if i == j or i not in ring.markings or j not in ring.markings:
         raise ValueError(f"invalid marking pair ({i}, {j})")
     pair = tuple(sorted((i, j)))
-    return _pair_sum(ring.markings, ring.prefix, pair, ())
+    return divisor_sum(ring.markings, ring.prefix, pair, ())
 
 
 # -- stable trees and point counts ------------------------------------------

@@ -44,6 +44,7 @@ from .patch import (
     RestrictionData,
     ambient_symbols,
     base_relations,
+    boundary_subsets,
     classes_equal,
     ell_class,
     fundamental_class,
@@ -75,18 +76,6 @@ class QPresentation:
     deleted: frozenset[str]
 
 
-def _surviving_subsets(n: int, q: QSpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    survive: list[tuple[int, ...]] = []
-    deleted: list[tuple[int, ...]] = []
-    for size in range(2, n + 1):
-        for b in combinations(range(1, n + 1), size):
-            if disc_completion([b], n) in q.allowed:
-                deleted.append(b)
-            else:
-                survive.append(b)
-    return survive, deleted
-
-
 def _disjoint_family_kills(
     n: int, q: QSpec, survivors: list[tuple[int, ...]]
 ) -> list[IntPolynomial]:
@@ -116,7 +105,11 @@ def qstable_presentation(n: int, q: QSpec) -> QPresentation:
     if q.n != n:
         raise ValueError("specification is for a different marking count")
     validate_qspec(q)
-    survivors, deleted = _surviving_subsets(n, q)
+    survivors: list[tuple[int, ...]] = []
+    deleted: list[tuple[int, ...]] = []
+    for b in boundary_subsets(n):
+        contracted = disc_completion([b], n) in q.allowed
+        (deleted if contracted else survivors).append(b)
     deleted_names = frozenset(subset_name("t", b) for b in deleted)
     zero = IntPolynomial.zero()
     subs = {name: zero for name in deleted_names}

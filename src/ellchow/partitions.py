@@ -198,10 +198,18 @@ class QSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSpec":
+        texts = obj.get("allowed", []) if isinstance(obj, dict) else None
+        if not (
+            isinstance(texts, list)
+            and all(isinstance(t, str) for t in texts)
+            and isinstance(obj.get("n"), (int, str))
+        ):
+            raise ValueError(
+                'a singularity specification is an object with a marking '
+                'count "n" and a list of partition texts "allowed"'
+            )
         n = int(obj["n"])
-        allowed = frozenset(
-            SetPartition.parse(t, n) for t in obj.get("allowed", [])
-        )
+        allowed = frozenset(SetPartition.parse(t, n) for t in texts)
         q = cls(n, allowed, obj.get("convention", BKN_CONVENTION))
         validate_qspec(q)
         return q

@@ -39,6 +39,7 @@ from .exactring import (
     name_elements,
     subset_name,
 )
+from .keel import divisor_sum, four_point_relations
 from .partitions import (
     SetPartition,
     compose,
@@ -77,64 +78,45 @@ def tau_monomial(partition: SetPartition) -> IntPolynomial:
     return total
 
 
+@lru_cache(maxsize=None)
+def boundary_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The marking subsets of size at least two (the full set included), by
+    size and then lexicographically: the labels of the boundary divisors."""
+    return tuple(
+        b
+        for size in range(2, n + 1)
+        for b in combinations(range(1, n + 1), size)
+    )
+
+
 def ambient_symbols(n: int) -> list[str]:
-    symbols = ["l"]
-    if n == 6:
-        symbols.append("nu")
-    for size in range(2, n + 1):
-        for b in combinations(range(1, n + 1), size):
-            symbols.append(subset_name("t", b))
-    return symbols
-
-
-def _sep(n: int, inside: tuple[int, ...], outside: tuple[int, ...]) -> IntPolynomial:
-    """Sum of all divisors containing ``inside`` and avoiding ``outside``."""
-    rest = [
-        m for m in range(1, n + 1) if m not in inside and m not in outside
-    ]
-    total = IntPolynomial.zero()
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            b = tuple(sorted(inside + extra))
-            if len(b) >= 2:
-                total = total + tau(b)
-    return total
+    symbols = ["l", "nu"] if n == 6 else ["l"]
+    return symbols + [subset_name("t", b) for b in boundary_subsets(n)]
 
 
 def relation_families(n: int) -> dict[str, list[IntPolynomial]]:
     """The three ambient relation families, keyed ``"four-point"``,
-    ``"incompatible"``, ``"normal"``."""
-    subsets = [
-        b
-        for size in range(2, n + 1)
-        for b in combinations(range(1, n + 1), size)
+    ``"incompatible"``, ``"normal"``.  A four-point relation is Keel's on
+    the markings times a divisor.  A normal relation's cotangent sum is
+    Keel's divisor sum plus the full-set divisor, which the ambient ring has
+    and Keel's ring does not."""
+    markings = tuple(range(1, n + 1))
+    subsets = boundary_subsets(n)
+    four_point = [
+        tau(b) * r
+        for b in subsets
+        for r in four_point_relations(markings, "t", b)
     ]
-    four_point: list[IntPolynomial] = []
-    for b in subsets:
-        tb = tau(b)
-        for i, j, h in combinations(b, 3):
-            a1 = _sep(n, (i, j), (h,))
-            a2 = _sep(n, (i, h), (j,))
-            a3 = _sep(n, (j, h), (i,))
-            four_point.extend(
-                [tb * (a1 - a2), tb * (a1 - a3), tb * (a2 - a3)]
-            )
-        for i, j, h, k in combinations(b, 4):
-            q1 = _sep(n, (i, j), (h, k)) + _sep(n, (h, k), (i, j))
-            q2 = _sep(n, (i, h), (j, k)) + _sep(n, (j, k), (i, h))
-            q3 = _sep(n, (i, k), (j, h)) + _sep(n, (j, h), (i, k))
-            four_point.extend(
-                [tb * (q1 - q2), tb * (q1 - q3), tb * (q2 - q3)]
-            )
     incompatible = [
         tau(b1) * tau(b2)
         for b1, b2 in combinations(subsets, 2)
         if incomparable(b1, b2)
     ]
     normal = [
-        tau(b) * (LAMBDA + _sep(n, (i, j), ()))
+        tau(b)
+        * (LAMBDA + divisor_sum(markings, "t", pair, ()) + tau(markings))
         for b in subsets
-        for i, j in combinations(b, 2)
+        for pair in combinations(b, 2)
     ]
     return {
         "four-point": four_point,
@@ -166,32 +148,17 @@ class RestrictionData:
     target: Callable[[SetPartition], IntPolynomial]
 
 
-@dataclass(frozen=True)
-class CoreLevelStratification:
-    """The stratification of the ambient moduli by core level (number of
-    partition blocks), traversed from fine to coarse."""
-
-    n: int
-
-    def levels(
-        self, start_length: int | None = None
-    ) -> list[tuple[int, tuple[SetPartition, ...]]]:
-        top = self.n - 1 if start_length is None else start_length
-        return [
-            (m, partitions_of_length(self.n, m))
-            for m in range(top, 0, -1)
-        ]
-
-
 def _patch(
     n: int,
     f: IntPolynomial,
     target: Callable[[SetPartition], IntPolynomial],
     start_length: int | None,
 ) -> IntPolynomial:
-    for _, strata in CoreLevelStratification(n).levels(start_length):
+    # Core levels (block counts), from fine to coarse.
+    top = n - 1 if start_length is None else start_length
+    for length in range(top, 0, -1):
         corrections = IntPolynomial.zero()
-        for s in strata:
+        for s in partitions_of_length(n, length):
             model = tail_model(n, s)
             r = restrict_to_tail(n, s, f) - target(s)
             gbar = model.presentation.divide_in_quotient(r, ctop_tail(n, s))
@@ -224,32 +191,30 @@ def lift_relation(
 # -- named classes ----------------------------------------------------------------
 
 
-def ell_class_data(n: int, t: SetPartition) -> RestrictionData:
-    """Restriction data of the closed elliptic-singularity locus with
-    branch partition ``t``."""
+def _singular_class_data(kind: str, n: int, t: SetPartition) -> RestrictionData:
+    """Restriction data of the closed ``kind`` (``"ell"`` or ``"nod"``)
+    singularity locus with branch partition ``t``."""
 
     def target(p: SetPartition) -> IntPolynomial:
         if refines(t, p):
-            return min_class("ell", p.length, compose(t, p))
+            return min_class(kind, p.length, compose(t, p))
         return IntPolynomial.zero()
 
     return RestrictionData(
-        n=n, seed=min_class("ell", n, t.shape()), target=target
+        n=n, seed=min_class(kind, n, t.shape()), target=target
     )
+
+
+def ell_class_data(n: int, t: SetPartition) -> RestrictionData:
+    """Restriction data of the closed elliptic-singularity locus with
+    branch partition ``t``."""
+    return _singular_class_data("ell", n, t)
 
 
 def nod_class_data(n: int, t: SetPartition) -> RestrictionData:
     """Restriction data of the closed nodal-singularity locus with branch
     partition ``t``."""
-
-    def target(p: SetPartition) -> IntPolynomial:
-        if refines(t, p):
-            return min_class("nod", p.length, compose(t, p))
-        return IntPolynomial.zero()
-
-    return RestrictionData(
-        n=n, seed=min_class("nod", n, t.shape()), target=target
-    )
+    return _singular_class_data("nod", n, t)
 
 
 def ell_class(n: int, t: SetPartition) -> IntPolynomial:
@@ -324,6 +289,15 @@ FixtureTable = dict[int, dict[SetPartition, IntPolynomial]]
 
 
 def _parse_fixture_json(raw: dict) -> FixtureTable:
+    if not isinstance(raw, dict) or not all(
+        isinstance(entries, dict)
+        and all(isinstance(x, str) for item in entries.items() for x in item)
+        for entries in raw.values()
+    ):
+        raise ValueError(
+            "a fixture file maps each marking count to an object of "
+            "partition text: class text entries"
+        )
     table: FixtureTable = {}
     for n_str, entries in raw.items():
         n = int(n_str)

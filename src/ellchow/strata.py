@@ -37,7 +37,7 @@ from .exactring import (
     name_elements,
     subset_name,
 )
-from .keel import keel_presentation
+from .keel import divisor_sum, keel_presentation
 from .partitions import SetPartition, compose, disc_completion, refines, s_max
 
 
@@ -60,11 +60,6 @@ class TailModel:
     partition: SetPartition
     presentation: GradedPresentation
 
-    def block_of_subset(self, elems: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The partition block containing the subset, if any."""
-        home = self.partition.block_of(elems[0])
-        return home if set(elems) <= set(home) else None
-
     def image_of(self, name: str) -> IntPolynomial:
         """Pullback of one ambient generator."""
         if name == "l":
@@ -80,15 +75,14 @@ class TailModel:
         elems = name_elements(name)
         if elems is None or not name.startswith("t"):
             raise PresentationError(f"not an ambient generator: {name!r}")
-        home = self.block_of_subset(elems)
-        if home is None:
+        home = self.partition.block_of(elems[0])
+        if not set(elems) <= set(home):
             return IntPolynomial.zero()
         if elems == home:
-            total = -IntPolynomial.symbol("l")
-            c1, c2 = home[0], home[1]
-            for t in _proper_subsets_containing(home, (c1, c2)):
-                total = total - IntPolynomial.symbol(subset_name("d", t))
-            return total
+            # The attaching cotangent class, written with the block's two
+            # smallest markings.
+            psi = divisor_sum(home, "d", home[:2], ())
+            return -IntPolynomial.symbol("l") - psi
         return IntPolynomial.symbol(subset_name("d", elems))
 
 
@@ -117,19 +111,6 @@ class EllModel:
         return IntPolynomial.zero()
 
 
-def _proper_subsets_containing(
-    block: tuple[int, ...], pair: tuple[int, int]
-) -> list[tuple[int, ...]]:
-    rest = [e for e in block if e not in pair]
-    out: list[tuple[int, ...]] = []
-    for mask in range(1 << len(rest)):
-        extra = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        t = tuple(sorted(pair + tuple(extra)))
-        if len(t) < len(block):
-            out.append(t)
-    return out
-
-
 def _block_factors(partition: SetPartition) -> tuple[list[str], list[IntPolynomial]]:
     symbols: list[str] = []
     relations: list[IntPolynomial] = []
@@ -139,10 +120,9 @@ def _block_factors(partition: SetPartition) -> tuple[list[str], list[IntPolynomi
         ring = keel_presentation(block, prefix="d")
         symbols.extend(ring.presentation.symbols)
         relations.extend(ring.presentation.relations)
-        for kill in ring.presentation.squarefree_kills:
-            relations.append(
-                IntPolynomial.monomial(tuple((nm, 1) for nm in sorted(kill)))
-            )
+        relations.extend(
+            IntPolynomial.monomial(m) for m in ring.presentation.kill_monomials()
+        )
     return symbols, relations
 
 

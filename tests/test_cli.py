@@ -32,6 +32,13 @@ def test_hilbert_space_and_degree():
     assert text == "1 1 1 0\n"
 
 
+def test_hilbert_negative_degree(capsys):
+    code, text = invoke("hilbert", "--n", "3", "--degree", "-1")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_hilbert_json():
     code, text = invoke("hilbert", "--n", "2", "--format", "json")
     assert code == 0
@@ -98,6 +105,15 @@ def test_restrict_bad_polynomial(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_restrict_nu_to_singular_model(capsys):
+    code, text = invoke(
+        "restrict", "--n", "6", "--partition", "1 2 3 4 5 6", "--ell", "nu"
+    )
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_restrict_no_singular_model_over_open_stratum():
     code, _ = invoke(
         "restrict", "--n", "3", "--partition", "1|2|3", "--ell", "l"
@@ -142,6 +158,25 @@ def test_present_missing_qfile():
 def test_present_unknown_space():
     code, _ = invoke("present", "--n", "3", "--space", "banana")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"allowed": []},
+        [],
+        {"n": 3, "allowed": 5},
+        {"n": 3, "allowed": [[1, 2]]},
+        {"n": [3]},
+    ],
+)
+def test_present_malformed_qfile(tmp_path, spec, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(spec))
+    code, text = invoke("present", "--n", "3", "--space", f"qfile:{path}")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- verify ----------------------------------------------------------------------
@@ -193,12 +228,16 @@ def test_verify_detects_wrong_fixtures(tmp_path):
     assert "FAIL" in text
 
 
-def test_fixture_environment_override(tmp_path, monkeypatch):
-    path = tmp_path / "wrong.json"
-    path.write_text(json.dumps({"1": {"1": "23*l^2"}}))
-    monkeypatch.setenv("ELLCHOW_FIXTURES", str(path))
-    code, _ = invoke("verify", "appendix", "--n", "1")
-    assert code == 1
+@pytest.mark.parametrize("table", [[1, 2], {"1": [1]}, {"1": {"1": 5}}])
+def test_verify_malformed_fixtures(tmp_path, table, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, text = invoke(
+        "verify", "appendix", "--n", "1", "--fixtures", str(path)
+    )
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_getzler_reports_the_discrepancy_line():

@@ -12,7 +12,7 @@ from ellchow import (
     mzero_point_poly,
     psi_star,
 )
-from ellchow.keel import enumerate_stable_trees
+from ellchow.keel import enumerate_stable_trees, four_point_relations
 
 
 # -- presentation shape --------------------------------------------------------
@@ -23,6 +23,15 @@ def test_generator_count(size):
     ring = keel_presentation(list(range(1, size + 1)))
     # proper subsets of size >= 2: all subsets minus empty, singletons, full
     assert len(ring.presentation.symbols) == 2**size - size - 2
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7])
+def test_relations_are_the_four_point_relations(size):
+    ms = tuple(range(1, size + 1))
+    pres = keel_presentation(ms).presentation
+    assert pres.relations == four_point_relations(ms, "d", ms)
+    assert all(cap is None for cap in pres.max_exp.values())
+    assert not pres.general_kills
 
 
 def test_rejects_bad_markings():

@@ -219,7 +219,7 @@ def test_sorted_lattice_matches_unsorted_insertion(degree):
     residues must equal those of inserting them in generation order."""
     pres = keel_presentation(range(1, 6)).presentation
     unsorted = Echelon()
-    for row in pres._product_rows(degree, reduced=True):
+    for row in pres._product_rows(degree):
         unsorted.insert(row)
     built = pres.lattice(degree)
     assert _staircase_shape(built) == _staircase_shape(unsorted)

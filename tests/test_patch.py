@@ -1,5 +1,7 @@
 """Ambient presentation, stratification patching, and fundamental classes."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from ellchow import (
 )
 from ellchow.patch import (
     ambient_symbols,
+    base_relations,
     ell_class_data,
     expected_class,
     fixture_partitions,
@@ -29,6 +32,7 @@ from ellchow.patch import (
     tau,
     tau_monomial,
 )
+from ellchow.strata import ell_model, tail_model
 
 
 P = IntPolynomial.parse
@@ -69,6 +73,30 @@ def test_relation_family_sizes_for_three_markings():
         "incompatible": 3,
         "normal": 6,
     }
+
+
+def test_relation_lists_are_pinned():
+    """The ambient relations and every tail- and elliptic-model
+    presentation for up to six markings, hashed as text."""
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        lines = [r.text() for r in base_relations(n)]
+        for s in enumerate_partitions(n):
+            models = [tail_model(n, s)]
+            if s != s_max(n):
+                models.append(ell_model(n, s))
+            for model in models:
+                pres = model.presentation
+                lines += [pres.name, " ".join(pres.symbols)]
+                lines += [r.text() for r in pres.relations]
+                lines += [
+                    IntPolynomial.monomial(m).text()
+                    for m in pres.kill_monomials()
+                ]
+        digest.update("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest() == (
+        "814dd16844862351de87cd76a89143e8e4b45ca24abd2184eba0f4800a3a1813"
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,0 +1,38 @@
+"""The benchmark's per-layer trace hooks still find what they wrap."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SOLVE = """
+from layers import LayerTrace
+
+from ellchow import SetPartition, ell_class
+
+trace = LayerTrace()
+trace.install()
+ell_class(4, SetPartition.parse("1 2|3 4", 4))
+builds = trace.metrics()["presentation.lattice_builds"]
+assert builds > 0, builds
+print(builds)
+"""
+
+
+def test_layer_trace_installs_and_counts():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
