@@ -16,7 +16,7 @@ The package provides:
 * :mod:`ellchow.cli` — the ``ellchow`` command.
 """
 
-from .corering import ClassTableError, MinRing, min_class, min_presentation, schubert_to_ln
+from .corering import ClassTableError, min_class, min_presentation, schubert_to_ln
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -63,9 +63,8 @@ from .patch import (
     tau_monomial,
 )
 from .strata import (
-    EllModel,
     NuRestrictionError,
-    TailModel,
+    StratumModel,
     ctop_tail,
     ell_model,
     lift_from_tail,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassTableError",
-    "MinRing",
     "min_class",
     "min_presentation",
     "schubert_to_ln",
@@ -123,9 +121,8 @@ __all__ = [
     "restricts_to_zero_everywhere",
     "tau",
     "tau_monomial",
-    "EllModel",
     "NuRestrictionError",
-    "TailModel",
+    "StratumModel",
     "ctop_tail",
     "ell_model",
     "lift_from_tail",

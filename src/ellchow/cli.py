@@ -49,13 +49,7 @@ from .patch import (
     relation_families,
     restricts_to_zero_everywhere,
 )
-from .strata import (
-    NuRestrictionError,
-    ell_model,
-    restrict_to_ell,
-    restrict_to_tail,
-    tail_model,
-)
+from .strata import NuRestrictionError, ell_model, tail_model
 
 
 @dataclass(frozen=True)
@@ -298,13 +292,8 @@ def _cmd_restrict(args, out) -> int:
     n = args.n
     part = SetPartition.parse(args.partition, n)
     f = IntPolynomial.parse(args.poly)
-    if args.ell:
-        value = restrict_to_ell(n, part, f)
-        pres = ell_model(n, part).presentation
-    else:
-        value = restrict_to_tail(n, part, f)
-        pres = tail_model(n, part).presentation
-    value = pres.normal_form(value)
+    model = ell_model(n, part) if args.ell else tail_model(n, part)
+    value = model.presentation.normal_form(model.restrict(f))
     if args.format == "json":
         json.dump(
             {

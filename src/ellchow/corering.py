@@ -1,7 +1,8 @@
 """Core rings of the moduli of polarised genus-one curves, and the table
 of singular-locus classes they carry.
 
-For up to five markings the core ring is a free polynomial ring on the
+:func:`min_presentation` returns the core ring as a plain graded
+presentation.  For up to five markings it is a free polynomial ring on the
 Hodge class ``l``.  With six markings two relations appear and the ring
 matches the cohomology of the Grassmannian of lines in four-space, with
 ``nu`` the degree-two Schubert generator; :func:`schubert_to_ln` converts
@@ -15,7 +16,6 @@ entries (empty loci) raise :class:`ClassTableError`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -26,14 +26,6 @@ from .partitions import SetPartition
 class ClassTableError(Exception):
     """Raised when a singular-locus class is requested that the table does
     not carry (the locus is empty in that regime)."""
-
-
-@dataclass(frozen=True)
-class MinRing:
-    """The core ring on ``m`` markings."""
-
-    m: int
-    presentation: GradedPresentation
 
 
 _L = IntPolynomial.symbol("l")
@@ -49,19 +41,17 @@ def core_relation_seeds() -> tuple[IntPolynomial, IntPolynomial]:
 
 
 @lru_cache(maxsize=None)
-def min_presentation(m: int) -> MinRing:
+def min_presentation(m: int) -> GradedPresentation:
     """Core ring: free on the Hodge class for ``m <= 5``; for ``m == 6``
     the two :func:`core_relation_seeds` cut it down to the
     line-Grassmannian cohomology."""
     if not 1 <= m <= 6:
         raise ValueError("marking count must be between 1 and 6")
     if m <= 5:
-        pres = GradedPresentation(["l"], [], name=f"min({m})")
-    else:
-        pres = GradedPresentation(
-            ["l", "nu"], core_relation_seeds(), name="min(6)"
-        )
-    return MinRing(m=m, presentation=pres)
+        return GradedPresentation(["l"], [], name=f"min({m})")
+    return GradedPresentation(
+        ["l", "nu"], core_relation_seeds(), name="min(6)"
+    )
 
 
 def _schubert_single(a: int) -> IntPolynomial:
@@ -84,7 +74,7 @@ def schubert_to_ln(a1: int, a2: int = 0) -> IntPolynomial:
     raw = _schubert_single(a1) * _schubert_single(a2) - _schubert_single(
         a1 + 1
     ) * _schubert_single(a2 - 1)
-    return min_presentation(6).presentation.normal_form(raw)
+    return min_presentation(6).normal_form(raw)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ polynomial is meaningful on its own, without a ring attached:
                 (degree 1).
 
 Monomials are stored as tuples of ``(name, exponent)`` pairs sorted by the
-canonical symbol order ``l < nu < xi < braced names by (size, elements)``.
+canonical symbol order ``l < nu < xi < braced names by (size, elements,
+prefix letter)``.
 The canonical text form sorts terms by (degree, exponent vector
 descending-lexicographic), e.g. ``24*l^3 + 24*l^2*t{1,2}``, and round-trips
 through :meth:`IntPolynomial.parse`.  The JSON form is a list of
@@ -39,12 +40,12 @@ def symbol_key(name: str) -> tuple:
         if m is None:
             raise ValueError(f"malformed symbol name: {name!r}")
         if m.group(1):
-            key = (0, _BASE_ORDER[name], 0, ())
+            key = (0, _BASE_ORDER[name], 0, (), "")
         else:
             elems = tuple(int(x) for x in m.group(3).split(","))
             if any(b <= a for a, b in zip(elems, elems[1:])):
                 raise ValueError(f"subset elements not increasing: {name!r}")
-            key = (1, 0, len(elems), elems)
+            key = (1, 0, len(elems), elems, m.group(2))
         _KEY_CACHE[name] = key
     return key
 

@@ -2,12 +2,14 @@
 
 ``keel_presentation(markings)`` builds the divisor presentation of the
 moduli of stable genus-zero curves marked by ``markings`` plus one implicit
-extra point ``*``: one degree-one generator ``D_T`` per subset ``T`` of the
-markings with ``2 <= |T| < |markings|`` (labelled by the side away from
-``*``), linear four-point relations, and vanishing products of
-incompatible divisors.  Its two builders, ``divisor_sum`` and
-``four_point_relations``, also write the ambient relations of
-:mod:`ellchow.patch` and the whole-block pullbacks of :mod:`ellchow.strata`.
+extra point ``*``: one degree-one generator ``d{T}`` per subset ``T`` of
+the markings with ``2 <= |T| < |markings|`` (labelled by the side away
+from ``*``), linear four-point relations, and vanishing products of
+incompatible divisors.  Its three builders, ``divisor_sum``,
+``four_point_relations`` and ``incompatible_products``, take the prefix
+letter of the divisor names, so they also write the ambient ``t{...}``
+relations of :mod:`ellchow.patch`; ``divisor_sum`` also writes the
+whole-block pullbacks of :mod:`ellchow.strata`.
 
 ``psi_star`` writes the cotangent class at ``*`` as a sum of boundary
 divisors avoiding two chosen markings; the class is independent of the
@@ -26,16 +28,16 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .exactring import GradedPresentation, IntPolynomial, name_elements, subset_name
+from .exactring import GradedPresentation, IntPolynomial, subset_name
 from .partitions import incomparable
 
 
 @dataclass(frozen=True)
 class KeelRing:
-    """A boundary presentation together with its marking labels."""
+    """A boundary presentation together with its marking labels; its
+    divisors are named ``d{...}``."""
 
     markings: tuple[int, ...]
-    prefix: str
     presentation: GradedPresentation
 
     def divisor(self, subset: Iterable[int]) -> IntPolynomial:
@@ -44,7 +46,7 @@ class KeelRing:
             raise ValueError(f"no divisor for subset {t}")
         if not set(t) <= set(self.markings):
             raise ValueError(f"subset {t} not within the markings")
-        return IntPolynomial.symbol(subset_name(self.prefix, t))
+        return IntPolynomial.symbol(subset_name("d", t))
 
 
 def divisor_sum(
@@ -92,7 +94,21 @@ def four_point_relations(
     return relations
 
 
-def keel_presentation(markings: Sequence[int], prefix: str = "d") -> KeelRing:
+def incompatible_products(
+    subsets: Sequence[tuple[int, ...]], prefix: str
+) -> list[IntPolynomial]:
+    """The products of the divisors of every incomparable pair of
+    ``subsets``, in pair order: incompatible boundary divisors do not
+    meet."""
+    return [
+        IntPolynomial.symbol(subset_name(prefix, a))
+        * IntPolynomial.symbol(subset_name(prefix, b))
+        for a, b in combinations(subsets, 2)
+        if incomparable(a, b)
+    ]
+
+
+def keel_presentation(markings: Sequence[int]) -> KeelRing:
     """Divisor presentation of the genus-zero space on ``markings`` plus one
     implicit point."""
     ms = tuple(sorted(set(markings)))
@@ -100,23 +116,18 @@ def keel_presentation(markings: Sequence[int], prefix: str = "d") -> KeelRing:
         raise ValueError("repeated markings")
     if len(ms) < 2:
         raise ValueError("need at least two markings")
-    symbols = [
-        subset_name(prefix, t)
-        for size in range(2, len(ms))
-        for t in combinations(ms, size)
+    subsets = [
+        t for size in range(2, len(ms)) for t in combinations(ms, size)
     ]
-    relations = four_point_relations(ms, prefix, ms)
-    # Incompatible boundary divisors do not meet.
-    for sa, sb in combinations(symbols, 2):
-        if incomparable(name_elements(sa), name_elements(sb)):
-            relations.append(
-                IntPolynomial.symbol(sa) * IntPolynomial.symbol(sb)
-            )
-
-    pres = GradedPresentation(
-        symbols, relations, name=f"keel({','.join(map(str, ms))})"
+    relations = four_point_relations(ms, "d", ms) + incompatible_products(
+        subsets, "d"
     )
-    return KeelRing(markings=ms, prefix=prefix, presentation=pres)
+    pres = GradedPresentation(
+        [subset_name("d", t) for t in subsets],
+        relations,
+        name=f"keel({','.join(map(str, ms))})",
+    )
+    return KeelRing(markings=ms, presentation=pres)
 
 
 def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntPolynomial:
@@ -127,7 +138,7 @@ def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntP
     if i == j or i not in ring.markings or j not in ring.markings:
         raise ValueError(f"invalid marking pair ({i}, {j})")
     pair = tuple(sorted((i, j)))
-    return divisor_sum(ring.markings, ring.prefix, pair, ())
+    return divisor_sum(ring.markings, "d", pair, ())
 
 
 # -- stable trees and point counts ------------------------------------------

@@ -52,6 +52,7 @@ from .patch import (
     restrict_to_tail,
     six_marking_extras,
     tau,
+    tau_monomial,
 )
 from .strata import tail_model
 
@@ -77,27 +78,19 @@ class QPresentation:
 
 
 def _disjoint_family_kills(
-    n: int, q: QSpec, survivors: list[tuple[int, ...]]
+    q: QSpec, survivors: list[tuple[int, ...]]
 ) -> list[IntPolynomial]:
-    kills: list[IntPolynomial] = []
-
-    def rec(start: int, family: list[tuple[int, ...]]) -> None:
-        if len(family) >= 2 and disc_completion(family, n) in q.allowed:
-            prod = IntPolynomial.one()
-            for b in family:
-                prod = prod * tau(b)
-            kills.append(prod)
-            # longer superfamilies have finer collision types, so they are
-            # decided independently — keep recursing
-        for i in range(start, len(survivors)):
-            b = survivors[i]
-            if all(not set(b) & set(other) for other in family):
-                family.append(b)
-                rec(i + 1, family)
-                family.pop()
-
-    rec(0, [])
-    return kills
+    """One composite divisor per allowed partition with at least two
+    non-singleton blocks, all of them surviving divisors, ordered by the
+    survivor indices of the blocks."""
+    index = {b: i for i, b in enumerate(survivors)}
+    families = []
+    for s in q.allowed:
+        blocks = s.nonsingleton_blocks()
+        if len(blocks) >= 2 and all(b in index for b in blocks):
+            families.append((sorted(index[b] for b in blocks), s))
+    families.sort()
+    return [tau_monomial(s) for _, s in families]
 
 
 def qstable_presentation(n: int, q: QSpec) -> QPresentation:
@@ -127,7 +120,7 @@ def qstable_presentation(n: int, q: QSpec) -> QPresentation:
             relations.extend(
                 rel.substitute(subs) for rel in six_marking_extras()
             )
-    relations.extend(_disjoint_family_kills(n, q, survivors))
+    relations.extend(_disjoint_family_kills(q, survivors))
 
     top = s_max(n)
     for s in enumerate_partitions(n):

@@ -39,12 +39,11 @@ from .exactring import (
     name_elements,
     subset_name,
 )
-from .keel import divisor_sum, four_point_relations
+from .keel import divisor_sum, four_point_relations, incompatible_products
 from .partitions import (
     SetPartition,
     compose,
     enumerate_partitions,
-    incomparable,
     partitions_of_length,
     refines,
     s_max,
@@ -107,11 +106,7 @@ def relation_families(n: int) -> dict[str, list[IntPolynomial]]:
         for b in subsets
         for r in four_point_relations(markings, "t", b)
     ]
-    incompatible = [
-        tau(b1) * tau(b2)
-        for b1, b2 in combinations(subsets, 2)
-        if incomparable(b1, b2)
-    ]
+    incompatible = incompatible_products(subsets, "t")
     normal = [
         tau(b)
         * (LAMBDA + divisor_sum(markings, "t", pair, ()) + tau(markings))

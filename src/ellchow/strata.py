@@ -1,22 +1,24 @@
 """Closed-stratum models of the polarised genus-one moduli and the
 restriction maps onto them.
 
-For a partition ``S`` of the markings, the *tail model* is the product of
-the core ring on ``S``'s blocks with one genus-zero boundary ring per
-non-singleton block (markings of the block plus the implicit attaching
-point).  Pullback of the ambient generators:
+Over a partition ``S`` of the markings, a :class:`StratumModel` is the
+product of a base ring with one genus-zero boundary ring per block of at
+least three markings (markings of the block plus the implicit attaching
+point).  The *tail model* takes the core ring on ``S``'s blocks as its
+base; the *elliptic model* of the elliptic-singularity locus takes the
+gerbe class ``xi`` instead.  Pullback of the ambient generators:
 
-* the Hodge class ``l`` maps to the core Hodge class;
+* the Hodge class ``l`` maps to the core Hodge class on a tail model and
+  to ``-xi`` on an elliptic model;
 * a boundary divisor ``t{B}`` maps to the block divisor ``d{B}`` when
-  ``B`` sits strictly inside a block, to minus the Hodge class minus the
-  attaching cotangent sum when ``B`` *is* a block, and to zero otherwise;
+  ``B`` sits strictly inside a block and to zero when ``B`` meets two
+  blocks; when ``B`` *is* a block it maps to minus the Hodge class minus
+  the attaching cotangent sum on a tail model, and to zero on an
+  elliptic model;
 * the degree-two core generator ``nu`` maps to the nodal-locus class of
   the induced two-block shape when the partition coarsens to the
-  four-two split, and to zero otherwise.
-
-The *elliptic model* replaces the core by the gerbe class ``xi`` with
-``l`` pulling back to ``-xi``; divisors equal to a whole block pull back
-to zero, and ``nu`` has no defined pullback there.
+  four-two split, and to zero otherwise; it has no defined pullback to
+  an elliptic model.
 
 Lifting renames block divisors back to ambient ones; restriction after
 lift is the identity on a tail model.  The product of the pullbacks of
@@ -53,18 +55,28 @@ def banana_partition() -> SetPartition:
 
 
 @dataclass(frozen=True)
-class TailModel:
-    """Closed model of one stratum: core ring tensor boundary factors."""
+class StratumModel:
+    """Closed model of one stratum: the core ring, or the gerbe class
+    ``xi`` on the elliptic-singularity locus, tensor one genus-zero
+    boundary ring per block of at least three markings."""
 
     n: int
     partition: SetPartition
     presentation: GradedPresentation
+    elliptic: bool
 
     def image_of(self, name: str) -> IntPolynomial:
         """Pullback of one ambient generator."""
         if name == "l":
+            if self.elliptic:
+                return -IntPolynomial.symbol("xi")
             return IntPolynomial.symbol("l")
         if name == "nu":
+            if self.elliptic:
+                raise NuRestrictionError(
+                    "the degree-two core generator has no assigned pullback "
+                    "to an elliptic-singularity model"
+                )
             if self.n != 6:
                 raise PresentationError("nu only exists with six markings")
             banana = banana_partition()
@@ -76,105 +88,78 @@ class TailModel:
         if elems is None or not name.startswith("t"):
             raise PresentationError(f"not an ambient generator: {name!r}")
         home = self.partition.block_of(elems[0])
+        # The first marking is checked; the markings increase, so the rest
+        # lie in the ground set exactly when the last one does.
+        if elems[-1] > self.n:
+            outside = next(e for e in elems if e > self.n)
+            raise ValueError(f"element {outside} not in ground set")
         if not set(elems) <= set(home):
             return IntPolynomial.zero()
-        if elems == home:
-            # The attaching cotangent class, written with the block's two
-            # smallest markings.
-            psi = divisor_sum(home, "d", home[:2], ())
-            return -IntPolynomial.symbol("l") - psi
-        return IntPolynomial.symbol(subset_name("d", elems))
-
-
-@dataclass(frozen=True)
-class EllModel:
-    """Closed model of the elliptic-singularity locus over one partition."""
-
-    n: int
-    partition: SetPartition
-    presentation: GradedPresentation
-
-    def image_of(self, name: str) -> IntPolynomial:
-        if name == "l":
-            return -IntPolynomial.symbol("xi")
-        if name == "nu":
-            raise NuRestrictionError(
-                "the degree-two core generator has no assigned pullback "
-                "to an elliptic-singularity model"
-            )
-        elems = name_elements(name)
-        if elems is None or not name.startswith("t"):
-            raise PresentationError(f"not an ambient generator: {name!r}")
-        home = self.partition.block_of(elems[0])
-        if set(elems) < set(home):
+        if elems != home:
             return IntPolynomial.symbol(subset_name("d", elems))
-        return IntPolynomial.zero()
+        if self.elliptic:
+            return IntPolynomial.zero()
+        # The attaching cotangent class, written with the block's two
+        # smallest markings.
+        psi = divisor_sum(home, "d", home[:2], ())
+        return -IntPolynomial.symbol("l") - psi
+
+    def restrict(self, f: IntPolynomial) -> IntPolynomial:
+        """Pullback of an ambient class."""
+        images = {name: self.image_of(name) for name in f.symbols_used()}
+        return f.substitute(images)
 
 
-def _block_factors(partition: SetPartition) -> tuple[list[str], list[IntPolynomial]]:
-    symbols: list[str] = []
-    relations: list[IntPolynomial] = []
+def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
+    if partition.n != n:
+        raise ValueError("partition is not on the marking set")
+    if elliptic:
+        symbols, relations = ["xi"], []
+    else:
+        core = min_presentation(partition.length)
+        symbols, relations = list(core.symbols), list(core.relations)
     for block in partition.nonsingleton_blocks():
         if len(block) == 2:
             continue  # a two-marking block carries no divisor generators
-        ring = keel_presentation(block, prefix="d")
-        symbols.extend(ring.presentation.symbols)
-        relations.extend(ring.presentation.relations)
+        ring = keel_presentation(block).presentation
+        symbols.extend(ring.symbols)
+        relations.extend(ring.relations)
         relations.extend(
-            IntPolynomial.monomial(m) for m in ring.presentation.kill_monomials()
+            IntPolynomial.monomial(m) for m in ring.kill_monomials()
         )
-    return symbols, relations
-
-
-@lru_cache(maxsize=None)
-def tail_model(n: int, partition: SetPartition) -> TailModel:
-    if partition.n != n:
-        raise ValueError("partition is not on the marking set")
-    core = min_presentation(partition.length)
-    core_symbols = list(core.presentation.symbols)
-    core_relations = list(core.presentation.relations)
-    block_symbols, block_relations = _block_factors(partition)
+    kind = "ell" if elliptic else "tail"
     pres = GradedPresentation(
-        core_symbols + block_symbols,
-        core_relations + block_relations,
-        name=f"tail({partition.text()})",
+        symbols, relations, name=f"{kind}({partition.text()})"
     )
-    return TailModel(n=n, partition=partition, presentation=pres)
+    return StratumModel(n, partition, pres, elliptic)
 
 
 @lru_cache(maxsize=None)
-def ell_model(n: int, partition: SetPartition) -> EllModel:
-    if partition.n != n:
-        raise ValueError("partition is not on the marking set")
+def tail_model(n: int, partition: SetPartition) -> StratumModel:
+    return _model(n, partition, elliptic=False)
+
+
+@lru_cache(maxsize=None)
+def ell_model(n: int, partition: SetPartition) -> StratumModel:
     if partition == s_max(n):
         raise ValueError(
             "the all-singleton partition has no elliptic-singularity model"
         )
-    block_symbols, block_relations = _block_factors(partition)
-    pres = GradedPresentation(
-        ["xi"] + block_symbols,
-        block_relations,
-        name=f"ell({partition.text()})",
-    )
-    return EllModel(n=n, partition=partition, presentation=pres)
+    return _model(n, partition, elliptic=True)
 
 
 def restrict_to_tail(
     n: int, partition: SetPartition, f: IntPolynomial
 ) -> IntPolynomial:
     """Pullback of an ambient class to the tail model of one stratum."""
-    model = tail_model(n, partition)
-    images = {name: model.image_of(name) for name in f.symbols_used()}
-    return f.substitute(images)
+    return tail_model(n, partition).restrict(f)
 
 
 def restrict_to_ell(
     n: int, partition: SetPartition, f: IntPolynomial
 ) -> IntPolynomial:
     """Pullback of an ambient class to the elliptic-singularity model."""
-    model = ell_model(n, partition)
-    images = {name: model.image_of(name) for name in f.symbols_used()}
-    return f.substitute(images)
+    return ell_model(n, partition).restrict(f)
 
 
 def lift_from_tail(

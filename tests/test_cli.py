@@ -99,6 +99,16 @@ def test_restrict_to_singular_model():
     assert text.strip() == "0"
 
 
+@pytest.mark.parametrize("poly", ["t{7,8}", "t{1,7}", "t{1,2,7}"])
+@pytest.mark.parametrize("ell", [False, True])
+def test_restrict_marking_outside_ground_set(poly, ell, capsys):
+    argv = ["restrict", "--n", "3", "--partition", "1 2|3", poly]
+    code, text = invoke(*argv, *(["--ell"] if ell else []))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: element 7 not in ground set\n"
+
+
 def test_restrict_bad_polynomial(capsys):
     code, _ = invoke("restrict", "--n", "3", "--partition", "1 2|3", "l +")
     assert code == 2

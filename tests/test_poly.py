@@ -4,7 +4,7 @@ JSON round-trips, substitution."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellchow import IntPolynomial
+from ellchow import GradedPresentation, IntPolynomial
 from ellchow.exactring.poly import (
     name_elements,
     subset_name,
@@ -56,6 +56,16 @@ def test_symbol_order_plain_before_braced():
         "d{2,3}",
         "t{1,2,3}",
     ]
+
+
+def test_symbol_order_is_total_across_prefixes():
+    # names differing only in their prefix letter are ordered by it, so a
+    # monomial has one stored form whatever order its factors come in
+    assert symbol_key("d{1,2}") < symbol_key("t{1,2}")
+    P = IntPolynomial.parse
+    assert P("t{1,2}*d{1,2}") == P("d{1,2}*t{1,2}")
+    pres = GradedPresentation(["t{1,2}", "d{1,2}"], [])
+    assert pres.normal_form(P("t{1,2}*d{1,2}")) == P("d{1,2}*t{1,2}")
 
 
 def test_symbol_key_rejects_malformed():
