@@ -210,7 +210,11 @@ _VERIFY = {
 }
 
 
-# -- other subcommands -----------------------------------------------------------
+# -- subcommands ------------------------------------------------------------------
+
+
+def _cmd_verify(args, out) -> int:
+    return _emit_checks(_VERIFY[args.target](args), args.format, out)
 
 
 def _cmd_present(args, out) -> int:
@@ -311,6 +315,15 @@ def _cmd_restrict(args, out) -> int:
     return 0
 
 
+_COMMANDS = {
+    "present": _cmd_present,
+    "class": _cmd_class,
+    "verify": _cmd_verify,
+    "hilbert": _cmd_hilbert,
+    "restrict": _cmd_restrict,
+}
+
+
 # -- argument wiring ---------------------------------------------------------------
 
 
@@ -322,9 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="marking count")
+    def common(p):
+        p.add_argument("--n", type=int, required=True, help="marking count")
         p.add_argument(
             "--format", choices=("text", "json"), default="text"
         )
@@ -375,18 +387,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
             raise ValueError(
                 f"marking count {args.n} out of range (supported: 1..6)"
             )
-        if args.command == "verify":
-            checks = _VERIFY[args.target](args)
-            return _emit_checks(checks, args.format, out)
-        if args.command == "present":
-            return _cmd_present(args, out)
-        if args.command == "class":
-            return _cmd_class(args, out)
-        if args.command == "hilbert":
-            return _cmd_hilbert(args, out)
-        if args.command == "restrict":
-            return _cmd_restrict(args, out)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, out)
     except (
         ValueError,
         PresentationError,

@@ -1,9 +1,9 @@
 """Exact integer computer algebra: sparse polynomials, lattice echelon
 forms, Smith invariants, and finitely presented graded rings.
 
-A graded piece is reached only through its relation lattice
-(``GradedPresentation.lattice``) or its Smith invariants, and both are
-built from the same product rows; there is no dense-matrix view of it."""
+A graded piece is reached only through the staircase of its relation
+lattice (``GradedPresentation.lattice``): residues, membership, ranks and
+Smith invariants all read it, and there is no dense-matrix view of it."""
 
 from .lattice import (
     KERNEL_NAME,

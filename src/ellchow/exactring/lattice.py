@@ -188,15 +188,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "Echelon":
-        # The kernel never mutates a stored row in place: ``insert_row`` only
-        # rebinds ``rows[j]`` and appends fresh rows.  So the copy may share
-        # the row lists, and only the outer list and the pivot map are new.
-        dup = Echelon.__new__(Echelon)
-        dup.rows = list(self.rows)
-        dup.pivots = dict(self.pivots)
-        return dup
-
 
 def smith_invariants_of_rows(flat_rows: Iterable[list]) -> list[int]:
     """Diagonal of the Smith normal form of the integer matrix whose rows are

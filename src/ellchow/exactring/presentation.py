@@ -247,23 +247,6 @@ class GradedPresentation:
         reduced = [self.from_vector(r, delta) for r in ech.rows]
         return self._reduced_rels.setdefault(delta, reduced)
 
-    def _product_columns(
-        self, mono: Mono, factors: Iterable[Mono], idx: dict[Mono, int]
-    ) -> dict[Mono, int | None]:
-        """The column of ``mono * f`` in ``idx`` for each monomial ``f`` of
-        ``factors``, ``None`` when the product is killed."""
-        cols: dict[Mono, int | None] = {}
-        for f in factors:
-            prod = mono_mul(mono, f)
-            col = idx.get(prod)
-            if col is None and not self._is_killed(prod):
-                raise PresentationError(
-                    f"monomial outside the ring: "
-                    f"{IntPolynomial.monomial(prod).text()}"
-                )
-            cols[f] = col
-        return cols
-
     def _product_rows(self, degree: int) -> Iterable[list]:
         """The nonzero flat rows ``vector(mono * rel, degree)`` of the
         echelon-reduced relations: relation degrees ascending, then
@@ -272,8 +255,8 @@ class GradedPresentation:
         The products are formed by index arithmetic instead of polynomial
         multiplication: each relation's terms are taken once per relation
         degree, and for each multiplier every relation monomial is mapped
-        once to the column of its product, then shared by all relations of
-        that degree.
+        once to the column of its product (``None`` when the product is
+        killed), then shared by all relations of that degree.
         """
         idx = self.basis_index(degree)
         for delta in sorted(self._rels_by_degree):
@@ -285,7 +268,9 @@ class GradedPresentation:
             rel_terms = [list(rel.items()) for rel in rels]
             rel_monos = dict.fromkeys(m for terms in rel_terms for m, _ in terms)
             for mono in self.basis(degree - delta):
-                cols = self._product_columns(mono, rel_monos, idx)
+                # The basis holds every unkilled monomial of the degree, so
+                # a product missing from it is killed.
+                cols = {f: idx.get(mono_mul(mono, f)) for f in rel_monos}
                 for terms in rel_terms:
                     row = flat_from_pairs(
                         (cols[m], c) for m, c in terms if cols[m] is not None
@@ -305,7 +290,10 @@ class GradedPresentation:
         ``lattice`` module): the rank, the pivot columns and their leading
         coefficients, residues and normal forms depend only on the span.
         The rows are sorted ascending and popped from the end, so each is
-        freed once inserted.
+        freed once inserted.  Every query on the graded piece reads this
+        staircase: residues, membership, the rank, and the Smith invariants,
+        which diagonalise its rows since they span the same lattice as the
+        product rows.
         """
         cached = self._lattice_cache.get(degree)
         if cached is not None:
@@ -336,9 +324,7 @@ class GradedPresentation:
         return self.reduces_to_zero(f - g)
 
     def smith_invariants(self, degree: int) -> InvariantFactors:
-        diag = smith_invariants_of_rows(
-            self._product_rows(degree)
-        )
+        diag = smith_invariants_of_rows(self.lattice(degree).rows)
         return InvariantFactors(
             degree=degree,
             rank=len(self.basis(degree)) - len(diag),
@@ -358,12 +344,14 @@ class GradedPresentation:
         """Some ``h`` with ``h*c = g`` in the quotient ring, in normal form;
         raises :class:`NotDivisibleError` when none exists.
 
-        Fast path: when ``c`` has unit constant leading coefficient in a
-        symbol ``x`` that appears in no relation, the ideal is extended from
-        the ``x``-free subring, so ordinary long division in ``x`` decides
-        divisibility (the remainder must reduce to zero).  Otherwise an
-        augmented echelon over the degree of ``g`` recovers the coordinates
-        of ``h`` directly.
+        The divisor must have leading coefficient ``+1`` or ``-1`` in some
+        symbol ``x`` that occurs in no relation and no kill monomial.  The
+        ideal is then extended from the ``x``-free subring, so long division
+        in ``x`` decides divisibility: ``g`` is a multiple exactly when the
+        remainder reduces to zero.  A divisor without such a symbol is
+        outside the contract and raises :class:`PresentationError`.
+        Patching divides only by ``ctop_tail``, which is ``+1`` or ``-1``
+        times a monic polynomial in the free symbol ``l``.
         """
         if c.is_zero():
             raise PresentationError("division by the zero class")
@@ -371,11 +359,6 @@ class GradedPresentation:
             return IntPolynomial.zero()
         if not (g.is_homogeneous() and c.is_homogeneous()):
             raise PresentationError("divide_in_quotient expects homogeneous input")
-        dg, dc = g.degree(), c.degree()
-        if dg < dc:
-            raise NotDivisibleError(
-                f"degree {dg} class is not a multiple of a degree {dc} class"
-            )
 
         for x in sorted(c.symbols_used() & self._free_symbols, key=symbol_key):
             top = c.degree_in(x)
@@ -396,32 +379,7 @@ class GradedPresentation:
                     )
                 return self.normal_form(quotient)
 
-        return self._divide_general(g, c, dg, dc)
-
-    def _divide_general(
-        self, g: IntPolynomial, c: IntPolynomial, dg: int, dc: int
-    ) -> IntPolynomial:
-        idx = self.basis_index(dg)
-        n_main = len(idx)
-        h_basis = self.basis(dg - dc)
-        c_terms = list(c.items())
-        ech = self.lattice(dg).copy()
-        for i, mono in enumerate(h_basis):
-            # A killed product leaves the row empty but for the augmented
-            # column, which must still be inserted.
-            cols = self._product_columns(mono, (m for m, _ in c_terms), idx)
-            row = flat_from_pairs(
-                (cols[m], k) for m, k in c_terms if cols[m] is not None
-            )
-            ech.insert(row + [n_main + i, 1])
-        residue = self.lattice(dg).residue(self.vector(g, dg))
-        residue = ech.residue(residue)
-        terms: dict[Mono, int] = {}
-        for i in range(0, len(residue), 2):
-            col, coeff = residue[i], residue[i + 1]
-            if col < n_main:
-                raise NotDivisibleError(
-                    "no multiple of the divisor matches the class"
-                )
-            terms[h_basis[col - n_main]] = -coeff
-        return self.normal_form(IntPolynomial(terms))
+        raise PresentationError(
+            f"divisor {c.text()} has leading coefficient +1 or -1 in no "
+            f"symbol free of the relations"
+        )

@@ -37,8 +37,11 @@ class SetPartition:
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError(f"block not sorted: {block}")
+            for a, b in zip(block, block[1:]):
+                if a == b:
+                    raise ValueError(f"marking {a} repeated in block {block}")
+                if a > b:
+                    raise ValueError(f"block not sorted: {block}")
             if seen & set(block):
                 raise ValueError("blocks overlap")
             seen |= set(block)

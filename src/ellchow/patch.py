@@ -321,7 +321,7 @@ def _fixture_table() -> FixtureTable:
 def fixture_partitions(
     n: int, table: FixtureTable | None = None
 ) -> list[SetPartition]:
-    return sorted((table or _fixture_table())[n])
+    return sorted((_fixture_table() if table is None else table)[n])
 
 
 def permute_marks(f: IntPolynomial, perm: dict[int, int]) -> IntPolynomial:
@@ -357,7 +357,7 @@ def expected_class(
     """The frozen expected value of the elliptic-singularity class of one
     partition, obtained by relabelling a stored representative of the same
     shape."""
-    entries = (table or _fixture_table())[n]
+    entries = (_fixture_table() if table is None else table)[n]
     for stored, poly in entries.items():
         if stored.shape() == s.shape():
             return permute_marks(poly, matching_permutation(stored, s))

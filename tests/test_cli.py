@@ -72,6 +72,22 @@ def test_class_json_round_trips():
     assert value == nod_class(2, s_max(2))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("class", "--n", "3", "--ell", "1 1|2 3"),
+        ("restrict", "--n", "3", "--partition", "1 1|2 3", "l"),
+    ],
+)
+def test_repeated_marking_in_a_partition_exits_two(argv, capsys):
+    code, text = invoke(*argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: marking 1 repeated in block (1, 1)\n"
+    )
+
+
 def test_class_needs_exactly_one_kind(capsys):
     code, _ = invoke("class", "--n", "3")
     assert code == 2
@@ -160,6 +176,17 @@ def test_present_qfile(tmp_path):
     assert json.loads(text)["name"] == "qstable(3,smyth:1)"
 
 
+def test_present_qfile_rejects_repeated_marking(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"n": 3, "allowed": ["1 2 3", "1 1 2 3"]}))
+    code, text = invoke("present", "--n", "3", "--space", f"qfile:{path}")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: marking 1 repeated in block (1, 1, 2, 3)\n"
+    )
+
+
 def test_present_missing_qfile():
     code, _ = invoke("present", "--n", "3", "--space", "qfile:/nonexistent.json")
     assert code == 2
@@ -236,6 +263,18 @@ def test_verify_detects_wrong_fixtures(tmp_path):
     )
     assert code == 1
     assert "FAIL" in text
+
+
+def test_verify_empty_fixtures_fail_every_class(tmp_path):
+    # an empty table is a table, not a request for the packaged fixtures
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, text = invoke(
+        "verify", "appendix", "--n", "3", "--fixtures", str(path)
+    )
+    assert code == 1
+    assert text.count("FAIL") == 5
+    assert text.endswith("passed 0/5\n")
 
 
 @pytest.mark.parametrize("table", [[1, 2], {"1": [1]}, {"1": {"1": 5}}])

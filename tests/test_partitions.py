@@ -43,6 +43,12 @@ def test_rejects_bad_blocks():
         SetPartition.of([[1, 2], [3], [4]], 3)  # out of range
 
 
+@pytest.mark.parametrize("text", ["1 1|2", "1 2 2|3", "1 1 2|3"])
+def test_rejects_marking_repeated_inside_a_block(text):
+    with pytest.raises(ValueError, match=r"marking \d repeated in block"):
+        SetPartition.parse(text)
+
+
 def test_parse_text_round_trip():
     for text in ["1 2|3", "1|2|3", "1 2 3"]:
         assert SetPartition.parse(text, 3).text() == text

@@ -10,7 +10,11 @@ from ellchow import (
     IntPolynomial,
     NotDivisibleError,
     PresentationError,
+    dm_space,
+    keel_presentation,
+    qstable_presentation,
 )
+from ellchow.exactring import smith_invariants_of_rows
 
 
 L = IntPolynomial.symbol("l")
@@ -160,6 +164,25 @@ def test_smith_invariants_mixed():
     assert inv.rank == 0 and inv.torsion == (2, 6)
 
 
+@pytest.mark.parametrize(
+    "build, top",
+    [
+        (lambda: keel_presentation(range(1, 6)).presentation, 3),
+        (lambda: qstable_presentation(4, dm_space(4)).presentation, 4),
+    ],
+    ids=["keel5", "dm4"],
+)
+def test_smith_invariants_of_staircase_match_raw_product_rows(build, top):
+    # smith_invariants reads the staircase; the raw product rows span the
+    # same lattice and must give the same rank and torsion
+    pres = build()
+    for d in range(top + 1):
+        raw = smith_invariants_of_rows(pres._product_rows(d))
+        inv = pres.smith_invariants(d)
+        assert inv.rank == len(pres.basis(d)) - len(raw), d
+        assert inv.torsion == tuple(x for x in raw if x > 1), d
+
+
 # -- division in the quotient --------------------------------------------------
 
 
@@ -185,21 +208,21 @@ def test_divide_fast_path_monic_negative():
     assert pres.reduces_to_zero(c * h - g)
 
 
-def test_divide_general_path():
-    # the divisor uses a symbol entangled with relations, forcing the
-    # augmented-echelon route
+def test_divide_without_free_unit_leading_symbol_is_out_of_contract():
+    # l occurs in a relation and xi is not in the divisor: no symbol allows
+    # long division, which is a contract error and not a finding that the
+    # class is not divisible
     pres = GradedPresentation(sym("l", "xi"), (24 * L**2, 24 * L * X))
-    g = 5 * L**2 * X
-    c = L
-    h = pres.divide_in_quotient(g, c)
-    assert h.text() == "5*l*xi"
-    assert pres.reduces_to_zero(c * h - g)
+    with pytest.raises(PresentationError) as info:
+        pres.divide_in_quotient(5 * L**2 * X, L)
+    assert not isinstance(info.value, NotDivisibleError)
 
 
 def test_divide_not_divisible():
-    pres = GradedPresentation(sym("l"), (24 * L**2,))
+    # xi is free with leading coefficient 1, and l^2 leaves a remainder
+    pres = GradedPresentation(sym("l", "xi"), (24 * L**2,))
     with pytest.raises(NotDivisibleError):
-        pres.divide_in_quotient(L**2, 2 * L)  # l^2/2l needs 1/2
+        pres.divide_in_quotient(L**2, X + L)
 
 
 def test_divide_requires_homogeneous():
@@ -218,8 +241,8 @@ def test_divide_torsion_witness():
 
 def test_divide_random_products_round_trip():
     rng = random.Random(5)
-    pres = GradedPresentation(sym("l", "xi"), (24 * L**2, L * X))
-    c = -X - L  # top-degree coefficient of xi is -1: fast path applies
+    pres = GradedPresentation(sym("l", "xi"), (24 * L**2,))
+    c = -X - L  # xi is free with top-degree coefficient -1
     for _ in range(20):
         h0 = sum(
             (

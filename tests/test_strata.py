@@ -9,6 +9,7 @@ from ellchow import (
     SetPartition,
     ctop_tail,
     ell_model,
+    enumerate_partitions,
     lift_from_tail,
     restrict_to_ell,
     restrict_to_tail,
@@ -188,23 +189,29 @@ def test_ctop_undefined_on_open_stratum():
         ctop_tail(4, s_max(4))
 
 
-@pytest.mark.parametrize(
-    "text,n",
-    [
-        ("1 2 3 4", 4),
-        ("1 2|3 4", 4),
-        ("1 2 3|4", 4),
-        ("1 2 3 4|5", 5),
-        ("1 2|3 4|5 6", 6),
-    ],
-)
+# Every stratum that patching visits for n <= 6: all partitions but the
+# all-singleton one.
+PATCHED_STRATA = [
+    (part.text(), n)
+    for n in range(2, 7)
+    for part in enumerate_partitions(n)
+    if part.codim()
+]
+
+
+@pytest.mark.parametrize("text,n", PATCHED_STRATA)
 def test_ctop_is_sign_monic_in_the_hodge_class(text, n):
+    # Division in the quotient is long division in a free symbol with unit
+    # leading coefficient; patching relies on l being that symbol.
     part = SetPartition.parse(text, n)
     k = part.codim()
     c = ctop_tail(n, part)
     assert c.degree() == k
     assert c.degree_in("l") == k
     assert c.coefficient_in("l", k) == IntPolynomial.one() * (-1) ** k
+    pres = tail_model(n, part).presentation
+    assert all("l" not in rel.symbols_used() for rel in pres.relations)
+    assert all("l" not in dict(mono) for mono in pres.kill_monomials())
 
 
 def test_ctop_factors():
