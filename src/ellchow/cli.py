@@ -94,7 +94,11 @@ def _parse_space(n: int, text: str) -> QSpec:
     if text == "lp":
         return lp_minimal(n)
     if text.startswith("smyth:"):
-        return smyth(n, int(text.split(":", 1)[1]))
+        try:
+            bound = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"unknown space {text!r}") from None
+        return smyth(n, bound)
     if text.startswith("qfile:"):
         return QSpec.load(text.split(":", 1)[1])
     raise ValueError(f"unknown space {text!r}")

@@ -14,16 +14,10 @@ from .lattice import (
 )
 from .poly import (
     IntPolynomial,
-    Mono,
-    mono_degree,
-    mono_divides,
-    mono_mul,
-    mono_sort_key,
     name_elements,
     subset_name,
     symbol_degree,
     symbol_key,
-    term_sort_key,
 )
 from .presentation import (
     GradedPresentation,
@@ -39,16 +33,10 @@ __all__ = [
     "smith_invariants_of_rows",
     "xgcd",
     "IntPolynomial",
-    "Mono",
-    "mono_degree",
-    "mono_divides",
-    "mono_mul",
-    "mono_sort_key",
     "name_elements",
     "subset_name",
     "symbol_degree",
     "symbol_key",
-    "term_sort_key",
     "GradedPresentation",
     "InvariantFactors",
     "NotDivisibleError",

@@ -97,10 +97,21 @@ def mono_degree(m: Mono) -> int:
     return sum(symbol_degree(name) * e for name, e in m)
 
 
-def mono_divides(a: Mono, m: Mono) -> bool:
-    """True when monomial ``a`` divides monomial ``m``."""
-    got = dict(m)
-    return all(got.get(name, 0) >= e for name, e in a)
+def _canonical_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
+    """The monomial of ``(name, exponent)`` pairs in canonical form: names
+    checked, repeated names summed, zero exponents dropped, symbol order."""
+    exps: dict[str, int] = {}
+    for name, e in pairs:
+        symbol_key(name)
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {name}")
+        exps[name] = exps.get(name, 0) + e
+    return tuple(
+        sorted(
+            ((name, e) for name, e in exps.items() if e),
+            key=lambda p: symbol_key(p[0]),
+        )
+    )
 
 
 def mono_sort_key(m: Mono) -> tuple:
@@ -153,7 +164,7 @@ class IntPolynomial:
 
     @classmethod
     def monomial(cls, mono: Mono, coeff: int = 1) -> "IntPolynomial":
-        return cls({tuple(sorted(mono, key=lambda p: symbol_key(p[0]))): coeff})
+        return cls({_canonical_mono(mono): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -326,12 +337,7 @@ class IntPolynomial:
         """Pure symbol renaming (a degree-preserving bijection on names)."""
         out: dict[Mono, int] = {}
         for m, c in self._terms.items():
-            renamed = tuple(
-                sorted(
-                    ((mapping.get(name, name), e) for name, e in m),
-                    key=lambda p: symbol_key(p[0]),
-                )
-            )
+            renamed = _canonical_mono((mapping.get(name, name), e) for name, e in m)
             out[renamed] = out.get(renamed, 0) + c
         return IntPolynomial(out)
 
@@ -382,7 +388,7 @@ class IntPolynomial:
             if not chunk:
                 raise ValueError(f"dangling sign in {text!r}")
             coeff = sign
-            mono: dict[str, int] = {}
+            mono: list[tuple[str, int]] = []
             for factor in chunk.split("*"):
                 if re.fullmatch(r"\d+", factor):
                     coeff *= int(factor)
@@ -390,11 +396,8 @@ class IntPolynomial:
                 m = re.fullmatch(r"([a-z]+(?:\{[\d,]+\})?)(?:\^(\d+))?", factor)
                 if m is None:
                     raise ValueError(f"malformed factor {factor!r} in {text!r}")
-                name = m.group(1)
-                symbol_key(name)
-                exp = int(m.group(2)) if m.group(2) else 1
-                mono[name] = mono.get(name, 0) + exp
-            key = tuple(sorted(mono.items(), key=lambda p: symbol_key(p[0])))
+                mono.append((m.group(1), int(m.group(2) or 1)))
+            key = _canonical_mono(mono)
             total[key] = total.get(key, 0) + coeff
         return cls(total)
 
@@ -408,11 +411,8 @@ class IntPolynomial:
     def from_json_obj(cls, obj: list[dict]) -> "IntPolynomial":
         total: dict[Mono, int] = {}
         for entry in obj:
-            mono = tuple(
-                sorted(
-                    ((str(name), int(e)) for name, e in entry["exponents"]),
-                    key=lambda p: symbol_key(p[0]),
-                )
+            mono = _canonical_mono(
+                (str(name), int(e)) for name, e in entry["exponents"]
             )
             total[mono] = total.get(mono, 0) + int(entry["coeff"])
         return cls(total)

@@ -6,12 +6,15 @@ finitely generated abelian group; all computations reduce to integer
 linear algebra on the lattice spanned, in a fixed monomial basis, by the
 products ``monomial * relation`` of the right degree.
 
-Monomial relations with unit coefficient are special-cased: any basis
-monomial divisible by one of them is pruned from the enumeration instead
-of being carried into the lattice.  Dropping such monomials from an
-arbitrary polynomial is harmless because a multiple of a killed monomial
-lies in the ideal, so the projection is still a well-defined map of
-graded groups and is injective on the quotient.
+A relation that is ``+1`` or ``-1`` times a squarefree monomial, a
+product of distinct generators such as an incompatible pair of boundary
+divisors, is a *kill*: a basis monomial whose support contains a kill is
+pruned from the enumeration instead of being carried into the lattice.
+Dropping such monomials from an arbitrary polynomial is harmless because
+a multiple of a killed monomial lies in the ideal, so the projection is
+still a well-defined map of graded groups and is injective on the
+quotient.  Every other relation, ``l^6`` included, is a lattice row; a
+unit monomial row only reduces its column to zero.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .poly import (
     IntPolynomial,
     Mono,
     mono_degree,
-    mono_divides,
     mono_mul,
     symbol_degree,
     symbol_key,
@@ -65,9 +67,7 @@ class GradedPresentation:
         self.name = name
         sym_set = set(ordered)
 
-        self.max_exp: dict[str, int | None] = {s: None for s in ordered}
         self.squarefree_kills: list[frozenset[str]] = []
-        self.general_kills: list[Mono] = []
         self.relations: list[IntPolynomial] = []
 
         for rel in relations:
@@ -78,26 +78,24 @@ class GradedPresentation:
                 raise PresentationError(f"relation uses unknown symbols {extra}")
             if not rel.is_homogeneous():
                 raise PresentationError(f"relation not homogeneous: {rel.text()}")
-            terms = list(rel.items())
-            if len(terms) == 1 and terms[0][1] in (1, -1) and terms[0][0]:
-                mono = terms[0][0]
-                if len(mono) == 1:
-                    nm, e = mono[0]
-                    cap = e - 1
-                    prev = self.max_exp[nm]
-                    if prev is None or cap < prev:
-                        self.max_exp[nm] = cap
-                elif all(e == 1 for _, e in mono):
-                    self.squarefree_kills.append(frozenset(nm for nm, _ in mono))
-                else:
-                    self.general_kills.append(mono)
+            mono, coeff = next(rel.items())
+            if (
+                len(rel) == 1
+                and coeff in (1, -1)
+                and mono
+                and all(e == 1 for _, e in mono)
+            ):
+                self.squarefree_kills.append(frozenset(nm for nm, _ in mono))
             else:
                 self.relations.append(rel)
 
-        self._kills_by_name: dict[str, list[frozenset[str]]] = {}
+        # Every symbol of the ring, mapped to the kills that contain it.
+        self._kills_by_name: dict[str, list[frozenset[str]]] = {
+            nm: [] for nm in ordered
+        }
         for kill in self.squarefree_kills:
             for nm in kill:
-                self._kills_by_name.setdefault(nm, []).append(kill)
+                self._kills_by_name[nm].append(kill)
 
         self._basis_cache: dict[int, list[Mono]] = {}
         self._index_cache: dict[int, dict[Mono, int]] = {}
@@ -114,41 +112,31 @@ class GradedPresentation:
             used |= rel.symbols_used()
         for kill in self.squarefree_kills:
             used |= kill
-        for mono in self.general_kills:
-            used |= {nm for nm, _ in mono}
-        used |= {nm for nm, cap in self.max_exp.items() if cap is not None}
         self._free_symbols = frozenset(ordered) - used
 
     # -- monomial bookkeeping ------------------------------------------------
 
     def kill_monomials(self) -> list[Mono]:
-        """The monomial relations set aside from ``relations``: exponent
-        caps in symbol order, then squarefree products, then the rest."""
-        out: list[Mono] = [
-            ((nm, cap + 1),)
-            for nm, cap in self.max_exp.items()
-            if cap is not None
-        ]
-        out.extend(
-            tuple((nm, 1) for nm in sorted(kill))
+        """The kills set aside from ``relations``, in input order: each is
+        the squarefree monomial of a relation ``+1`` or ``-1`` times a
+        product of distinct generators."""
+        return [
+            tuple((nm, 1) for nm in sorted(kill, key=symbol_key))
             for kill in self.squarefree_kills
-        )
-        out.extend(self.general_kills)
-        return out
+        ]
 
     def _is_killed(self, mono: Mono) -> bool:
-        support = {nm for nm, _ in mono}
-        for nm, e in mono:
-            if nm not in self.max_exp:
+        """True when the support of ``mono`` contains a kill; raises on a
+        symbol outside the ring."""
+        for nm, _ in mono:
+            if nm not in self._kills_by_name:
                 raise PresentationError(f"unknown symbol {nm!r}")
-            cap = self.max_exp[nm]
-            if cap is not None and e > cap:
-                return True
+        support = {nm for nm, _ in mono}
         for nm in support:
-            for kill in self._kills_by_name.get(nm, ()):
+            for kill in self._kills_by_name[nm]:
                 if kill <= support:
                     return True
-        return any(mono_divides(k, mono) for k in self.general_kills)
+        return False
 
     def basis(self, degree: int) -> list[Mono]:
         """Pruned monomial basis of the given degree, in canonical order
@@ -165,37 +153,26 @@ class GradedPresentation:
         support: set[str] = set()
 
         def conflicts(nm: str) -> bool:
-            for kill in self._kills_by_name.get(nm, ()):
+            for kill in self._kills_by_name[nm]:
                 if kill <= support | {nm}:
                     return True
             return False
 
-        def emit() -> None:
-            mono = tuple(chosen)
-            if not any(mono_divides(k, mono) for k in self.general_kills):
-                out.append(mono)
-
         def rec(i: int, remaining: int) -> None:
             if remaining == 0:
-                emit()
+                out.append(tuple(chosen))
                 return
             if i == len(syms):
                 return
             nm = syms[i]
             d = symbol_degree(nm)
-            top = remaining // d
-            cap = self.max_exp[nm]
-            if cap is not None and cap < top:
-                top = cap
-            blocked = conflicts(nm)
-            for e in range(top, 0, -1):
-                if blocked:
-                    break
-                chosen.append((nm, e))
+            if not conflicts(nm):
                 support.add(nm)
-                rec(i + 1, remaining - e * d)
+                for e in range(remaining // d, 0, -1):
+                    chosen.append((nm, e))
+                    rec(i + 1, remaining - e * d)
+                    chosen.pop()
                 support.discard(nm)
-                chosen.pop()
             rec(i + 1, remaining)
 
         rec(0, degree)

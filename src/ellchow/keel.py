@@ -29,7 +29,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .exactring import GradedPresentation, IntPolynomial, subset_name
-from .partitions import incomparable
+from .partitions import incomparable, set_partitions
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,9 @@ class StableTree:
     children: tuple["StableTree | int", ...]
 
 
-def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 def _hanging_trees(block: tuple[int, ...]) -> Iterator[StableTree]:
     """All stable subtrees on the given leaves, hanging from a parent edge."""
-    for part in _set_partitions(block):
+    for part in set_partitions(block):
         if len(part) < 2:
             continue
         choice_lists = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -106,22 +106,24 @@ def s_max(n: int) -> SetPartition:
     return SetPartition.of([[i] for i in range(1, n + 1)], n)
 
 
+def set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
+    """All partitions of ``items`` into blocks, each block in item order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[SetPartition, ...]:
     """All partitions of ``{1..n}``, sorted by (number of blocks, blocks)."""
     if n < 1:
         raise ValueError("ground set must be nonempty")
-    acc: list[list[list[int]]] = [[[1]]]
-    for e in range(2, n + 1):
-        nxt: list[list[list[int]]] = []
-        for part in acc:
-            for i in range(len(part)):
-                nxt.append(
-                    [b + [e] if j == i else list(b) for j, b in enumerate(part)]
-                )
-            nxt.append([list(b) for b in part] + [[e]])
-        acc = nxt
-    parts = [SetPartition.of(p, n) for p in acc]
+    parts = [SetPartition.of(p, n) for p in set_partitions(tuple(range(1, n + 1)))]
     parts.sort(key=lambda p: (p.length, p.blocks))
     return tuple(parts)
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, and option handling."""
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -197,6 +198,30 @@ def test_present_unknown_space():
     assert code == 2
 
 
+def test_unparsable_smyth_bound_is_an_unknown_space(capsys):
+    code, text = invoke("hilbert", "--n", "3", "--space", "smyth:x")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: unknown space 'smyth:x'\n"
+
+
+def test_present_lp_five_is_the_single_hodge_relation():
+    # the only library presentation with a unit power relation, l^6
+    code, text = invoke("present", "--n", "5", "--space", "lp")
+    assert code == 0
+    deleted = sorted(
+        "t{" + ",".join(map(str, b)) + "}"
+        for k in range(2, 6)
+        for b in itertools.combinations(range(1, 6), k)
+    )
+    assert text == (
+        "qstable(5,lp)\n"
+        "generators: l\n"
+        f"deleted: {' '.join(deleted)}\n"
+        "  l^6\n"
+    )
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -263,6 +288,21 @@ def test_verify_detects_wrong_fixtures(tmp_path):
     )
     assert code == 1
     assert "FAIL" in text
+
+
+def test_verify_fixtures_with_zero_exponents(tmp_path):
+    # t{1,2}^0 is 1, so this is the correct class of the one-block partition
+    path = tmp_path / "zero.json"
+    path.write_text(
+        json.dumps(
+            {"2": {"1 2": "24*l^2*t{1,2}^0", "1|2": "24*l^3 + 24*l^2*t{1,2}"}}
+        )
+    )
+    code, text = invoke(
+        "verify", "appendix", "--n", "2", "--fixtures", str(path)
+    )
+    assert code == 0, text
+    assert text.endswith("passed 2/2\n")
 
 
 def test_verify_empty_fixtures_fail_every_class(tmp_path):

@@ -12,7 +12,11 @@ from ellchow import (
     mzero_point_poly,
     psi_star,
 )
-from ellchow.keel import enumerate_stable_trees, four_point_relations
+from ellchow.keel import (
+    enumerate_stable_trees,
+    four_point_relations,
+    incompatible_products,
+)
 
 
 # -- presentation shape --------------------------------------------------------
@@ -30,8 +34,9 @@ def test_relations_are_the_four_point_relations(size):
     ms = tuple(range(1, size + 1))
     pres = keel_presentation(ms).presentation
     assert pres.relations == four_point_relations(ms, "d", ms)
-    assert all(cap is None for cap in pres.max_exp.values())
-    assert not pres.general_kills
+    subsets = [t for k in range(2, size) for t in itertools.combinations(ms, k)]
+    kills = [IntPolynomial.monomial(m) for m in pres.kill_monomials()]
+    assert kills == incompatible_products(subsets, "d")
 
 
 def test_rejects_bad_markings():

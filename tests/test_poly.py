@@ -193,6 +193,32 @@ def test_parse_rejects_garbage():
             IntPolynomial.parse(s)
 
 
+def test_zero_exponents_drop_out():
+    assert IntPolynomial.parse("l^0") == IntPolynomial.one()
+    assert IntPolynomial.parse("l^0").text() == "1"
+    assert IntPolynomial.parse("24*l^2*t{1,2}^0") == 24 * L**2
+    obj = [{"coeff": 3, "exponents": [["l", 2], ["xi", 0]]}]
+    assert IntPolynomial.from_json_obj(obj) == 3 * L**2
+    assert IntPolynomial.monomial((("nu", 0), ("l", 1))) == L
+
+
+def test_repeated_names_multiply():
+    assert IntPolynomial.parse("l*xi*l") == L**2 * XI
+    obj = [{"coeff": 1, "exponents": [["l", 1], ["l", 1]]}]
+    assert IntPolynomial.from_json_obj(obj) == L**2
+    assert IntPolynomial.monomial((("l", 1), ("l", 1))) == L**2
+    assert (L * XI).rename_symbols({"xi": "l"}) == L**2
+
+
+def test_negative_and_malformed_exponents_rejected():
+    with pytest.raises(ValueError):
+        IntPolynomial.from_json_obj([{"coeff": 1, "exponents": [["l", -1]]}])
+    with pytest.raises(ValueError):
+        IntPolynomial.monomial((("l", -2),))
+    with pytest.raises(ValueError):
+        IntPolynomial.monomial((("x1", 1),))
+
+
 # -- random round-trip properties ------------------------------------------
 
 

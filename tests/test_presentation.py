@@ -66,13 +66,6 @@ def test_basis_canonical_order():
     assert names == ["l^2", "l*xi", "xi^2"]
 
 
-def test_unit_cap_prunes_basis():
-    # l^2 = 0 caps the exponent of l at 1
-    pres = GradedPresentation(sym("l", "xi"), (L**2,))
-    texts = [IntPolynomial.monomial(m).text() for m in pres.basis(2)]
-    assert texts == ["l*xi", "xi^2"]
-
-
 def test_squarefree_kill_prunes_basis():
     pres = GradedPresentation(sym("l", "xi"), (L * X,))
     texts = [IntPolynomial.monomial(m).text() for m in pres.basis(2)]
@@ -125,14 +118,32 @@ def test_vector_round_trip():
     assert pres.from_vector(vec, 2) == f
 
 
-def test_kill_monomials_lists_caps_then_squarefree_then_general():
-    pres = GradedPresentation(sym("l", "xi"), (L * X, L**2 * X, L**3))
-    assert pres.relations == []
-    assert pres.kill_monomials() == [
-        (("l", 3),),
-        (("l", 1), ("xi", 1)),
-        (("l", 2), ("xi", 1)),
-    ]
+def test_kill_monomials_are_the_squarefree_unit_relations():
+    rels = (-X * L, L**3, 3 * L * X, NU, L**2 * X)
+    pres = GradedPresentation(sym("l", "nu", "xi"), rels)
+    assert pres.kill_monomials() == [(("l", 1), ("xi", 1)), (("nu", 1),)]
+    assert pres.relations == [L**3, 3 * L * X, L**2 * X]
+
+
+def test_unit_monomials_with_repeated_factors_are_lattice_rows():
+    # Z[l,xi]/(l^3, l^2*xi, 6*l*xi^2): no relation is a kill, and the unit
+    # monomial rows change no rank, torsion or normal form
+    rels = (L**3, L**2 * X, 6 * L * X**2)
+    pres = GradedPresentation(sym("l", "xi"), rels)
+    assert pres.relations == list(rels)
+    assert pres.kill_monomials() == []
+    assert pres.hilbert_function(5) == [1, 2, 3, 1, 1, 1]
+    for d in range(6):
+        assert pres.smith_invariants(d).torsion == ((6,) if d >= 3 else ()), d
+    f = L**3 + 7 * L * X**2 + L**2 * X**3
+    assert pres.normal_form(f) == L * X**2
+
+
+def test_vector_rejects_non_canonical_monomial():
+    # a monomial outside the basis is dropped only when a kill divides it
+    pres = GradedPresentation(sym("l", "xi"), (L**2,))
+    with pytest.raises(PresentationError, match="outside the ring"):
+        pres.vector(IntPolynomial({(("xi", 1), ("l", 1)): 1}), 2)
 
 
 def test_vector_drops_killed_monomials():

@@ -1,9 +1,13 @@
-"""The benchmark's per-layer trace hooks still find what they wrap."""
+"""The benchmark's per-layer trace hooks still find what they wrap, and
+the exact-algebra package re-exports nothing that goes unused."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ellchow import exactring
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +40,20 @@ def test_layer_trace_installs_and_counts():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_every_exactring_export_has_a_user_outside_the_package():
+    files = [
+        path
+        for path in (ROOT / "src" / "ellchow").rglob("*.py")
+        if "exactring" not in path.relative_to(ROOT / "src" / "ellchow").parts
+    ]
+    files += list((ROOT / "tests").rglob("*.py"))
+    files += list((ROOT / "perfbench").rglob("*.py"))
+    text = "\n".join(path.read_text(encoding="utf-8") for path in files)
+    unused = [
+        name
+        for name in exactring.__all__
+        if not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert unused == []
