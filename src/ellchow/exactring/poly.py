@@ -208,21 +208,14 @@ class IntPolynomial:
     def constant(self) -> int:
         return self._terms.get((), 0)
 
-    def degree_in(self, name: str) -> int:
-        """Highest exponent of ``name``; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max((dict(m).get(name, 0) for m in self._terms), default=0)
-
-    def coefficient_in(self, name: str, exp: int) -> "IntPolynomial":
-        """The polynomial multiplying ``name^exp`` (with that factor removed)."""
-        out: dict[Mono, int] = {}
+    def coefficients_in(self, name: str) -> dict[int, "IntPolynomial"]:
+        """The polynomial multiplying each power ``name^e`` (with that factor
+        removed), keyed by the exponents ``e`` that occur."""
+        out: dict[int, dict[Mono, int]] = {}
         for m, c in self._terms.items():
-            md = dict(m)
-            if md.get(name, 0) == exp:
-                rest = tuple(p for p in m if p[0] != name)
-                out[rest] = out.get(rest, 0) + c
-        return IntPolynomial(out)
+            rest = tuple(p for p in m if p[0] != name)
+            out.setdefault(dict(m).get(name, 0), {})[rest] = c
+        return {e: IntPolynomial(t) for e, t in out.items()}
 
     # -- arithmetic --------------------------------------------------------
 

@@ -19,6 +19,7 @@ unit monomial row only reduces its column to zero.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -318,44 +319,52 @@ class GradedPresentation:
     def divide_in_quotient(
         self, g: IntPolynomial, c: IntPolynomial
     ) -> IntPolynomial:
-        """Some ``h`` with ``h*c = g`` in the quotient ring, in normal form;
-        raises :class:`NotDivisibleError` when none exists.
+        """Some ``h`` with ``h*c = g`` in the quotient ring, returned in
+        normal form; raises :class:`NotDivisibleError` when none exists.
 
         The divisor must have leading coefficient ``+1`` or ``-1`` in some
-        symbol ``x`` that occurs in no relation and no kill monomial.  The
-        ideal is then extended from the ``x``-free subring, so long division
-        in ``x`` decides divisibility: ``g`` is a multiple exactly when the
-        remainder reduces to zero.  A divisor without such a symbol is
-        outside the contract and raises :class:`PresentationError`.
-        Patching divides only by ``ctop_tail``, which is ``+1`` or ``-1``
-        times a monic polynomial in the free symbol ``l``.
+        symbol ``x`` that occurs in no relation and no kill monomial, such
+        as ``l`` in ``ctop_tail``.  Each degree's lattice then splits into
+        one block per power of ``x``, whose columns keep the order of the
+        ``x``-free basis of the degree below, so the staircase residue
+        works block by block.  Long division in ``x`` reduces each quotient
+        coefficient (the remainder's leading ``x``-coefficient times the
+        sign) to normal form before it meets the divisor, so the quotient
+        is reduced as built, and ``g`` is a multiple exactly when the
+        remainder reduces to zero.  Any other divisor is outside the
+        contract: it raises :class:`PresentationError` unless ``g`` reduces
+        to zero.
         """
         if c.is_zero():
             raise PresentationError("division by the zero class")
-        if self.reduces_to_zero(g):
-            return IntPolynomial.zero()
         if not (g.is_homogeneous() and c.is_homogeneous()):
             raise PresentationError("divide_in_quotient expects homogeneous input")
 
         for x in sorted(c.symbols_used() & self._free_symbols, key=symbol_key):
-            top = c.degree_in(x)
-            lead = c.coefficient_in(x, top)
+            divisor = c.coefficients_in(x)
+            top = max(divisor)
+            lead = divisor.pop(top)
             if lead == 1 or lead == -1:
-                sign = lead.constant()
+                rem = defaultdict(IntPolynomial, g.coefficients_in(x))
                 quotient = IntPolynomial.zero()
-                rem = g
-                while (k := rem.degree_in(x)) >= top:
-                    part = rem.coefficient_in(x, k)
-                    t = part * sign * IntPolynomial.symbol(x, k - top)
-                    quotient = quotient + t
-                    rem = rem - t * c
-                if not self.reduces_to_zero(rem):
+                for k in range(max(rem, default=-1), top - 1, -1):
+                    part = self.normal_form(rem[k] * lead.constant())
+                    quotient = quotient + part * IntPolynomial.symbol(x, k - top)
+                    for j, cj in divisor.items():
+                        rem[k - top + j] -= part * cj
+                rest = sum(
+                    (rem[j] * IntPolynomial.symbol(x, j) for j in range(top)),
+                    IntPolynomial.zero(),
+                )
+                if not self.reduces_to_zero(rest):
                     raise NotDivisibleError(
-                        f"remainder {self.normal_form(rem).text()} "
+                        f"remainder {self.normal_form(rest).text()} "
                         f"does not vanish"
                     )
-                return self.normal_form(quotient)
+                return quotient
 
+        if self.reduces_to_zero(g):
+            return IntPolynomial.zero()
         raise PresentationError(
             f"divisor {c.text()} has leading coefficient +1 or -1 in no "
             f"symbol free of the relations"

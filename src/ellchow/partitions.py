@@ -54,9 +54,7 @@ class SetPartition:
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]], n: int) -> "SetPartition":
-        canon = tuple(
-            sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-        )
+        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
         return cls(n, canon)
 
     @classmethod
@@ -65,6 +63,9 @@ class SetPartition:
             [int(tok) for tok in chunk.split()]
             for chunk in text.strip().split("|")
         ]
+        for i, block in enumerate(blocks, start=1):
+            if not block:
+                raise ValueError(f"block {i} of partition {text!r} is empty")
         size = max((e for b in blocks for e in b), default=0)
         if n is None:
             n = size

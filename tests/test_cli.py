@@ -89,6 +89,49 @@ def test_repeated_marking_in_a_partition_exits_two(argv, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("class", "--n", "3", "--ell", "1 2|3|"), "block 3 of partition '1 2|3|'"),
+        (("class", "--n", "3", "--ell", ""), "block 1 of partition ''"),
+        (("class", "--n", "3", "--nod", "|1 2 3"), "block 1 of partition '|1 2 3'"),
+        (
+            ("restrict", "--n", "3", "--partition", "1 2||3", "l"),
+            "block 2 of partition '1 2||3'",
+        ),
+    ],
+)
+def test_empty_block_in_a_partition_exits_two(argv, message, capsys):
+    code, text = invoke(*argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message} is empty\n"
+
+
+def test_empty_block_in_a_qfile_exits_two(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"n": 3, "allowed": ["1 2 3", "1 2|"]}))
+    code, text = invoke("present", "--n", "3", "--space", f"qfile:{path}")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: block 2 of partition '1 2|' is empty\n"
+    )
+
+
+def test_empty_block_in_a_fixture_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"3": {"1 2|3|": "24*l^2"}}))
+    code, text = invoke(
+        "verify", "appendix", "--n", "3", "--fixtures", str(path)
+    )
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: block 3 of partition '1 2|3|' is empty\n"
+    )
+
+
 def test_class_needs_exactly_one_kind(capsys):
     code, _ = invoke("class", "--n", "3")
     assert code == 2

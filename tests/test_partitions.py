@@ -49,6 +49,16 @@ def test_rejects_marking_repeated_inside_a_block(text):
         SetPartition.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text,index", [("1 2|3|", 3), ("", 1), ("|1 2 3", 1), ("1 2||3", 2)]
+)
+def test_rejects_empty_block(text, index):
+    with pytest.raises(ValueError, match=rf"^block {index} of partition .* is empty$"):
+        SetPartition.parse(text)
+    with pytest.raises(ValueError, match="^empty block$"):
+        SetPartition.of([[1, 2], [], [3]], 3)
+
+
 def test_parse_text_round_trip():
     for text in ["1 2|3", "1|2|3", "1 2 3"]:
         assert SetPartition.parse(text, 3).text() == text

@@ -124,13 +124,19 @@ def test_degree_bookkeeping():
     assert comps[1] == L and comps[2] == NU
 
 
-def test_degree_in_and_coefficient_in():
+def test_coefficients_in():
     f = 3 * L**2 * t(1, 2) + 5 * L - 7 * t(1, 2) ** 3
-    assert f.degree_in("l") == 2
-    assert f.degree_in("t{1,2}") == 3
-    assert f.coefficient_in("l", 2) == 3 * t(1, 2)
-    assert f.coefficient_in("l", 1) == IntPolynomial.const(5)
-    assert f.coefficient_in("l", 0) == -7 * t(1, 2) ** 3
+    assert f.coefficients_in("l") == {
+        2: 3 * t(1, 2),
+        1: IntPolynomial.const(5),
+        0: -7 * t(1, 2) ** 3,
+    }
+    assert f.coefficients_in("t{1,2}") == {
+        1: 3 * L**2,
+        0: 5 * L,
+        3: IntPolynomial.const(-7),
+    }
+    assert IntPolynomial.zero().coefficients_in("l") == {}
 
 
 def test_substitute_is_ring_hom():

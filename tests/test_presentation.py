@@ -240,6 +240,11 @@ def test_divide_requires_homogeneous():
     pres = free_ring("l")
     with pytest.raises(PresentationError):
         pres.divide_in_quotient(L + L**2, L)
+    # homogeneity is checked first, even for a numerator in the ideal
+    pres = GradedPresentation(sym("l", "xi"), (24 * L**2,))
+    assert pres.reduces_to_zero(24 * L**2 + 48 * L**3)
+    with pytest.raises(PresentationError):
+        pres.divide_in_quotient(24 * L**2 + 48 * L**3, X)
 
 
 def test_divide_torsion_witness():
@@ -262,7 +267,10 @@ def test_divide_random_products_round_trip():
             ),
             IntPolynomial.zero(),
         )
-        g = c * h0
+        # plus an element of the ideal, which the quotient must not see
+        g = c * h0 + rng.randint(-3, 3) * 24 * L**2 * X
         h = pres.divide_in_quotient(g, c)
         assert pres.reduces_to_zero(c * h - g)
+        assert h == pres.normal_form(h0)
+        assert pres.normal_form(h) == h
 

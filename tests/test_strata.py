@@ -1,5 +1,7 @@
 """Stratum models: tail/singular restrictions, lifts, and excess classes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -207,11 +209,39 @@ def test_ctop_is_sign_monic_in_the_hodge_class(text, n):
     k = part.codim()
     c = ctop_tail(n, part)
     assert c.degree() == k
-    assert c.degree_in("l") == k
-    assert c.coefficient_in("l", k) == IntPolynomial.one() * (-1) ** k
+    coeffs = c.coefficients_in("l")
+    assert max(coeffs) == k
+    assert coeffs[k] == IntPolynomial.one() * (-1) ** k
     pres = tail_model(n, part).presentation
     assert all("l" not in rel.symbols_used() for rel in pres.relations)
     assert all("l" not in dict(mono) for mono in pres.kill_monomials())
+
+
+@pytest.mark.parametrize(
+    "text,n", [(t, n) for t, n in PATCHED_STRATA if n <= 4] + [("1 2 3 4 5", 5)]
+)
+def test_division_by_ctop_returns_the_reduced_quotient(text, n):
+    # g = h0*ctop + (basis monomial)*(relation).  ctop is +1 or -1 times a
+    # monic polynomial in the free l, so it is a non-zero-divisor and the
+    # quotient is exactly the normal form of h0.
+    rng = random.Random(f"{text}/{n}")
+    part = SetPartition.parse(text, n)
+    pres = tail_model(n, part).presentation
+    c = ctop_tail(n, part)
+    h0 = sum(
+        (rng.randint(-9, 9) * IntPolynomial.monomial(m) for m in pres.basis(2)),
+        IntPolynomial.zero(),
+    )
+    g = h0 * c
+    rels = pres.relations + [IntPolynomial.monomial(m) for m in pres.kill_monomials()]
+    if rels:
+        rel = rng.choice(rels)
+        g = g + IntPolynomial.monomial(
+            rng.choice(pres.basis(2 + c.degree() - rel.degree()))
+        ) * rel
+    h = pres.divide_in_quotient(g, c)
+    assert h == pres.normal_form(h0)
+    assert pres.normal_form(h) == h
 
 
 def test_ctop_factors():
