@@ -114,6 +114,20 @@ def _canonical_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
     )
 
 
+def _terms_product(a: Mapping[Mono, int], b: Mapping[Mono, int]) -> dict[Mono, int]:
+    """The terms of the product of two polynomials given by their terms."""
+    out: dict[Mono, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            v = out.get(m, 0) + ca * cb
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
 def mono_sort_key(m: Mono) -> tuple:
     """Within a fixed degree: exponent-vector descending-lexicographic order."""
     return tuple((symbol_key(name), -e) for name, e in m)
@@ -258,17 +272,8 @@ class IntPolynomial:
             res._terms = {m: c * other for m, c in self._terms.items()}
             res._hash = None
             return res
-        out: dict[Mono, int] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = mono_mul(ma, mb)
-                v = out.get(m, 0) + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
         res = IntPolynomial.__new__(IntPolynomial)
-        res._terms = out
+        res._terms = _terms_product(self._terms, other._terms)
         res._hash = None
         return res
 
@@ -277,15 +282,15 @@ class IntPolynomial:
     def __pow__(self, exp: int) -> "IntPolynomial":
         if exp < 0:
             raise ValueError("negative exponent")
-        result = IntPolynomial.one()
+        result = None
         base = self
         while exp:
             if exp & 1:
-                result = result * base
+                result = base if result is None else result * base
             exp >>= 1
             if exp:
                 base = base * base
-        return result
+        return IntPolynomial.one() if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -318,13 +323,19 @@ class IntPolynomial:
                 power_cache[key] = got
             return got
 
-        total = IntPolynomial.zero()
+        # Every term is summed into one dict; a term with a factor whose
+        # image is zero is skipped before any multiplication.
+        total: dict[Mono, int] = {}
         for m, c in self._terms.items():
-            term = IntPolynomial.const(c)
-            for name, e in m:
-                term = term * power(name, e)
-            total = total + term
-        return total
+            factors = [power(name, e)._terms for name, e in m]
+            if not all(factors):
+                continue
+            term = {(): c}
+            for factor in factors:
+                term = _terms_product(term, factor)
+            for mono, coeff in term.items():
+                total[mono] = total.get(mono, 0) + coeff
+        return IntPolynomial(total)
 
     def rename_symbols(self, mapping: Mapping[str, str]) -> "IntPolynomial":
         """Pure symbol renaming (a degree-preserving bijection on names)."""

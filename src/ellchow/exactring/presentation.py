@@ -15,6 +15,25 @@ a multiple of a killed monomial lies in the ideal, so the projection is
 still a well-defined map of graded groups and is injective on the
 quotient.  Every other relation, ``l^6`` included, is a lattice row; a
 unit monomial row only reduces its column to zero.
+
+Division by a class with leading coefficient ``+1`` or ``-1`` in a free
+symbol ``x`` (one in no relation and no kill, such as ``l`` on a stratum
+model) runs in the *``x``-free ring*: the same relations and kills on the
+other symbols.  This is exact because every product row ``mono * rel`` lies
+in one power of ``x``, so each degree's lattice is a direct sum of one
+block per power of ``x``, and the block of ``x^i`` is the ``x``-free
+lattice ``i`` degrees down with its columns in the same order; the
+canonical staircase residue of an ``x``-free polynomial therefore reads
+only the ``x``-free block.  The ``x``-free rings also share staircases:
+two of them that are equal up to an order-preserving renaming of their
+symbols (same symbol degrees in symbol order, same relations in the same
+order written with symbol indices, same kill index sets) have the same
+basis positions, each monomial renamed, and the same product rows, so
+their ``lattice(d)`` is the same staircase; it is built once, and the
+later ring renames the first one's basis instead of enumerating its own.
+The boundary ring of a block depends only on how many markings it has, so
+stratum models whose markings are relabelled in symbol order are such
+rings, e.g. those of ``1 2 3 4|5`` and ``1|2 3 4 5``.
 """
 
 from __future__ import annotations
@@ -32,6 +51,11 @@ from .poly import (
     symbol_degree,
     symbol_key,
 )
+
+
+# The first x-free division ring of each signature up to an order-preserving
+# renaming of symbols (see the module docstring).
+_DIVISION_RINGS: dict[tuple, GradedPresentation] = {}
 
 
 class PresentationError(Exception):
@@ -114,6 +138,9 @@ class GradedPresentation:
         for kill in self.squarefree_kills:
             used |= kill
         self._free_symbols = frozenset(ordered) - used
+        self._without_cache: dict[str, GradedPresentation] = {}
+        # A ring whose basis is this one's renamed, with the renaming.
+        self._relabels: tuple[GradedPresentation, dict[str, str]] | None = None
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -147,6 +174,13 @@ class GradedPresentation:
             return cached
         if degree < 0:
             return self._basis_cache.setdefault(degree, [])
+        if self._relabels is not None:
+            source, rename = self._relabels
+            out = [
+                tuple((rename[nm], e) for nm, e in mono)
+                for mono in source.basis(degree)
+            ]
+            return self._basis_cache.setdefault(degree, out)
 
         out = []
         syms = self.symbols
@@ -201,9 +235,12 @@ class GradedPresentation:
             if col is not None:
                 pairs.append((col, coeff))
             elif not self._is_killed(mono):
+                # The basis holds every unkilled canonical monomial of the
+                # degree, so this one is stored out of canonical form.
                 raise PresentationError(
-                    f"monomial outside the ring: "
-                    f"{IntPolynomial.monomial(mono).text()}"
+                    f"monomial {IntPolynomial({mono: 1}).text()} is not in "
+                    f"canonical symbol order (that is "
+                    f"{IntPolynomial.monomial(mono).text()})"
                 )
         return flat_from_pairs(pairs)
 
@@ -316,6 +353,41 @@ class GradedPresentation:
 
     # -- division ----------------------------------------------------------------
 
+    def _without(self, x: str) -> GradedPresentation:
+        """The ring on every symbol but ``x``, with the same relations and
+        kills (cached).  When an earlier such ring is equal to it up to an
+        order-preserving renaming of symbols, it shares that ring's
+        staircases and renames that ring's basis."""
+        ring = self._without_cache.get(x)
+        if ring is not None:
+            return ring
+        ring = GradedPresentation(
+            [nm for nm in self.symbols if nm != x],
+            self.relations
+            + [IntPolynomial.monomial(m) for m in self.kill_monomials()],
+            name=f"{self.name} without {x}",
+        )
+        index = {nm: i for i, nm in enumerate(ring.symbols)}
+        signature = (
+            tuple(symbol_degree(nm) for nm in ring.symbols),
+            tuple(
+                tuple(sorted(
+                    (tuple((index[nm], e) for nm, e in mono), coeff)
+                    for mono, coeff in rel.items()
+                ))
+                for rel in ring.relations
+            ),
+            tuple(sorted(
+                tuple(sorted(index[nm] for nm in kill))
+                for kill in ring.squarefree_kills
+            )),
+        )
+        first = _DIVISION_RINGS.setdefault(signature, ring)
+        if first is not ring:
+            ring._lattice_cache = first._lattice_cache
+            ring._relabels = (first, dict(zip(first.symbols, ring.symbols)))
+        return self._without_cache.setdefault(x, ring)
+
     def divide_in_quotient(
         self, g: IntPolynomial, c: IntPolynomial
     ) -> IntPolynomial:
@@ -325,15 +397,23 @@ class GradedPresentation:
         The divisor must have leading coefficient ``+1`` or ``-1`` in some
         symbol ``x`` that occurs in no relation and no kill monomial, such
         as ``l`` in ``ctop_tail``.  Each degree's lattice then splits into
-        one block per power of ``x``, whose columns keep the order of the
-        ``x``-free basis of the degree below, so the staircase residue
-        works block by block.  Long division in ``x`` reduces each quotient
-        coefficient (the remainder's leading ``x``-coefficient times the
-        sign) to normal form before it meets the divisor, so the quotient
-        is reduced as built, and ``g`` is a multiple exactly when the
-        remainder reduces to zero.  Any other divisor is outside the
-        contract: it raises :class:`PresentationError` unless ``g`` reduces
-        to zero.
+        one block per power of ``x``: a product row ``mono * rel`` lies in
+        the power of ``x`` that ``mono`` carries, and the block of ``x^i``
+        is the lattice of the ``x``-free ring (the same relations and kills
+        on the other symbols) ``i`` degrees down, with its columns in the
+        same order.  So the staircase residue works block by block, and
+        the division runs in the ``x``-free ring alone: long division in
+        ``x`` reduces each quotient coefficient (the remainder's leading
+        ``x``-coefficient times the sign) to its ``x``-free normal form
+        before it meets the divisor, so the quotient is reduced as built,
+        and ``g`` is a multiple exactly when every ``x``-coefficient of the
+        remainder reduces to zero there.  The ``x``-free ring shares its
+        staircases with every ``x``-free ring equal to it up to an
+        order-preserving renaming of symbols: such rings have the same
+        basis positions and the same product rows, hence the same
+        staircase.
+        Any other divisor is outside the contract: it raises
+        :class:`PresentationError` unless ``g`` reduces to zero.
         """
         if c.is_zero():
             raise PresentationError("division by the zero class")
@@ -345,21 +425,24 @@ class GradedPresentation:
             top = max(divisor)
             lead = divisor.pop(top)
             if lead == 1 or lead == -1:
+                core = self._without(x)
                 rem = defaultdict(IntPolynomial, g.coefficients_in(x))
                 quotient = IntPolynomial.zero()
                 for k in range(max(rem, default=-1), top - 1, -1):
-                    part = self.normal_form(rem[k] * lead.constant())
+                    part = core.normal_form(rem[k] * lead.constant())
                     quotient = quotient + part * IntPolynomial.symbol(x, k - top)
                     for j, cj in divisor.items():
                         rem[k - top + j] -= part * cj
-                rest = sum(
-                    (rem[j] * IntPolynomial.symbol(x, j) for j in range(top)),
-                    IntPolynomial.zero(),
-                )
-                if not self.reduces_to_zero(rest):
+                if not all(core.reduces_to_zero(rem[j]) for j in range(top)):
+                    rest = sum(
+                        (
+                            core.normal_form(rem[j]) * IntPolynomial.symbol(x, j)
+                            for j in range(top)
+                        ),
+                        IntPolynomial.zero(),
+                    )
                     raise NotDivisibleError(
-                        f"remainder {self.normal_form(rest).text()} "
-                        f"does not vanish"
+                        f"remainder {rest.text()} does not vanish"
                     )
                 return quotient
 

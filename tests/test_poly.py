@@ -229,12 +229,12 @@ def test_negative_and_malformed_exponents_rejected():
 
 
 @st.composite
-def polynomials(draw):
+def polynomials(draw, bound=10**6):
     symbols = ["l", "nu", "t{1,2}", "t{1,3}", "t{1,2,3}"]
     n_terms = draw(st.integers(min_value=0, max_value=6))
     poly = IntPolynomial.zero()
     for _ in range(n_terms):
-        coeff = draw(st.integers(min_value=-10**6, max_value=10**6))
+        coeff = draw(st.integers(min_value=-bound, max_value=bound))
         mono = IntPolynomial.one()
         for name in draw(
             st.lists(st.sampled_from(symbols), max_size=3)
@@ -269,3 +269,29 @@ def test_hash_consistent_with_eq(a, b):
 @settings(max_examples=40, deadline=None)
 def test_distributivity_random(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+def substitute_term_by_term(f, images):
+    total = IntPolynomial.zero()
+    for mono, coeff in f.items():
+        term = IntPolynomial.const(coeff)
+        for name, e in mono:
+            term = term * images.get(name, IntPolynomial.symbol(name)) ** e
+        total = total + term
+    return total
+
+
+# Few distinct images, zero among them, so that terms often cancel.
+IMAGES = st.dictionaries(
+    st.sampled_from(["l", "nu", "t{1,2}", "t{1,3}", "t{1,2,3}"]),
+    st.sampled_from(
+        [IntPolynomial.zero(), L, -L, L + XI, 2 * XI, XI**2 - NU, L * XI]
+    ),
+)
+
+
+@given(polynomials(bound=2), IMAGES)
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_term_by_term(f, images):
+    assert f.substitute(images) == substitute_term_by_term(f, images)
+    assert 0 not in dict(f.substitute(images).items()).values()

@@ -140,10 +140,20 @@ def test_unit_monomials_with_repeated_factors_are_lattice_rows():
 
 
 def test_vector_rejects_non_canonical_monomial():
-    # a monomial outside the basis is dropped only when a kill divides it
+    # a monomial outside the basis is dropped only when a kill divides it,
+    # and the error names the order it is stored in
     pres = GradedPresentation(sym("l", "xi"), (L**2,))
-    with pytest.raises(PresentationError, match="outside the ring"):
+    with pytest.raises(
+        PresentationError,
+        match=r"^monomial xi\*l is not in canonical symbol order "
+        r"\(that is l\*xi\)$",
+    ):
         pres.vector(IntPolynomial({(("xi", 1), ("l", 1)): 1}), 2)
+    with pytest.raises(
+        PresentationError,
+        match=r"^monomial l\*l is not in canonical symbol order \(that is l\^2\)$",
+    ):
+        pres.vector(IntPolynomial({(("l", 1), ("l", 1)): 1}), 2)
 
 
 def test_vector_drops_killed_monomials():
@@ -232,8 +242,40 @@ def test_divide_without_free_unit_leading_symbol_is_out_of_contract():
 def test_divide_not_divisible():
     # xi is free with leading coefficient 1, and l^2 leaves a remainder
     pres = GradedPresentation(sym("l", "xi"), (24 * L**2,))
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(
+        NotDivisibleError, match=r"^remainder l\^2 does not vanish$"
+    ):
         pres.divide_in_quotient(L**2, X + L)
+    # the remainder is printed in normal form, one power of xi at a time
+    rest = 25 * L * X + 30 * L**2
+    assert pres.normal_form(rest).text() == "6*l^2 + 25*l*xi"
+    with pytest.raises(
+        NotDivisibleError, match=r"^remainder 6\*l\^2 \+ 25\*l\*xi does not vanish$"
+    ):
+        pres.divide_in_quotient(rest, X**2 + L * X)
+
+
+def test_division_rings_share_staircases_only_up_to_order_preserving_renaming():
+    # xi is free in each ring below; dividing by xi builds the xi-free ring
+    d12, d13, d23, d24 = (
+        IntPolynomial.symbol(nm) for nm in ("d{1,2}", "d{1,3}", "d{2,3}", "d{2,4}")
+    )
+
+    def division_ring(symbols, relation):
+        pres = GradedPresentation(("xi",) + symbols, (relation,))
+        assert pres.divide_in_quotient(X * relation, X).is_zero()
+        return pres._without("xi")
+
+    base = division_ring(("d{1,2}", "d{1,3}"), 2 * d12)
+    renamed = division_ring(("d{2,3}", "d{2,4}"), 2 * d23)
+    other_coefficient = division_ring(("d{1,2}", "d{1,3}"), 3 * d12)
+    other_index = division_ring(("d{1,2}", "d{1,3}"), 2 * d13)
+    for d in range(4):
+        assert renamed.lattice(d) is base.lattice(d)
+        assert other_coefficient.lattice(d) is not base.lattice(d)
+        assert other_index.lattice(d) is not base.lattice(d)
+    assert renamed.normal_form(3 * d23 + d24).text() == "d{2,3} + d{2,4}"
+    assert other_coefficient.normal_form(3 * d12 + d13).text() == "d{1,3}"
 
 
 def test_divide_requires_homogeneous():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellchow import (
+    GradedPresentation,
     IntPolynomial,
     NuRestrictionError,
     SetPartition,
@@ -217,9 +218,54 @@ def test_ctop_is_sign_monic_in_the_hodge_class(text, n):
     assert all("l" not in dict(mono) for mono in pres.kill_monomials())
 
 
-@pytest.mark.parametrize(
-    "text,n", [(t, n) for t, n in PATCHED_STRATA if n <= 4] + [("1 2 3 4 5", 5)]
-)
+DIVISION_STRATA = [(t, n) for t, n in PATCHED_STRATA if n <= 4] + [("1 2 3 4 5", 5)]
+
+
+@pytest.mark.parametrize("text,n", DIVISION_STRATA)
+def test_division_ring_normal_form_matches_the_tail_model(text, n):
+    # Division reduces l-free polynomials in the l-free ring; its normal
+    # form must be the tail model's.  The inputs are random combinations of
+    # basis monomials and of multiples of relations and kills.
+    rng = random.Random(f"l-free {text}/{n}")
+    pres = tail_model(n, SetPartition.parse(text, n)).presentation
+    core = pres._without("l")
+    assert core.symbols == tuple(nm for nm in pres.symbols if nm != "l")
+    rels = core.relations + [IntPolynomial.monomial(m) for m in core.kill_monomials()]
+    for d in range(4):
+        f = sum(
+            (rng.randint(-9, 9) * IntPolynomial.monomial(m) for m in core.basis(d)),
+            IntPolynomial.zero(),
+        )
+        for rel in rng.sample(rels, min(3, len(rels))):
+            multipliers = core.basis(d - rel.degree())
+            if multipliers:
+                f = f + rng.randint(-9, 9) * IntPolynomial.monomial(
+                    rng.choice(multipliers)
+                ) * rel
+        assert core.normal_form(f) == pres.normal_form(f)
+        assert core.reduces_to_zero(f) == pres.reduces_to_zero(f)
+
+
+def test_relabelled_division_rings_share_staircases():
+    # 1 2 3 4 -> 2 3 4 5 renames the one block in symbol order, so the two
+    # l-free rings have the same basis positions and product rows
+    rings = [
+        tail_model(5, SetPartition.parse(text, 5)).presentation._without("l")
+        for text in ("1 2 3 4|5", "1|2 3 4 5")
+    ]
+    assert rings[0].symbols != rings[1].symbols
+    # a ring built on its own enumerates the basis the shared ring renames
+    alone = GradedPresentation(
+        rings[1].symbols,
+        rings[1].relations
+        + [IntPolynomial.monomial(m) for m in rings[1].kill_monomials()],
+    )
+    for d in range(5):
+        assert rings[0].lattice(d) is rings[1].lattice(d)
+        assert rings[1].basis(d) == alone.basis(d)
+
+
+@pytest.mark.parametrize("text,n", DIVISION_STRATA)
 def test_division_by_ctop_returns_the_reduced_quotient(text, n):
     # g = h0*ctop + (basis monomial)*(relation).  ctop is +1 or -1 times a
     # monic polynomial in the free l, so it is a non-zero-divisor and the

@@ -57,3 +57,45 @@ def test_every_exactring_export_has_a_user_outside_the_package():
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert unused == []
+
+
+DIVISION_ONLY = """
+from ellchow import SetPartition, enumerate_partitions, ell_class, tail_model
+from ellchow.exactring import GradedPresentation
+
+rings = []
+build = GradedPresentation.lattice
+
+def lattice(pres, degree):
+    rings.append(pres)
+    return build(pres, degree)
+
+GradedPresentation.lattice = lattice
+# Every numerator the one-block class divides is the zero polynomial, which
+# reads no lattice; the two-block class reads some.
+for text in ("1 2 3 4", "1 2|3 4"):
+    ell_class(4, SetPartition.parse(text, 4))
+division = {
+    id(tail_model(4, s).presentation._without("l"))
+    for s in enumerate_partitions(4)
+    if s.codim()
+}
+assert rings
+assert not [pres.name for pres in rings if id(pres) not in division]
+"""
+
+
+def test_patching_builds_lattices_of_division_rings_only():
+    # Division by the excess class runs in the l-free ring; a tail model's
+    # own lattice is never needed to patch a class.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", DIVISION_ONLY],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
