@@ -11,6 +11,23 @@ remainder is the floor residue in ``[0, a)``, and an induction on the
 leading column of differences shows two rows in the same coset reduce to
 the same result.
 
+Both eliminations, :func:`insert_row` and :func:`reduce_row`, work in one
+sparse accumulator instead of rebuilding the row at every pivot they clear:
+a dict ``column -> coefficient`` seeded from the row, with a heap of its
+pending columns (the row's ascending column list is already a heap).  The
+smallest pending column is popped; at a pivot column ``q`` times the pivot
+row is subtracted past its leading entry only, and the columns new to the
+dict are pushed.  The pivot rows touched lead at the popped column, so
+every column they change is still pending and is popped later.  Pivot
+columns are therefore still cleared in ascending order with the same
+integer operations as on a flat row, and the residue is the same canonical
+one; the heap is the division trick of Monagan and Pearce ("Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).  ``insert_row`` turns the accumulator back into a flat row only
+when it claims a new pivot or meets a pivot that does not divide its
+coefficient, where it merges the two rows by an extended gcd and restarts
+from the merged row.
+
 :class:`Echelon` wraps the staircase in a small class API, and
 :func:`smith_invariants_of_rows` is a sparse Smith-normal-form routine for
 extracting invariant factors.
@@ -18,6 +35,7 @@ extracting invariant factors.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable
 
 # Name of the echelon kernel, as recorded in benchmark results: there is one,
@@ -90,34 +108,63 @@ def row_combine(a: list, sa: int, b: list, sb: int) -> list:
     return out
 
 
+def _subtract_tail(acc: dict, heap: list, p: list, q: int) -> None:
+    """Subtract ``q * p`` past its leading entry from the accumulator
+    ``acc``, pushing the columns new to it onto ``heap``."""
+    m = -q
+    for pc, pv in zip(p[2::2], p[3::2]):
+        v = acc.get(pc)
+        if v is None:
+            acc[pc] = m * pv
+            heappush(heap, pc)
+        else:
+            acc[pc] = v + m * pv
+
+
 def insert_row(rows: list, pivots: dict, row: list) -> None:
     """Add ``row`` to the staircase basis, preserving its invariants.
 
-    Walks the leading column of ``row``: an unclaimed column claims a new
-    pivot (sign-normalised); at a claimed column the row is either
-    eliminated (divisible case) or merged via an extended-gcd update that
-    replaces the pivot row by one leading with the gcd and continues with
-    a row whose leading column is strictly larger.
+    Walks the columns of ``row`` in ascending order in an accumulator (see
+    the module docstring).  An unclaimed column claims a new pivot
+    (sign-normalised).  At a claimed column whose pivot coefficient divides
+    the row's, the pivot row is subtracted and the walk goes on.  Otherwise
+    an extended-gcd update replaces the pivot row by one leading with the
+    gcd, and the walk restarts from a row whose leading column is strictly
+    larger.
     """
     while row:
-        col = row[0]
-        c = row[1]
-        j = pivots.get(col)
-        if j is None:
-            if c < 0:
-                row = row_scale(row, -1)
-            pivots[col] = len(rows)
-            rows.append(row)
-            return
-        p = rows[j]
-        a = p[1]
-        if c % a == 0:
-            row = row_combine(row, 1, p, -(c // a))
-        else:
+        acc = dict(zip(row[::2], row[1::2]))
+        heap = row[::2]  # ascending, hence already a heap
+        while heap:
+            col = heappop(heap)
+            c = acc[col]
+            if not c:
+                continue
+            j = pivots.get(col)
+            if j is not None:
+                p = rows[j]
+                a = p[1]
+                if c % a == 0:
+                    _subtract_tail(acc, heap, p, c // a)
+                    continue
+            row = [col, c]
+            for k in sorted(heap):
+                v = acc[k]
+                if v:
+                    row.append(k)
+                    row.append(v)
+            if j is None:
+                if c < 0:
+                    row = row_scale(row, -1)
+                pivots[col] = len(rows)
+                rows.append(row)
+                return
             g, x, y = xgcd(a, c)
-            new_pivot = row_combine(p, x, row, y)
+            rows[j] = row_combine(p, x, row, y)
             row = row_combine(row, a // g, p, -(c // g))
-            rows[j] = new_pivot
+            break
+        else:
+            return  # every column cancelled: the row was in the lattice
 
 
 def reduce_row(rows: list, pivots: dict, row: list) -> list:
@@ -127,21 +174,27 @@ def reduce_row(rows: list, pivots: dict, row: list) -> list:
     where ``a`` is the (positive) pivot coefficient; non-pivot columns are
     kept as-is.  Membership in the lattice is equivalent to an empty result.
     """
-    cur = list(row)
-    i = 0
-    while i < len(cur):
-        col = cur[i]
+    acc = dict(zip(row[::2], row[1::2]))
+    heap = row[::2]  # ascending, hence already a heap
+    out: list = []
+    while heap:
+        col = heappop(heap)
+        c = acc[col]
+        if not c:
+            continue
         j = pivots.get(col)
         if j is not None:
-            c = cur[i + 1]
             p = rows[j]
             a = p[1]
             q = c // a
             if q:
-                cur = cur[:i] + row_combine(cur[i:], 1, p, -q)
-                continue
-        i += 2
-    return cur
+                c -= q * a
+                _subtract_tail(acc, heap, p, q)
+                if not c:
+                    continue
+        out.append(col)
+        out.append(c)
+    return out
 
 
 def flat_from_pairs(pairs: Iterable[tuple[int, int]]) -> list:
@@ -236,13 +289,19 @@ def smith_invariants_of_rows(flat_rows: Iterable[list]) -> list[int]:
 
     diag: list[int] = []
     while rows:
-        # Smallest-magnitude pivot, deterministic tie-break.
+        # Smallest-magnitude pivot, deterministic tie-break.  Rows and
+        # columns are scanned in ascending order, so the first unit met is
+        # the smallest key and the scan stops there.
         best: tuple[int, int, int] | None = None
         for r in sorted(rows):
             for c in sorted(rows[r]):
                 a = abs(rows[r][c])
                 if best is None or (a, r, c) < best:
                     best = (a, r, c)
+                    if a == 1:
+                        break
+            if best[0] == 1:
+                break
         assert best is not None
         _, pr, pc = best
 
@@ -279,14 +338,13 @@ def smith_invariants_of_rows(flat_rows: Iterable[list]) -> list[int]:
         v = abs(rows[pr][pc])
         # Divisibility fix-up: the recorded factor must divide everything
         # that remains.  Folding an offending row into the pivot row shrinks
-        # the pivot strictly, so this terminates.
+        # the pivot strictly, so this terminates.  A unit divides everything.
         offending_row = None
-        for r2 in sorted(rows):
-            if r2 == pr:
-                continue
-            if any(val % v for val in rows[r2].values()):
-                offending_row = r2
-                break
+        if v != 1:
+            for r2 in sorted(rows):
+                if r2 != pr and any(val % v for val in rows[r2].values()):
+                    offending_row = r2
+                    break
         if offending_row is not None:
             row_op(pr, offending_row, -1)
             continue  # re-run with the same matrix; pivot search restarts

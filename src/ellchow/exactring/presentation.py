@@ -328,6 +328,18 @@ class GradedPresentation:
                 return False
         return True
 
+    def reduces_to_zero_blockwise(self, f: IntPolynomial, x: str) -> bool:
+        """``reduces_to_zero(f)``.  When ``x`` occurs in no relation and no
+        kill, each ``x``-coefficient of ``f`` is tested in the ``x``-free
+        ring instead, which is exact by the block argument of
+        :meth:`divide_in_quotient` and builds only ``x``-free staircases."""
+        if x not in self._free_symbols:
+            return self.reduces_to_zero(f)
+        core = self._without(x)
+        return all(
+            core.reduces_to_zero(part) for part in f.coefficients_in(x).values()
+        )
+
     def normal_form(self, f: IntPolynomial) -> IntPolynomial:
         total = IntPolynomial.zero()
         for d, comp in f.homogeneous_components().items():

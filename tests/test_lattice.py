@@ -5,11 +5,12 @@ on the order of insertion, and Smith invariants are cross-checked against an
 independent implementation (sympy).
 """
 
+import hashlib
 import random
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellchow.exactring.lattice import (
     KERNEL_NAME,
@@ -18,10 +19,13 @@ from ellchow.exactring.lattice import (
     insert_row,
     reduce_row,
     row_combine,
+    row_scale,
     smith_invariants_of_rows,
     xgcd,
 )
 from ellchow.keel import keel_presentation
+from ellchow.modular import qstable_presentation
+from ellchow.partitions import dm_space
 
 
 # -- flat row encoding -------------------------------------------------------
@@ -152,6 +156,94 @@ def test_residue_is_canonical_on_cosets():
                 assert 0 <= v < rows[pivots[i]][1]
 
 
+def reference_insert(rows, pivots, row):
+    """Staircase insertion that rebuilds the whole row at every pivot."""
+    while row:
+        col, c = row[0], row[1]
+        j = pivots.get(col)
+        if j is None:
+            if c < 0:
+                row = row_scale(row, -1)
+            pivots[col] = len(rows)
+            rows.append(row)
+            return
+        p = rows[j]
+        a = p[1]
+        if c % a == 0:
+            row = row_combine(row, 1, p, -(c // a))
+        else:
+            g, x, y = xgcd(a, c)
+            rows[j] = row_combine(p, x, row, y)
+            row = row_combine(row, a // g, p, -(c // g))
+
+
+def reference_reduce(rows, pivots, row):
+    """Floor residue that rebuilds the unreduced tail at every pivot."""
+    cur = list(row)
+    i = 0
+    while i < len(cur):
+        j = pivots.get(cur[i])
+        if j is not None:
+            q = cur[i + 1] // rows[j][1]
+            if q:
+                cur = cur[:i] + row_combine(cur[i:], 1, rows[j], -q)
+                continue
+        i += 2
+    return cur
+
+
+sparse_rows = st.dictionaries(
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=-12, max_value=12).filter(bool),
+    max_size=6,
+).map(lambda d: flat_from_pairs(d.items()))
+
+
+@given(st.lists(sparse_rows, min_size=1, max_size=10), st.lists(sparse_rows, max_size=5))
+# 4 and -6 at column 0 merge to the gcd 2, and the leftover row meets the
+# pivot 3 at column 1, which does not divide it
+@example([[0, 4, 1, 3, 2, -5], [1, 3, 3, 2], [0, -6, 1, 2, 3, 7]], [[0, -7, 1, 11, 2, 4, 3, -9]])
+@settings(max_examples=200, deadline=None)
+def test_accumulator_matches_the_row_rebuilding_reference(inserted, probes):
+    # Same pivot order and integer operations: the staircase is identical
+    # entry for entry after every insertion, and so is every residue.
+    rows, pivots = [], {}
+    ref_rows, ref_pivots = [], {}
+    for f in inserted:
+        insert_row(rows, pivots, list(f))
+        reference_insert(ref_rows, ref_pivots, list(f))
+        assert rows == ref_rows
+        assert pivots == ref_pivots
+    for f in inserted + probes:
+        assert reduce_row(rows, pivots, f) == reference_reduce(rows, pivots, f)
+
+
+def _staircase_digest(ech):
+    return hashlib.sha256(
+        repr((ech.rows, sorted(ech.pivots.items()))).encode()
+    ).hexdigest()[:16]
+
+
+def test_staircases_are_pinned():
+    # Rows, pivots and coefficients of two large staircases, entry for
+    # entry: an elimination change that keeps them keeps every residue.
+    g0 = keel_presentation(range(1, 7)).presentation
+    dm = qstable_presentation(5, dm_space(5)).presentation
+    got = [_staircase_digest(g0.lattice(d)) for d in range(4)] + [
+        _staircase_digest(dm.lattice(d)) for d in range(4)
+    ]
+    assert got == [
+        "1391876e63685b7d",
+        "b56430c1dddfceda",
+        "dc6d1068aa64539f",
+        "9f51bbb5337e91e7",
+        "1391876e63685b7d",
+        "1391876e63685b7d",
+        "29f72a70b7e54a85",
+        "b54c07df94b217bd",
+    ]
+
+
 def test_selected_kernel_is_named():
     assert KERNEL_NAME == "pure"
 
@@ -273,6 +365,26 @@ def test_smith_invariants_match_sympy(data):
     for f in flats:
         ech.insert(f)
     assert list(smith_invariants_of_rows(ech.rows)) == want
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_smith_invariants_after_rows_without_units(data):
+    # The pivot search stops at the first unit; rows before it hold only
+    # entries of magnitude at least 2, so the scan passes them first.
+    width = data.draw(st.integers(min_value=1, max_value=5))
+    non_units = st.sampled_from([0, 2, -2, 3, -3, 4, -6, 9, 10, -12])
+    head = data.draw(st.lists(
+        st.lists(non_units, min_size=width, max_size=width), min_size=1, max_size=3
+    ))
+    tail = data.draw(st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=width, max_size=width),
+        max_size=3,
+    ))
+    rows_dense = head + tail + [[1] + [0] * (width - 1)]
+    flats = [flat_from_pairs([(i, c) for i, c in enumerate(r) if c]) for r in rows_dense]
+    got = list(smith_invariants_of_rows([f for f in flats if f]))
+    assert got == sympy_invariants(rows_dense, width)
 
 
 def test_smith_invariants_known_cases():

@@ -148,6 +148,18 @@ def test_rank_lists_are_palindromic(n):
         assert ranks == ranks[::-1], qspec_label(q)
 
 
+@pytest.mark.extended
+def test_five_marking_duality_and_degree_two_torsion():
+    dm = qstable_presentation(5, dm_space(5))
+    assert hilbert_poincare(dm, 5) == [1, 27, 102, 102, 27, 1]
+    assert torsion_report(dm, 2).torsion == (24,)
+    for m in range(1, 5):
+        qp = qstable_presentation(5, smyth(5, m))
+        ranks = hilbert_poincare(qp, 5)
+        assert ranks == ranks[::-1], (m, ranks)
+        assert torsion_report(qp, 2).torsion == (), m
+
+
 # -- the four-marking cycle identity -----------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Ambient presentation, stratification patching, and fundamental classes."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,42 @@ def test_relation_combinations_vanish_everywhere(coeffs):
         f = f + c * r
     assert restricts_to_zero_everywhere(3, f)
     assert gorenstein_presentation(3).reduces_to_zero(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blockwise_zero_test_matches_the_tail_models(n):
+    # restriction_offenders tests each l-coefficient in the l-free ring; on
+    # every stratum its verdict must be the full tail model's, for classes
+    # that vanish there and classes that do not.
+    rng = random.Random(f"blockwise {n}")
+    gens = [IntPolynomial.symbol(nm) for nm in ambient_symbols(n)]
+    rels = [rel for rels in relation_families(n).values() for rel in rels]
+    classes = [IntPolynomial.zero()] + rels
+    for d in (1, 2, 3):
+        for _ in range(6):
+            term = IntPolynomial.one() * rng.randint(-5, 5)
+            for _ in range(d):
+                term = term * rng.choice(gens)
+            classes.append(term)
+            if rels:
+                classes.append(term * rng.choice(rels) + rng.choice(rels))
+    verdicts = set()
+    for s in enumerate_partitions(n):
+        model = tail_model(n, s)
+        for f in classes:
+            r = model.restrict(f)
+            full = model.presentation.reduces_to_zero(r)
+            assert model.presentation.reduces_to_zero_blockwise(r, "l") == full
+            verdicts.add(full)
+    assert verdicts == {True, False}
+    for f in classes:
+        assert restriction_offenders(n, f) == [
+            s
+            for s in enumerate_partitions(n)
+            if not tail_model(n, s).presentation.reduces_to_zero(
+                tail_model(n, s).restrict(f)
+            )
+        ]
 
 
 def test_restriction_offenders_lists_the_failing_strata():
