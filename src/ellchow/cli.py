@@ -133,6 +133,10 @@ def _verify_relations(args) -> list[Check]:
 
 
 def _verify_getzler(args) -> list[Check]:
+    if args.n != 4:
+        raise ValueError(
+            f"the getzler suite is on four markings only (got --n {args.n})"
+        )
     report = getzler_check()
     checks = [
         Check(

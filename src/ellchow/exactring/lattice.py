@@ -28,14 +28,15 @@ when it claims a new pivot or meets a pivot that does not divide its
 coefficient, where it merges the two rows by an extended gcd and restarts
 from the merged row.
 
-:class:`Echelon` wraps the staircase in a small class API, and
-:func:`smith_invariants_of_rows` is a sparse Smith-normal-form routine for
-extracting invariant factors.
+:class:`Echelon` wraps the staircase in a small class API.  It is the one
+elimination kernel: :func:`smith_invariants_of_rows` reads invariant factors
+off staircases of the rows and of the columns in turn.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import gcd
 from typing import Iterable
 
 # Name of the echelon kernel, as recorded in benchmark results: there is one,
@@ -242,113 +243,53 @@ class Echelon:
         return len(self.rows)
 
 
+def _transpose(rows: list) -> list:
+    """The columns of the matrix with the given flat rows, in column order,
+    as flat rows: column ``i`` of the result is the ``i``-th row."""
+    cols: dict[int, list] = {}
+    for i, row in enumerate(rows):
+        for c, v in zip(row[::2], row[1::2]):
+            cols.setdefault(c, []).extend((i, v))
+    return [cols[c] for c in sorted(cols)]
+
+
 def smith_invariants_of_rows(flat_rows: Iterable[list]) -> list[int]:
     """Diagonal of the Smith normal form of the integer matrix whose rows are
-    the given flat rows, as a list ``[d1, d2, ...]`` with ``d1 | d2 | ...``
-    and every ``di >= 1``.  The number of entries is the rank of the row
-    lattice; torsion of the quotient is carried by the entries ``> 1``.
+    the given flat rows (lists, tuples or any iterable of them), as a list
+    ``[d1, d2, ...]`` with ``d1 | d2 | ...`` and every ``di >= 1``.  The
+    number of entries is the rank of the row lattice; torsion of the
+    quotient is carried by the entries ``> 1``.
 
-    Sparse elimination: repeatedly pick the entry of smallest magnitude,
-    clear its column by Euclidean row operations, clear its row by column
-    operations (which at that point touch only the pivot row), and restore
-    the divisibility invariant by folding any offending row into the pivot
-    row before recording it.
+    The staircase alternates between rows and columns (Kannan and Bachem,
+    "Polynomial algorithms for computing the Smith and Hermite normal forms
+    of an integer matrix", SIAM J. Comput. 1979): the rows go into a fresh
+    :class:`Echelon`, its rows are sorted by leading column, and unless
+    every row has one entry the staircase is transposed and the loop runs
+    again.  Every pass is unimodular row or column work, so the Smith form
+    never changes.  The loop ends:
+
+    * the pivot at the smallest column is the gcd of that column;
+    * after the transpose it is the only entry of the first row, and that
+      row is inserted first;
+    * so each pass either shrinks it strictly or leaves it isolated, alone
+      in its row and column, where no later pass touches it;
+    * by induction on the sorted rows every pivot isolates.
+
+    The diagonal left is made a divisibility chain by replacing pairs of
+    entries with their gcd and lcm; entries equal to 1 are set aside.
     """
-    rows: dict[int, dict[int, int]] = {}
-    col_index: dict[int, set[int]] = {}
-    for ri, fr in enumerate(flat_rows):
-        if fr:
-            entries = {fr[i]: fr[i + 1] for i in range(0, len(fr), 2)}
-            rows[ri] = entries
-            for c in entries:
-                col_index.setdefault(c, set()).add(ri)
-
-    def set_entry(r: int, c: int, v: int) -> None:
-        if v:
-            rows[r][c] = v
-            col_index.setdefault(c, set()).add(r)
-        else:
-            if rows[r].pop(c, None) is not None:
-                owners = col_index.get(c)
-                if owners is not None:
-                    owners.discard(r)
-                    if not owners:
-                        del col_index[c]
-
-    def row_op(dst: int, src: int, q: int) -> None:
-        # rows[dst] -= q * rows[src]; a row emptied by the operation is gone
-        for c, v in list(rows[src].items()):
-            set_entry(dst, c, rows[dst].get(c, 0) - q * v)
-        if not rows[dst]:
-            del rows[dst]
-
-    def drop_row(r: int) -> None:
-        for c in list(rows[r]):
-            set_entry(r, c, 0)
-        del rows[r]
-
-    diag: list[int] = []
-    while rows:
-        # Smallest-magnitude pivot, deterministic tie-break.  Rows and
-        # columns are scanned in ascending order, so the first unit met is
-        # the smallest key and the scan stops there.
-        best: tuple[int, int, int] | None = None
-        for r in sorted(rows):
-            for c in sorted(rows[r]):
-                a = abs(rows[r][c])
-                if best is None or (a, r, c) < best:
-                    best = (a, r, c)
-                    if a == 1:
-                        break
-            if best[0] == 1:
-                break
-        assert best is not None
-        _, pr, pc = best
-
-        while True:
-            # Clear the pivot column by row operations; Euclidean swaps may
-            # move the pivot to a row with a smaller entry.
-            while True:
-                others = [r for r in col_index.get(pc, ()) if r != pr]
-                if not others:
-                    break
-                r2 = min(others)
-                v = rows[pr][pc]
-                v2 = rows[r2][pc]
-                row_op(r2, pr, v2 // v)
-                if r2 in rows and rows[r2].get(pc, 0):
-                    pr = r2  # remainder is smaller; continue from there
-            v = rows[pr][pc]
-            # Clear the pivot row by column operations.  Only the pivot row
-            # has an entry in column pc now, so each operation is local.
-            offender = None
-            for c2 in sorted(rows[pr]):
-                if c2 == pc:
-                    continue
-                v2 = rows[pr][c2]
-                q = v2 // v
-                set_entry(pr, c2, v2 - q * v)
-                if rows[pr].get(c2, 0):
-                    offender = c2
-                    break
-            if offender is None:
-                break
-            pc = offender  # strictly smaller pivot; re-clear its column
-
-        v = abs(rows[pr][pc])
-        # Divisibility fix-up: the recorded factor must divide everything
-        # that remains.  Folding an offending row into the pivot row shrinks
-        # the pivot strictly, so this terminates.  A unit divides everything.
-        offending_row = None
-        if v != 1:
-            for r2 in sorted(rows):
-                if r2 != pr and any(val % v for val in rows[r2].values()):
-                    offending_row = r2
-                    break
-        if offending_row is not None:
-            row_op(pr, offending_row, -1)
-            continue  # re-run with the same matrix; pivot search restarts
-        diag.append(v)
-        drop_row(pr)
-
-    return diag
+    rows = [list(row) for row in flat_rows]
+    while True:
+        ech = Echelon()
+        for row in rows:
+            ech.insert(row)
+        rows = sorted(ech.rows)
+        if all(len(row) == 2 for row in rows):
+            break
+        rows = _transpose(rows)
+    diag = [row[1] for row in rows if row[1] > 1]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return [1] * (len(rows) - len(diag)) + diag

@@ -19,12 +19,13 @@ unit monomial row only reduces its column to zero.
 Division by a class with leading coefficient ``+1`` or ``-1`` in a free
 symbol ``x`` (one in no relation and no kill, such as ``l`` on a stratum
 model) runs in the *``x``-free ring*: the same relations and kills on the
-other symbols.  This is exact because every product row ``mono * rel`` lies
-in one power of ``x``, so each degree's lattice is a direct sum of one
-block per power of ``x``, and the block of ``x^i`` is the ``x``-free
-lattice ``i`` degrees down with its columns in the same order; the
-canonical staircase residue of an ``x``-free polynomial therefore reads
-only the ``x``-free block.  The ``x``-free rings also share staircases:
+other symbols.  So does the zero test of a ring with a free symbol, one
+``x``-coefficient at a time.  This is exact because every product row
+``mono * rel`` lies in one power of ``x``, so each degree's lattice is a
+direct sum of one block per power of ``x``, and the block of ``x^i`` is
+the ``x``-free lattice ``i`` degrees down with its columns in the same
+order; the canonical staircase residue of an ``x``-free polynomial
+therefore reads only the ``x``-free block.  The ``x``-free rings also share staircases:
 two of them that are equal up to an order-preserving renaming of their
 symbols (same symbol degrees in symbol order, same relations in the same
 order written with symbol indices, same kill index sets) have the same
@@ -323,22 +324,22 @@ class GradedPresentation:
     # -- queries ---------------------------------------------------------------
 
     def reduces_to_zero(self, f: IntPolynomial) -> bool:
+        """Whether ``f`` is zero in the quotient.  When some symbol occurs
+        in no relation and no kill, each coefficient of ``f`` in the first
+        such symbol ``x`` is tested in the ``x``-free ring instead, which is
+        exact by the block argument of :meth:`divide_in_quotient` and builds
+        only ``x``-free staircases."""
+        if self._free_symbols:
+            x = min(self._free_symbols, key=symbol_key)
+            core = self._without(x)
+            return all(
+                core.reduces_to_zero(part)
+                for part in f.coefficients_in(x).values()
+            )
         for d, comp in f.homogeneous_components().items():
             if not self.lattice(d).contains(self.vector(comp, d)):
                 return False
         return True
-
-    def reduces_to_zero_blockwise(self, f: IntPolynomial, x: str) -> bool:
-        """``reduces_to_zero(f)``.  When ``x`` occurs in no relation and no
-        kill, each ``x``-coefficient of ``f`` is tested in the ``x``-free
-        ring instead, which is exact by the block argument of
-        :meth:`divide_in_quotient` and builds only ``x``-free staircases."""
-        if x not in self._free_symbols:
-            return self.reduces_to_zero(f)
-        core = self._without(x)
-        return all(
-            core.reduces_to_zero(part) for part in f.coefficients_in(x).values()
-        )
 
     def normal_form(self, f: IntPolynomial) -> IntPolynomial:
         total = IntPolynomial.zero()

@@ -270,7 +270,7 @@ def getzler_check(
     def tail_matches(partition: SetPartition, value: IntPolynomial) -> bool:
         model = tail_model(n, partition)
         r = restrict_to_tail(n, partition, cyc.nod22) - value
-        return model.presentation.reduces_to_zero_blockwise(r, "l")
+        return model.presentation.reduces_to_zero(r)
 
     lam2 = 6 * lam**2
     spot = {

@@ -268,7 +268,7 @@ def restriction_offenders(
     out = []
     for s in enumerate_partitions(n):
         r = restrict_to_tail(n, s, f)
-        if not tail_model(n, s).presentation.reduces_to_zero_blockwise(r, "l"):
+        if not tail_model(n, s).presentation.reduces_to_zero(r):
             out.append(s)
     return out
 

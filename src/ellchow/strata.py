@@ -85,7 +85,8 @@ class StratumModel:
                 return min_class("nod", self.partition.length, induced)
             return IntPolynomial.zero()
         elems = name_elements(name)
-        if elems is None or not name.startswith("t"):
+        # A boundary divisor t{B} has at least two markings in B.
+        if elems is None or len(elems) < 2 or not name.startswith("t"):
             raise PresentationError(f"not an ambient generator: {name!r}")
         home = self.partition.block_of(elems[0])
         # The first marking is checked; the markings increase, so the rest

@@ -169,6 +169,25 @@ def test_restrict_marking_outside_ground_set(poly, ell, capsys):
     assert capsys.readouterr().err == "error: element 7 not in ground set\n"
 
 
+@pytest.mark.parametrize(
+    "partition,name,ell",
+    [
+        ("1|2|3|4", "t{3}", False),
+        ("1 2|3 4", "t{1}", False),
+        ("1 2|3 4", "t{1}", True),
+        ("1 2|3|4", "t{3}", True),
+    ],
+)
+def test_restrict_rejects_single_marking_divisors(partition, name, ell, capsys):
+    argv = ["restrict", "--n", "4", "--partition", partition, name]
+    code, text = invoke(*argv, *(["--ell"] if ell else []))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"error: not an ambient generator: {name!r}\n"
+    )
+
+
 def test_restrict_bad_polynomial(capsys):
     code, _ = invoke("restrict", "--n", "3", "--partition", "1 2|3", "l +")
     assert code == 2
@@ -380,6 +399,16 @@ def test_verify_getzler_reports_the_discrepancy_line():
 
 
 # -- argument errors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", ["3", "6"])
+def test_verify_getzler_rejects_other_marking_counts(n, capsys):
+    code, text = invoke("verify", "getzler", "--n", n)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"error: the getzler suite is on four markings only (got --n {n})\n"
+    )
 
 
 def test_unknown_command_exits_two():

@@ -344,8 +344,8 @@ def sympy_invariants(rows_dense, width):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_smith_invariants_match_sympy(data):
-    width = data.draw(st.integers(min_value=1, max_value=5))
-    n_rows = data.draw(st.integers(min_value=1, max_value=5))
+    width = data.draw(st.integers(min_value=1, max_value=8))
+    n_rows = data.draw(st.integers(min_value=1, max_value=8))
     rows_dense = [
         [
             data.draw(st.integers(min_value=-12, max_value=12))
@@ -370,8 +370,9 @@ def test_smith_invariants_match_sympy(data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_smith_invariants_after_rows_without_units(data):
-    # The pivot search stops at the first unit; rows before it hold only
-    # entries of magnitude at least 2, so the scan passes them first.
+    # Rows of non-units come before a row with a unit in column 0, so the
+    # staircase's first pivot is a non-unit until the unit row merges into
+    # it by a gcd step.
     width = data.draw(st.integers(min_value=1, max_value=5))
     non_units = st.sampled_from([0, 2, -2, 3, -3, 4, -6, 9, 10, -12])
     head = data.draw(st.lists(
@@ -399,3 +400,47 @@ def test_smith_invariants_known_cases():
     # divisibility chain is enforced
     rows = [flat_from_pairs([(0, 6)]), flat_from_pairs([(1, 4)])]
     assert list(smith_invariants_of_rows(rows)) == [2, 12]
+    # [[2, 1], [0, 2]] is already a staircase; it takes two transposes to
+    # reach the diagonal
+    rows = [flat_from_pairs([(0, 2), (1, 1)]), flat_from_pairs([(1, 2)])]
+    assert list(smith_invariants_of_rows(rows)) == [1, 4]
+
+
+def expand(pairs):
+    return [d for d, count in pairs for _ in range(count)]
+
+
+def invariant_lists(pres, top):
+    return [smith_invariants_of_rows(pres.lattice(d).rows) for d in range(top + 1)]
+
+
+# Full invariant lists, one per degree from 0, as (invariant, multiplicity)
+# pairs in order.
+DM4_INVARIANTS = [
+    [],
+    [],
+    [(1, 24), (24, 1)],
+    [(1, 99), (4, 1), (12, 3), (24, 9)],
+    [(1, 230), (4, 1), (12, 6), (24, 17)],
+]
+KEEL6_INVARIANTS = [[], [(1, 14)], [(1, 419)], [(1, 2254)]]
+DM5_INVARIANTS = [
+    [],
+    [],
+    [(1, 80), (24, 1)],
+    [(1, 545), (2, 1), (4, 4), (12, 6), (24, 21)],
+    [(1, 1696), (4, 10), (12, 29), (24, 68)],
+]
+
+
+def test_smith_invariants_are_pinned():
+    dm4 = qstable_presentation(4, dm_space(4)).presentation
+    assert invariant_lists(dm4, 4) == [expand(p) for p in DM4_INVARIANTS]
+    keel6 = keel_presentation(range(1, 7)).presentation
+    assert invariant_lists(keel6, 3) == [expand(p) for p in KEEL6_INVARIANTS]
+
+
+@pytest.mark.extended
+def test_five_marking_smith_invariants_are_pinned():
+    dm5 = qstable_presentation(5, dm_space(5)).presentation
+    assert invariant_lists(dm5, 4) == [expand(p) for p in DM5_INVARIANTS]

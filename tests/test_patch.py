@@ -21,6 +21,7 @@ from ellchow import (
     s_min,
 )
 from ellchow.patch import (
+    LAMBDA,
     ambient_symbols,
     base_relations,
     ell_class_data,
@@ -152,9 +153,9 @@ def test_relation_combinations_vanish_everywhere(coeffs):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blockwise_zero_test_matches_the_tail_models(n):
-    # restriction_offenders tests each l-coefficient in the l-free ring; on
-    # every stratum its verdict must be the full tail model's, for classes
-    # that vanish there and classes that do not.
+    # reduces_to_zero tests each l-coefficient in the l-free ring; on every
+    # stratum its verdict must be membership in the full tail model's
+    # lattices, for classes that vanish there and classes that do not.
     rng = random.Random(f"blockwise {n}")
     gens = [IntPolynomial.symbol(nm) for nm in ambient_symbols(n)]
     rels = [rel for rels in relation_families(n).values() for rel in rels]
@@ -167,21 +168,30 @@ def test_blockwise_zero_test_matches_the_tail_models(n):
             classes.append(term)
             if rels:
                 classes.append(term * rng.choice(rels) + rng.choice(rels))
+                # a vanishing multiple of l over a term that may not vanish
+                classes.append(LAMBDA * rng.choice(rels) + term)
+
+    def in_full_lattices(pres, r):
+        return all(
+            pres.lattice(d).contains(pres.vector(comp, d))
+            for d, comp in r.homogeneous_components().items()
+        )
+
     verdicts = set()
     for s in enumerate_partitions(n):
         model = tail_model(n, s)
         for f in classes:
             r = model.restrict(f)
-            full = model.presentation.reduces_to_zero(r)
-            assert model.presentation.reduces_to_zero_blockwise(r, "l") == full
+            full = in_full_lattices(model.presentation, r)
+            assert model.presentation.reduces_to_zero(r) == full
             verdicts.add(full)
     assert verdicts == {True, False}
     for f in classes:
         assert restriction_offenders(n, f) == [
             s
             for s in enumerate_partitions(n)
-            if not tail_model(n, s).presentation.reduces_to_zero(
-                tail_model(n, s).restrict(f)
+            if not in_full_lattices(
+                tail_model(n, s).presentation, tail_model(n, s).restrict(f)
             )
         ]
 

@@ -14,13 +14,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVE = """
 from layers import LayerTrace
 
-from ellchow import SetPartition, ell_class
+from ellchow import SetPartition, dm_space, ell_class
+from ellchow.modular import qstable_presentation, torsion_report
 
 trace = LayerTrace()
 trace.install()
 ell_class(4, SetPartition.parse("1 2|3 4", 4))
 builds = trace.metrics()["presentation.lattice_builds"]
 assert builds > 0, builds
+# torsion_report reaches the Smith routine by the name the trace wraps.
+torsion_report(qstable_presentation(3, dm_space(3)), 2)
+smith_rows = trace.metrics()["lattice.smith_rows"]
+assert smith_rows > 0, smith_rows
 print(builds)
 """
 
