@@ -140,7 +140,7 @@ def term_sort_key(m: Mono) -> tuple:
 class IntPolynomial:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
         data: dict[Mono, int] = {}
@@ -151,7 +151,6 @@ class IntPolynomial:
                     if not data[mono]:
                         del data[mono]
         self._terms = data
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -245,7 +244,6 @@ class IntPolynomial:
                 out.pop(m, None)
         res = IntPolynomial.__new__(IntPolynomial)
         res._terms = out
-        res._hash = None
         return res
 
     __radd__ = __add__
@@ -253,7 +251,6 @@ class IntPolynomial:
     def __neg__(self) -> "IntPolynomial":
         res = IntPolynomial.__new__(IntPolynomial)
         res._terms = {m: -c for m, c in self._terms.items()}
-        res._hash = None
         return res
 
     def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
@@ -270,11 +267,9 @@ class IntPolynomial:
                 return IntPolynomial.zero()
             res = IntPolynomial.__new__(IntPolynomial)
             res._terms = {m: c * other for m, c in self._terms.items()}
-            res._hash = None
             return res
         res = IntPolynomial.__new__(IntPolynomial)
         res._terms = _terms_product(self._terms, other._terms)
-        res._hash = None
         return res
 
     __rmul__ = __mul__
@@ -300,9 +295,7 @@ class IntPolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- substitution ------------------------------------------------------
 

@@ -16,25 +16,34 @@ still a well-defined map of graded groups and is injective on the
 quotient.  Every other relation, ``l^6`` included, is a lattice row; a
 unit monomial row only reduces its column to zero.
 
-Division by a class with leading coefficient ``+1`` or ``-1`` in a free
-symbol ``x`` (one in no relation and no kill, such as ``l`` on a stratum
-model) runs in the *``x``-free ring*: the same relations and kills on the
-other symbols.  So does the zero test of a ring with a free symbol, one
-``x``-coefficient at a time.  This is exact because every product row
-``mono * rel`` lies in one power of ``x``, so each degree's lattice is a
-direct sum of one block per power of ``x``, and the block of ``x^i`` is
-the ``x``-free lattice ``i`` degrees down with its columns in the same
-order; the canonical staircase residue of an ``x``-free polynomial
-therefore reads only the ``x``-free block.  The ``x``-free rings also share staircases:
-two of them that are equal up to an order-preserving renaming of their
-symbols (same symbol degrees in symbol order, same relations in the same
-order written with symbol indices, same kill index sets) have the same
-basis positions, each monomial renamed, and the same product rows, so
-their ``lattice(d)`` is the same staircase; it is built once, and the
-later ring renames the first one's basis instead of enumerating its own.
-The boundary ring of a block depends only on how many markings it has, so
-stratum models whose markings are relabelled in symbol order are such
-rings, e.g. those of ``1 2 3 4|5`` and ``1|2 3 4 5``.
+A symbol ``x`` in no relation and no kill, such as ``l`` on a stratum
+model, is *free*, and the ring on the other symbols with the same
+relations and kills is the *``x``-free ring*.  Every product row
+``mono * rel`` lies in the power of ``x`` that ``mono`` carries, so each
+degree's lattice is a direct sum of one block per power of ``x``, and the
+block of ``x^i`` is the ``x``-free lattice ``i * deg(x)`` degrees down,
+with its columns in the same relative order.  When ``x`` is not the first
+symbol the blocks interleave in column order, but their columns are
+still disjoint, so the part of a lattice vector in one block is itself a
+lattice vector.  The lattice then has the pivot columns and leading
+coefficients of its blocks together, and its canonical residue (see the
+``lattice`` module) is the sum of the blocks' residues: the normal form
+of ``f`` is the sum over ``i`` of ``x^i`` times the ``x``-free normal
+form of the ``x^i``-coefficient of ``f``.  A ring with a free symbol
+therefore reduces, tests for zero and divides in its ``x``-free ring for
+the first free symbol ``x`` in symbol order, and builds only ``x``-free
+staircases.
+
+The ``x``-free rings share staircases, not bases: two of them that are
+equal up to an order-preserving renaming of their symbols (same symbol
+degrees in symbol order, same relations in the same order written with
+symbol indices, same kill index sets) enumerate the same basis positions,
+each monomial renamed, and have the same product rows, so their
+``lattice(d)`` is the same staircase, built once; each ring enumerates
+its own basis.  The boundary ring of a block depends only on how many
+markings it has, so stratum models whose markings are relabelled in
+symbol order are such rings, e.g. those of ``1 2 3 4|5`` and
+``1|2 3 4 5``.
 """
 
 from __future__ import annotations
@@ -54,9 +63,9 @@ from .poly import (
 )
 
 
-# The first x-free division ring of each signature up to an order-preserving
+# The staircases of the x-free rings, by signature up to an order-preserving
 # renaming of symbols (see the module docstring).
-_DIVISION_RINGS: dict[tuple, GradedPresentation] = {}
+_STAIRCASES: dict[tuple, dict[int, Echelon]] = {}
 
 
 class PresentationError(Exception):
@@ -140,8 +149,6 @@ class GradedPresentation:
             used |= kill
         self._free_symbols = frozenset(ordered) - used
         self._without_cache: dict[str, GradedPresentation] = {}
-        # A ring whose basis is this one's renamed, with the renaming.
-        self._relabels: tuple[GradedPresentation, dict[str, str]] | None = None
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -162,9 +169,15 @@ class GradedPresentation:
                 raise PresentationError(f"unknown symbol {nm!r}")
         support = {nm for nm, _ in mono}
         for nm in support:
-            for kill in self._kills_by_name[nm]:
-                if kill <= support:
-                    return True
+            if self._kill_at(nm, support):
+                return True
+        return False
+
+    def _kill_at(self, nm: str, support: set[str]) -> bool:
+        """Whether some kill containing ``nm`` lies in ``support``."""
+        for kill in self._kills_by_name[nm]:
+            if kill <= support:
+                return True
         return False
 
     def basis(self, degree: int) -> list[Mono]:
@@ -175,24 +188,10 @@ class GradedPresentation:
             return cached
         if degree < 0:
             return self._basis_cache.setdefault(degree, [])
-        if self._relabels is not None:
-            source, rename = self._relabels
-            out = [
-                tuple((rename[nm], e) for nm, e in mono)
-                for mono in source.basis(degree)
-            ]
-            return self._basis_cache.setdefault(degree, out)
-
         out = []
         syms = self.symbols
         chosen: list[tuple[str, int]] = []
         support: set[str] = set()
-
-        def conflicts(nm: str) -> bool:
-            for kill in self._kills_by_name[nm]:
-                if kill <= support | {nm}:
-                    return True
-            return False
 
         def rec(i: int, remaining: int) -> None:
             if remaining == 0:
@@ -202,13 +201,13 @@ class GradedPresentation:
                 return
             nm = syms[i]
             d = symbol_degree(nm)
-            if not conflicts(nm):
-                support.add(nm)
+            support.add(nm)
+            if not self._kill_at(nm, support):
                 for e in range(remaining // d, 0, -1):
                     chosen.append((nm, e))
                     rec(i + 1, remaining - e * d)
                     chosen.pop()
-                support.discard(nm)
+            support.discard(nm)
             rec(i + 1, remaining)
 
         rec(0, degree)
@@ -324,25 +323,20 @@ class GradedPresentation:
     # -- queries ---------------------------------------------------------------
 
     def reduces_to_zero(self, f: IntPolynomial) -> bool:
-        """Whether ``f`` is zero in the quotient.  When some symbol occurs
-        in no relation and no kill, each coefficient of ``f`` in the first
-        such symbol ``x`` is tested in the ``x``-free ring instead, which is
-        exact by the block argument of :meth:`divide_in_quotient` and builds
-        only ``x``-free staircases."""
+        """Whether ``f`` is zero in the quotient."""
+        return self.normal_form(f).is_zero()
+
+    def normal_form(self, f: IntPolynomial) -> IntPolynomial:
+        """The canonical staircase residue of ``f``; with a free symbol, the
+        residue taken one coefficient at a time in the ring without the
+        first one (see the module docstring)."""
+        total = IntPolynomial.zero()
         if self._free_symbols:
             x = min(self._free_symbols, key=symbol_key)
             core = self._without(x)
-            return all(
-                core.reduces_to_zero(part)
-                for part in f.coefficients_in(x).values()
-            )
-        for d, comp in f.homogeneous_components().items():
-            if not self.lattice(d).contains(self.vector(comp, d)):
-                return False
-        return True
-
-    def normal_form(self, f: IntPolynomial) -> IntPolynomial:
-        total = IntPolynomial.zero()
+            for i, part in f.coefficients_in(x).items():
+                total = total + core.normal_form(part) * IntPolynomial.symbol(x, i)
+            return total
         for d, comp in f.homogeneous_components().items():
             residue = self.lattice(d).residue(self.vector(comp, d))
             total = total + self.from_vector(residue, d)
@@ -368,9 +362,8 @@ class GradedPresentation:
 
     def _without(self, x: str) -> GradedPresentation:
         """The ring on every symbol but ``x``, with the same relations and
-        kills (cached).  When an earlier such ring is equal to it up to an
-        order-preserving renaming of symbols, it shares that ring's
-        staircases and renames that ring's basis."""
+        kills (cached), sharing its staircases with every such ring equal
+        to it up to an order-preserving renaming of symbols."""
         ring = self._without_cache.get(x)
         if ring is not None:
             return ring
@@ -395,10 +388,7 @@ class GradedPresentation:
                 for kill in ring.squarefree_kills
             )),
         )
-        first = _DIVISION_RINGS.setdefault(signature, ring)
-        if first is not ring:
-            ring._lattice_cache = first._lattice_cache
-            ring._relabels = (first, dict(zip(first.symbols, ring.symbols)))
+        ring._lattice_cache = _STAIRCASES.setdefault(signature, ring._lattice_cache)
         return self._without_cache.setdefault(x, ring)
 
     def divide_in_quotient(
@@ -409,22 +399,13 @@ class GradedPresentation:
 
         The divisor must have leading coefficient ``+1`` or ``-1`` in some
         symbol ``x`` that occurs in no relation and no kill monomial, such
-        as ``l`` in ``ctop_tail``.  Each degree's lattice then splits into
-        one block per power of ``x``: a product row ``mono * rel`` lies in
-        the power of ``x`` that ``mono`` carries, and the block of ``x^i``
-        is the lattice of the ``x``-free ring (the same relations and kills
-        on the other symbols) ``i`` degrees down, with its columns in the
-        same order.  So the staircase residue works block by block, and
-        the division runs in the ``x``-free ring alone: long division in
-        ``x`` reduces each quotient coefficient (the remainder's leading
+        as ``l`` in ``ctop_tail``.  The division then runs in the ``x``-free
+        ring alone (see the module docstring): long division in ``x``
+        reduces each quotient coefficient (the remainder's leading
         ``x``-coefficient times the sign) to its ``x``-free normal form
         before it meets the divisor, so the quotient is reduced as built,
         and ``g`` is a multiple exactly when every ``x``-coefficient of the
-        remainder reduces to zero there.  The ``x``-free ring shares its
-        staircases with every ``x``-free ring equal to it up to an
-        order-preserving renaming of symbols: such rings have the same
-        basis positions and the same product rows, hence the same
-        staircase.
+        remainder reduces to zero there.
         Any other divisor is outside the contract: it raises
         :class:`PresentationError` unless ``g`` reduces to zero.
         """
@@ -446,17 +427,13 @@ class GradedPresentation:
                     quotient = quotient + part * IntPolynomial.symbol(x, k - top)
                     for j, cj in divisor.items():
                         rem[k - top + j] -= part * cj
-                if not all(core.reduces_to_zero(rem[j]) for j in range(top)):
-                    rest = sum(
-                        (
-                            core.normal_form(rem[j]) * IntPolynomial.symbol(x, j)
-                            for j in range(top)
-                        ),
+                rest = [core.normal_form(rem[j]) for j in range(top)]
+                if any(rest):
+                    text = sum(
+                        (p * IntPolynomial.symbol(x, j) for j, p in enumerate(rest)),
                         IntPolynomial.zero(),
-                    )
-                    raise NotDivisibleError(
-                        f"remainder {rest.text()} does not vanish"
-                    )
+                    ).text()
+                    raise NotDivisibleError(f"remainder {text} does not vanish")
                 return quotient
 
         if self.reduces_to_zero(g):

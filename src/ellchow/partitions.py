@@ -59,8 +59,16 @@ class SetPartition:
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "SetPartition":
+        def marking(tok: str) -> int:
+            try:
+                return int(tok)
+            except ValueError:
+                raise ValueError(
+                    f"marking {tok!r} of partition {text!r} is not an integer"
+                ) from None
+
         blocks = [
-            [int(tok) for tok in chunk.split()]
+            [marking(tok) for tok in chunk.split()]
             for chunk in text.strip().split("|")
         ]
         for i, block in enumerate(blocks, start=1):
@@ -264,6 +272,4 @@ def smyth(n: int, m: int) -> QSpec:
 def lp_minimal(n: int) -> QSpec:
     """The minimal log-canonically polarised compactification: every
     singularity short of the all-singleton type is allowed."""
-    if n < 2:
-        return QSpec(n, frozenset(p for p in enumerate_partitions(n)[:-1]))
-    return smyth(n, n - 1)
+    return QSpec(n, frozenset(enumerate_partitions(n)) - {s_max(n)})

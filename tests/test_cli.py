@@ -250,6 +250,27 @@ def test_present_qfile_rejects_repeated_marking(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["restrict", "class", "qfile"])
+def test_non_numeric_marking_names_token_and_partition(command, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"n": 3, "allowed": ["1 2 3", "1 x|2 3"]}))
+    argv, token, partition = {
+        "restrict": (
+            ["restrict", "--n", "3", "--partition", "a|2 3", "l"], "a", "a|2 3"
+        ),
+        "class": (["class", "--n", "3", "--ell", "1 b|3"], "b", "1 b|3"),
+        "qfile": (
+            ["present", "--n", "3", "--space", f"qfile:{path}"], "x", "1 x|2 3"
+        ),
+    }[command]
+    code, text = invoke(*argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"error: marking {token!r} of partition {partition!r} is not an integer\n"
+    )
+
+
 def test_present_missing_qfile():
     code, _ = invoke("present", "--n", "3", "--space", "qfile:/nonexistent.json")
     assert code == 2

@@ -1,9 +1,11 @@
 """Graded quotient presentations over Z: bases, normal forms, invariant
 factors, and exact division in the quotient."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellchow import (
     GradedPresentation,
@@ -14,12 +16,13 @@ from ellchow import (
     keel_presentation,
     qstable_presentation,
 )
-from ellchow.exactring import smith_invariants_of_rows
+from ellchow.exactring import smith_invariants_of_rows, symbol_degree, symbol_key
 
 
 L = IntPolynomial.symbol("l")
 NU = IntPolynomial.symbol("nu")
 X = IntPolynomial.symbol("xi")
+T12 = IntPolynomial.symbol("t{1,2}")
 
 
 def sym(*names):
@@ -77,6 +80,53 @@ def test_negative_degree_basis_empty():
     assert pres.basis(-1) == []
 
 
+KILL_SYMBOLS = ("l", "nu", "xi", "t{1,2}", "t{1,3}", "t{2,3}")
+
+
+@st.composite
+def kill_rings(draw):
+    """Symbols, kills of one to three symbols, and one lattice relation."""
+    names = draw(st.lists(st.sampled_from(KILL_SYMBOLS), min_size=2, unique=True))
+    kills = draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    factors = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    coeff = draw(st.sampled_from((2, 3, -6)))
+    relation = IntPolynomial.const(coeff)
+    for nm in factors:
+        relation = relation * IntPolynomial.symbol(nm)
+    return names, [frozenset(k) for k in kills], relation
+
+
+@given(kill_rings())
+@settings(max_examples=60, deadline=None)
+def test_basis_and_kill_test_match_brute_force(ring):
+    names, kills, relation = ring
+    relations = [relation] + [
+        IntPolynomial.monomial(tuple((nm, 1) for nm in kill)) for kill in kills
+    ]
+    pres = GradedPresentation(names, relations)
+    syms = sorted(names, key=symbol_key)
+    for d in range(5):
+        # every monomial of degree d, exponent vectors descending
+        monos = [
+            tuple((nm, e) for nm, e in zip(syms, exps) if e)
+            for exps in sorted(
+                itertools.product(range(d + 1), repeat=len(syms)), reverse=True
+            )
+            if sum(e * symbol_degree(nm) for nm, e in zip(syms, exps)) == d
+        ]
+        killed = [
+            any(kill <= {nm for nm, _ in mono} for kill in kills) for mono in monos
+        ]
+        assert [pres._is_killed(mono) for mono in monos] == killed
+        assert pres.basis(d) == [m for m, k in zip(monos, killed) if not k]
+
+
 # -- normal forms and equality ------------------------------------------------
 
 
@@ -99,6 +149,45 @@ def test_reduces_to_zero_on_relations():
     assert pres.reduces_to_zero((L + X) * rels[2])
     assert not pres.reduces_to_zero(12 * L**2)
     assert pres.reduces_to_zero(IntPolynomial.zero())
+
+
+def staircase_normal_form(pres, f):
+    """The residue of ``f`` in the ring's own lattices, with no split."""
+    return sum(
+        (
+            pres.from_vector(pres.lattice(d).residue(pres.vector(comp, d)), d)
+            for d, comp in f.homogeneous_components().items()
+        ),
+        IntPolynomial.zero(),
+    )
+
+
+@pytest.mark.parametrize(
+    "symbols,relations",
+    [
+        (sym("l", "xi"), (24 * L**2,)),
+        (sym("l", "xi", "t{1,2}"), (24 * L**2, 6 * L * T12 - 4 * T12**2)),
+    ],
+)
+def test_normal_form_splits_on_a_free_symbol_after_the_first(symbols, relations):
+    # xi is free but l comes first, so the blocks of the powers of xi
+    # interleave in column order; the residue still splits along them
+    pres = GradedPresentation(symbols, relations)
+    assert min(pres._free_symbols, key=symbol_key) == "xi"
+    rng = random.Random(f"{symbols}")
+    for d in range(6):
+        for _ in range(5):
+            f = sum(
+                (rng.randint(-60, 60) * IntPolynomial.monomial(m)
+                 for m in pres.basis(d)),
+                IntPolynomial.zero(),
+            )
+            if d >= 2:
+                f = f + rng.randint(-3, 3) * X ** (d - 2) * relations[0]
+            expected = staircase_normal_form(pres, f)
+            assert pres.normal_form(f) == expected
+            assert pres.reduces_to_zero(f) == expected.is_zero()
+            assert pres.reduces_to_zero(f - expected)
 
 
 def test_inhomogeneous_input_handled_by_components():

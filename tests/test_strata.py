@@ -221,17 +221,30 @@ def test_ctop_is_sign_monic_in_the_hodge_class(text, n):
 DIVISION_STRATA = [(t, n) for t, n in PATCHED_STRATA if n <= 4] + [("1 2 3 4 5", 5)]
 
 
+def staircase_normal_form(pres, f):
+    """The residue of ``f`` in the ring's own lattices, with no split."""
+    return sum(
+        (
+            pres.from_vector(pres.lattice(d).residue(pres.vector(comp, d)), d)
+            for d, comp in f.homogeneous_components().items()
+        ),
+        IntPolynomial.zero(),
+    )
+
+
 @pytest.mark.parametrize("text,n", DIVISION_STRATA)
 def test_division_ring_normal_form_matches_the_tail_model(text, n):
-    # Division reduces l-free polynomials in the l-free ring; its normal
-    # form must be the tail model's.  The inputs are random combinations of
-    # basis monomials and of multiples of relations and kills.
+    # normal_form reduces each l-coefficient in the l-free ring; the result
+    # must be the tail model's own staircase residue.  The inputs are sums
+    # of l^i times random combinations of basis monomials and of multiples
+    # of relations and kills.
     rng = random.Random(f"l-free {text}/{n}")
     pres = tail_model(n, SetPartition.parse(text, n)).presentation
     core = pres._without("l")
     assert core.symbols == tuple(nm for nm in pres.symbols if nm != "l")
     rels = core.relations + [IntPolynomial.monomial(m) for m in core.kill_monomials()]
-    for d in range(4):
+
+    def l_free(d):
         f = sum(
             (rng.randint(-9, 9) * IntPolynomial.monomial(m) for m in core.basis(d)),
             IntPolynomial.zero(),
@@ -242,19 +255,26 @@ def test_division_ring_normal_form_matches_the_tail_model(text, n):
                 f = f + rng.randint(-9, 9) * IntPolynomial.monomial(
                     rng.choice(multipliers)
                 ) * rel
-        assert core.normal_form(f) == pres.normal_form(f)
-        assert core.reduces_to_zero(f) == pres.reduces_to_zero(f)
+        return f
+
+    for d in range(4):
+        f = sum((SYM("l", i) * l_free(d - i) for i in range(1, d + 1)), l_free(d))
+        expected = staircase_normal_form(pres, f)
+        assert pres.normal_form(f) == expected
+        assert pres.reduces_to_zero(f) == expected.is_zero()
+        assert pres.reduces_to_zero(f - expected)
 
 
 def test_relabelled_division_rings_share_staircases():
     # 1 2 3 4 -> 2 3 4 5 renames the one block in symbol order, so the two
-    # l-free rings have the same basis positions and product rows
+    # l-free rings have the same basis positions and product rows, and the
+    # second reads the staircases the first built
     rings = [
         tail_model(5, SetPartition.parse(text, 5)).presentation._without("l")
         for text in ("1 2 3 4|5", "1|2 3 4 5")
     ]
     assert rings[0].symbols != rings[1].symbols
-    # a ring built on its own enumerates the basis the shared ring renames
+    # a ring built on its own has the basis the sharing ring enumerates
     alone = GradedPresentation(
         rings[1].symbols,
         rings[1].relations
@@ -263,6 +283,28 @@ def test_relabelled_division_rings_share_staircases():
     for d in range(5):
         assert rings[0].lattice(d) is rings[1].lattice(d)
         assert rings[1].basis(d) == alone.basis(d)
+
+
+def test_division_rings_sharing_staircases_have_renamed_bases():
+    # Rings that share staircases must enumerate the same basis positions:
+    # the later ring's basis is the first one's, renamed in symbol order.
+    first = {}
+    shared = 0
+    for n in range(2, 6):
+        for part in enumerate_partitions(n):
+            ring = tail_model(n, part).presentation._without("l")
+            other = first.setdefault(id(ring._lattice_cache), ring)
+            if other is ring:
+                continue
+            shared += 1
+            rename = dict(zip(other.symbols, ring.symbols))
+            assert len(rename) == len(ring.symbols)
+            for d in range(4):
+                assert ring.basis(d) == [
+                    tuple((rename[nm], e) for nm, e in mono)
+                    for mono in other.basis(d)
+                ], (part.text(), d)
+    assert shared > 0
 
 
 @pytest.mark.parametrize("text,n", DIVISION_STRATA)

@@ -65,8 +65,15 @@ def test_every_exactring_export_has_a_user_outside_the_package():
 
 
 DIVISION_ONLY = """
-from ellchow import SetPartition, enumerate_partitions, ell_class, tail_model
+from ellchow import (
+    IntPolynomial,
+    SetPartition,
+    enumerate_partitions,
+    ell_class,
+    tail_model,
+)
 from ellchow.exactring import GradedPresentation
+from ellchow.patch import restriction_offenders
 
 rings = []
 build = GradedPresentation.lattice
@@ -80,19 +87,26 @@ GradedPresentation.lattice = lattice
 # reads no lattice; the two-block class reads some.
 for text in ("1 2 3 4", "1 2|3 4"):
     ell_class(4, SetPartition.parse(text, 4))
-division = {
-    id(tail_model(4, s).presentation._without("l"))
-    for s in enumerate_partitions(4)
-    if s.codim()
-}
-assert rings
+patched = len(rings)
+assert patched
+# Zero tests and normal forms on a tail model split off l as well.
+restriction_offenders(4, IntPolynomial.parse("l^3 + l*t{1,2}^2 + t{1,2,3}^3"))
+tail_model(4, SetPartition.parse("1 2 3 4", 4)).presentation.normal_form(
+    IntPolynomial.parse("l^3 + l*d{1,2}^2")
+)
+assert len(rings) > patched
+tails = [tail_model(4, s).presentation for s in enumerate_partitions(4)]
+division = {id(pres._without("l")) for pres in tails}
+full = {id(pres) for pres in tails}
+assert not [pres.name for pres in rings if id(pres) in full]
 assert not [pres.name for pres in rings if id(pres) not in division]
 """
 
 
 def test_patching_builds_lattices_of_division_rings_only():
-    # Division by the excess class runs in the l-free ring; a tail model's
-    # own lattice is never needed to patch a class.
+    # Division by the excess class, zero tests and normal forms run in the
+    # l-free ring; a tail model's own lattice is never needed to patch a
+    # class or to check its restrictions.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
