@@ -11,8 +11,13 @@ Subcommands:
 * ``restrict`` — pull an ambient class back to one stratum model.
 
 Spaces are named ``dm``, ``smyth:<m>``, ``lp``, or ``qfile:<path>`` (a
-JSON singularity specification).  Exit status: 0 when every check passes,
-1 when a verification fails, 2 on usage or input errors.
+JSON singularity specification).
+
+Each subcommand is a function of the parsed arguments alone and returns
+``(payload, lines)``: ``payload`` is the dict that ``--format json``
+prints as one indented JSON object, and ``lines`` are the text output.
+``run`` is the only writer.  Exit status: 1 when a ``verify`` payload has
+``"passed": false``, 2 on usage or input errors, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -59,35 +64,6 @@ class Check:
     ok: bool
 
 
-def _emit_checks(checks: list[Check], fmt: str, out) -> int:
-    passed = all(c.ok for c in checks)
-    if fmt == "json":
-        json.dump(
-            {
-                "checks": [
-                    {
-                        "name": c.name,
-                        "source": c.source,
-                        "status": "ok" if c.ok else "fail",
-                    }
-                    for c in checks
-                ],
-                "passed": passed,
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-    else:
-        width = max((len(c.name) for c in checks), default=4)
-        for c in checks:
-            status = "ok" if c.ok else "FAIL"
-            out.write(f"{c.name:<{width}}  {c.source:<8}  {status}\n")
-        good = sum(1 for c in checks if c.ok)
-        out.write(f"passed {good}/{len(checks)}\n")
-    return 0 if passed else 1
-
-
 def _parse_space(n: int, text: str) -> QSpec:
     if text == "dm":
         return dm_space(n)
@@ -102,6 +78,13 @@ def _parse_space(n: int, text: str) -> QSpec:
     if text.startswith("qfile:"):
         return QSpec.load(text.split(":", 1)[1])
     raise ValueError(f"unknown space {text!r}")
+
+
+def _dm_and_smyth(n: int) -> list[tuple[str, QSpec]]:
+    """``dm`` then ``smyth:1`` … ``smyth:n-1``, each with its label."""
+    return [("dm", dm_space(n))] + [
+        (f"smyth:{m}", smyth(n, m)) for m in range(1, n)
+    ]
 
 
 # -- verify suites --------------------------------------------------------------
@@ -123,13 +106,11 @@ def _verify_appendix(args) -> list[Check]:
 
 def _verify_relations(args) -> list[Check]:
     n = args.n
-    out = []
+    checks = []
     for family, rels in relation_families(n).items():
         ok = all(restricts_to_zero_everywhere(n, r) for r in rels)
-        out.append(
-            Check(f"relations:{family}:{n}", "identity", ok)
-        )
-    return out
+        checks.append(Check(f"relations:{family}:{n}", "identity", ok))
+    return checks
 
 
 def _verify_getzler(args) -> list[Check]:
@@ -162,29 +143,23 @@ def _verify_getzler(args) -> list[Check]:
 
 
 def _verify_torsion(args) -> list[Check]:
+    # only the stable space carries degree-two torsion, the order-24 class
     n = args.n
-    checks = []
-    inv = torsion_report(qstable_presentation(n, dm_space(n)), 2)
-    checks.append(
-        Check(f"torsion:dm:{n}:degree2", "table", inv.torsion == (24,))
-    )
-    for m in range(1, n):
-        inv = torsion_report(qstable_presentation(n, smyth(n, m)), 2)
-        checks.append(
-            Check(
-                f"torsion:smyth:{m}:{n}:degree2", "table", inv.torsion == ()
-            )
+    return [
+        Check(
+            f"torsion:{label}:{n}:degree2",
+            "table",
+            torsion_report(qstable_presentation(n, q), 2).torsion
+            == ((24,) if label == "dm" else ()),
         )
-    return checks
+        for label, q in _dm_and_smyth(n)
+    ]
 
 
 def _verify_duality(args) -> list[Check]:
     n = args.n
-    spaces = [("dm", dm_space(n))] + [
-        (f"smyth:{m}", smyth(n, m)) for m in range(1, n)
-    ]
     checks = []
-    for label, q in spaces:
+    for label, q in _dm_and_smyth(n):
         ranks = hilbert_poincare(qstable_presentation(n, q), n)
         checks.append(
             Check(f"duality:{label}:{n}", "identity", ranks == ranks[::-1])
@@ -218,109 +193,93 @@ _VERIFY = {
 }
 
 
-# -- subcommands ------------------------------------------------------------------
+# -- subcommands: each returns (payload, lines) ------------------------------------
 
 
-def _cmd_verify(args, out) -> int:
-    return _emit_checks(_VERIFY[args.target](args), args.format, out)
+def _cmd_verify(args) -> tuple[dict, list[str]]:
+    checks = _VERIFY[args.target](args)
+    width = max((len(c.name) for c in checks), default=4)
+    lines = [
+        f"{c.name:<{width}}  {c.source:<8}  {'ok' if c.ok else 'FAIL'}"
+        for c in checks
+    ]
+    lines.append(f"passed {sum(c.ok for c in checks)}/{len(checks)}")
+    payload = {
+        "checks": [
+            {
+                "name": c.name,
+                "source": c.source,
+                "status": "ok" if c.ok else "fail",
+            }
+            for c in checks
+        ],
+        "passed": all(c.ok for c in checks),
+    }
+    return payload, lines
 
 
-def _cmd_present(args, out) -> int:
+def _cmd_present(args) -> tuple[dict, list[str]]:
     qp = qstable_presentation(args.n, _parse_space(args.n, args.space))
     pres = qp.presentation
-    if args.format == "json":
-        json.dump(
-            {
-                "name": pres.name,
-                "symbols": list(pres.symbols),
-                "deleted": sorted(qp.deleted),
-                "relations": [r.to_json_obj() for r in pres.relations]
-                + [
-                    IntPolynomial.monomial(m).to_json_obj()
-                    for m in pres.kill_monomials()
-                ],
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-    else:
-        out.write(f"{pres.name}\n")
-        out.write("generators: " + " ".join(pres.symbols) + "\n")
-        if qp.deleted:
-            out.write("deleted: " + " ".join(sorted(qp.deleted)) + "\n")
-        for r in pres.relations:
-            out.write(f"  {r.text()}\n")
-        for m in pres.kill_monomials():
-            out.write(f"  {IntPolynomial.monomial(m).text()}\n")
-    return 0
+    deleted = sorted(qp.deleted)
+    relations = list(pres.relations) + [
+        IntPolynomial.monomial(m) for m in pres.kill_monomials()
+    ]
+    payload = {
+        "name": pres.name,
+        "symbols": list(pres.symbols),
+        "deleted": deleted,
+        "relations": [r.to_json_obj() for r in relations],
+    }
+    lines = [pres.name, "generators: " + " ".join(pres.symbols)]
+    if deleted:
+        lines.append("deleted: " + " ".join(deleted))
+    lines += [f"  {r.text()}" for r in relations]
+    return payload, lines
 
 
-def _cmd_class(args, out) -> int:
+def _cmd_class(args) -> tuple[dict, list[str]]:
     n = args.n
     if (args.ell is None) == (args.nod is None):
         raise ValueError("pass exactly one of --ell or --nod")
     if args.ell is not None:
-        part = SetPartition.parse(args.ell, n)
+        kind, part = "ell", SetPartition.parse(args.ell, n)
         value = ell_class(n, part)
-        kind = "ell"
     else:
-        part = SetPartition.parse(args.nod, n)
+        kind, part = "nod", SetPartition.parse(args.nod, n)
         value = nod_class(n, part)
-        kind = "nod"
-    if args.format == "json":
-        json.dump(
-            {
-                "n": n,
-                "kind": kind,
-                "partition": part.text(),
-                "class": value.to_json_obj(),
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-    else:
-        out.write(value.text() + "\n")
-    return 0
+    payload = {
+        "n": n,
+        "kind": kind,
+        "partition": part.text(),
+        "class": value.to_json_obj(),
+    }
+    return payload, [value.text()]
 
 
-def _cmd_hilbert(args, out) -> int:
-    n = args.n
-    qp = qstable_presentation(n, _parse_space(n, args.space))
-    d_max = args.degree if args.degree is not None else n
-    if d_max < 0:
-        raise ValueError(f"degree {d_max} is negative")
-    ranks = hilbert_poincare(qp, d_max)
-    if args.format == "json":
-        json.dump({"space": qp.presentation.name, "ranks": ranks}, out)
-        out.write("\n")
-    else:
-        out.write(" ".join(str(r) for r in ranks) + "\n")
-    return 0
+def _cmd_hilbert(args) -> tuple[dict, list[str]]:
+    q = _parse_space(args.n, args.space)
+    if args.degree is not None and args.degree < 0:
+        raise ValueError(f"degree {args.degree} is negative")
+    qp = qstable_presentation(args.n, q)
+    ranks = hilbert_poincare(qp, args.degree)
+    payload = {"space": qp.presentation.name, "ranks": ranks}
+    return payload, [" ".join(str(r) for r in ranks)]
 
 
-def _cmd_restrict(args, out) -> int:
+def _cmd_restrict(args) -> tuple[dict, list[str]]:
     n = args.n
     part = SetPartition.parse(args.partition, n)
     f = IntPolynomial.parse(args.poly)
     model = ell_model(n, part) if args.ell else tail_model(n, part)
     value = model.presentation.normal_form(model.restrict(f))
-    if args.format == "json":
-        json.dump(
-            {
-                "n": n,
-                "partition": part.text(),
-                "model": "ell" if args.ell else "tail",
-                "value": value.to_json_obj(),
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-    else:
-        out.write(value.text() + "\n")
-    return 0
+    payload = {
+        "n": n,
+        "partition": part.text(),
+        "model": "ell" if args.ell else "tail",
+        "value": value.to_json_obj(),
+    }
+    return payload, [value.text()]
 
 
 _COMMANDS = {
@@ -395,7 +354,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
             raise ValueError(
                 f"marking count {args.n} out of range (supported: 1..6)"
             )
-        return _COMMANDS[args.command](args, out)
+        payload, lines = _COMMANDS[args.command](args)
     except (
         ValueError,
         PresentationError,
@@ -406,6 +365,12 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    else:
+        out.writelines(line + "\n" for line in lines)
+    return 1 if payload.get("passed") is False else 0
 
 
 def main() -> None:

@@ -33,7 +33,6 @@ from .partitions import (
     QSpec,
     SetPartition,
     disc_completion,
-    dm_space,
     enumerate_partitions,
     lp_minimal,
     s_max,
@@ -146,18 +145,6 @@ def hilbert_poincare(qp: QPresentation, d_max: int | None = None) -> list[int]:
     if d_max is None:
         d_max = qp.qspec.n
     return qp.presentation.hilbert_function(d_max)
-
-
-def convention_self_test() -> bool:
-    """The stable compactifications on two to four markings all carry
-    exactly one order-24 torsion class in degree two — a fixed point of
-    the construction that pins the orientation of the conventions."""
-    for n in (2, 3, 4):
-        qp = qstable_presentation(n, dm_space(n))
-        inv = torsion_report(qp, 2)
-        if inv.torsion != (24,):
-            return False
-    return True
 
 
 # -- the four-marking cycle identity --------------------------------------------

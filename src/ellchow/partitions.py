@@ -187,6 +187,16 @@ def incomparable(b1: Iterable[int], b2: Iterable[int]) -> bool:
 BKN_CONVENTION = "BKN-allowed-singularities"
 
 
+def marking_count(value, what: str) -> int:
+    """A marking count read from JSON: an integer or its decimal text."""
+    try:
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} is {json.dumps(value)}, not an integer")
+
+
 @dataclass(frozen=True)
 class QSpec:
     """A modular compactification, named by its allowed singularity types.
@@ -198,7 +208,6 @@ class QSpec:
 
     n: int
     allowed: frozenset[SetPartition]
-    convention: str = BKN_CONVENTION
 
     def text_lines(self) -> list[str]:
         return [p.text() for p in sorted(self.allowed)]
@@ -206,7 +215,7 @@ class QSpec:
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "convention": self.convention,
+            "convention": BKN_CONVENTION,
             "allowed": self.text_lines(),
         }
 
@@ -222,9 +231,13 @@ class QSpec:
                 'a singularity specification is an object with a marking '
                 'count "n" and a list of partition texts "allowed"'
             )
-        n = int(obj["n"])
-        allowed = frozenset(SetPartition.parse(t, n) for t in texts)
-        q = cls(n, allowed, obj.get("convention", BKN_CONVENTION))
+        n = marking_count(
+            obj["n"], 'the marking count "n" of a singularity specification'
+        )
+        convention = obj.get("convention", BKN_CONVENTION)
+        if convention != BKN_CONVENTION:
+            raise ValueError(f"unknown singularity convention {convention!r}")
+        q = cls(n, frozenset(SetPartition.parse(t, n) for t in texts))
         validate_qspec(q)
         return q
 
@@ -237,8 +250,6 @@ class QSpec:
 def validate_qspec(q: QSpec) -> None:
     if q.n < 1:
         raise ValueError("ground set must be nonempty")
-    if q.convention != BKN_CONVENTION:
-        raise ValueError(f"unknown singularity convention {q.convention!r}")
     top = s_max(q.n)
     for s in q.allowed:
         if s.n != q.n:

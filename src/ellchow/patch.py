@@ -44,6 +44,7 @@ from .partitions import (
     SetPartition,
     compose,
     enumerate_partitions,
+    marking_count,
     partitions_of_length,
     refines,
     s_max,
@@ -294,8 +295,10 @@ def _parse_fixture_json(raw: dict) -> FixtureTable:
             "partition text: class text entries"
         )
     table: FixtureTable = {}
-    for n_str, entries in raw.items():
-        n = int(n_str)
+    for key, entries in raw.items():
+        n = marking_count(key, "a fixture file's marking count")
+        if n in table:
+            raise ValueError(f"a fixture file lists marking count {n} twice")
         table[n] = {
             SetPartition.parse(text, n): IntPolynomial.parse(poly)
             for text, poly in entries.items()

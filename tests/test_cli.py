@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, formats, and option handling."""
 
+import hashlib
 import io
 import itertools
 import json
+import shlex
 import subprocess
 import sys
 
@@ -33,11 +35,16 @@ def test_hilbert_space_and_degree():
     assert text == "1 1 1 0\n"
 
 
-def test_hilbert_negative_degree(capsys):
+def test_hilbert_negative_degree(monkeypatch, capsys):
+    # rejected before the presentation is built
+    def build(*args):
+        raise AssertionError("presentation built")
+
+    monkeypatch.setattr("ellchow.cli.qstable_presentation", build)
     code, text = invoke("hilbert", "--n", "3", "--degree", "-1")
     assert code == 2
     assert text == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: degree -1 is negative\n"
 
 
 def test_hilbert_json():
@@ -324,6 +331,62 @@ def test_present_malformed_qfile(tmp_path, spec, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "option,data,argv,message",
+    [
+        (
+            "--space",
+            {"n": "x", "allowed": []},
+            ["present", "--n", "3"],
+            'the marking count "n" of a singularity specification is "x", '
+            "not an integer",
+        ),
+        (
+            "--space",
+            {"n": True, "allowed": []},
+            ["present", "--n", "1"],
+            'the marking count "n" of a singularity specification is true, '
+            "not an integer",
+        ),
+        (
+            "--space",
+            {"n": 3, "convention": "BKN", "allowed": []},
+            ["present", "--n", "3"],
+            "unknown singularity convention 'BKN'",
+        ),
+        (
+            "--fixtures",
+            {"x": {}},
+            ["verify", "appendix", "--n", "3"],
+            "a fixture file's marking count is \"x\", not an integer",
+        ),
+        (
+            "--fixtures",
+            {"3": {}, "03": {}},
+            ["verify", "appendix", "--n", "3"],
+            "a fixture file lists marking count 3 twice",
+        ),
+    ],
+    ids=[
+        "qfile-count-text",
+        "qfile-count-bool",
+        "qfile-convention",
+        "fixtures-count-text",
+        "fixtures-count-repeated",
+    ],
+)
+def test_bad_field_in_a_json_file_exits_two(
+    tmp_path, option, data, argv, message, capsys
+):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    value = f"qfile:{path}" if option == "--space" else str(path)
+    code, text = invoke(*argv, option, value)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -460,6 +523,145 @@ def test_marking_count_out_of_range_exits_two(argv, capsys):
     code, _ = invoke(*argv)
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+# -- pinned output -------------------------------------------------------------------
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+# command, exit status, sha256 of stdout, sha256 of stderr.  Every
+# `--format json` output is one indented object, `hilbert` included; the
+# test also pins the parsed `hilbert` payload.
+_PINNED = [
+    (
+        "present --n 4 --space smyth:2",
+        0,
+        "f81c51d5b465ca9b95f25b73d4d43f76ec5da35d3e58aa2106302e6fcbd3b8b9",
+        _EMPTY,
+    ),
+    (
+        "present --n 3 --space dm --format json",
+        0,
+        "c3a445697875481630370ebc764a48f2426f36ecf52a40a95169532740a23f7c",
+        _EMPTY,
+    ),
+    (
+        "present --n 2 --space lp",
+        0,
+        "a38f77ff3c12e22f679986d49ed5db5327b47e671c97bf7911689808892e1623",
+        _EMPTY,
+    ),
+    (
+        "class --n 4 --ell '1 2|3 4'",
+        0,
+        "fd74e9bfc776797b2daca7c16ab228e3c2214b23c9da27e7b0e180f1c5320ff9",
+        _EMPTY,
+    ),
+    (
+        "class --n 4 --nod '1 2|3 4' --format json",
+        0,
+        "5144459753c39556b8a3cdb377505bf3ed572a44b228c287efbe067e9a55ba6f",
+        _EMPTY,
+    ),
+    (
+        "hilbert --n 4 --space dm",
+        0,
+        "51d5a641e382349b2caf8b209e5d2488b129598e0a42d00de3928d144e5e8f6a",
+        _EMPTY,
+    ),
+    (
+        "hilbert --n 3 --space smyth:1 --degree 2 --format json",
+        0,
+        "4fc1daa19f5f288faaafe9a99609e7d76698b984a4dd635f0d40b70173245bbc",
+        _EMPTY,
+    ),
+    (
+        "restrict --n 5 --partition '1 2 3|4 5' 'l*t{1,2,3} + t{1,2}^2'",
+        0,
+        "b2fcdafe5a4fea498e1fade8de2c56fcadbe80b4d0deac4bcff7e903024a4818",
+        _EMPTY,
+    ),
+    (
+        "restrict --n 4 --ell --partition '1 2 3|4' 'l*t{1,2,3} + t{1,2}^2' --format json",
+        0,
+        "e8a3ce15fe67bef98308e190a5b3a1e05154e30d2390c48f3f290f800ca01e40",
+        _EMPTY,
+    ),
+    (
+        "verify getzler",
+        0,
+        "add24c269a5de3ea2c1b28d2ab14e7f2c011f27b99919b6552f5e37841d678a3",
+        _EMPTY,
+    ),
+    (
+        "verify relations --n 3 --format json",
+        0,
+        "99cfad182095945567ab9eee01f11a4a0ad759c0442bc4f60804d8bd294e92c7",
+        _EMPTY,
+    ),
+    (
+        "verify torsion --n 4",
+        0,
+        "d6274f32b101a73726d2a2569ce2e77f2569f6be38f49045f5bade337341665d",
+        _EMPTY,
+    ),
+    (
+        "verify duality --n 4 --format json",
+        0,
+        "0697fd6f17adb9dc06e3dd21a2a728e8be0cc0719a84edd75113632b03543587",
+        _EMPTY,
+    ),
+    (
+        "verify appendix --n 4",
+        0,
+        "f5b92d2a6fb05b66a4652fce6ba0d4f51912d6eeceaaa5f55a4bc6a1795fed97",
+        _EMPTY,
+    ),
+    (
+        "restrict --n 3 --partition '1 2|3' 't{1,7}'",
+        2,
+        _EMPTY,
+        "a7596b19d4be0a07a8972b9e58519e5e30a5ab0909ec470c5796256e5dd7c0d3",
+    ),
+    (
+        "present --n 3 --space smyth:9",
+        2,
+        _EMPTY,
+        "2e61d999755c512712e8a5010c3c285f3a64cb4d40da3097e4ba791b6160855c",
+    ),
+    (
+        "hilbert --n 3 --degree -1",
+        2,
+        _EMPTY,
+        "a000d12f66a18cbc4818849593f903f6e56b3c8baca8c2e06d1550e941d10c22",
+    ),
+    (
+        "class --n 3",
+        2,
+        _EMPTY,
+        "d097c0f70561f83d02d377f8f64d4d234e1bfa5417ed51450ca82282d37f9092",
+    ),
+]
+
+
+def test_cli_output_is_pinned(capsys):
+    for command, code, out_sha, err_sha in _PINNED:
+        capsys.readouterr()
+        status, text = invoke(*shlex.split(command))
+        err = capsys.readouterr().err
+        assert (
+            status,
+            hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest(),
+        ) == (code, out_sha, err_sha), (command, text, err)
+    _, text = invoke(
+        "hilbert", "--n", "3", "--space", "smyth:1", "--degree", "2",
+        "--format", "json",
+    )
+    assert json.loads(text) == {
+        "space": "qstable(3,smyth:1)",
+        "ranks": [1, 4, 4],
+    }
 
 
 # -- console entry point -------------------------------------------------------------

@@ -13,7 +13,7 @@ from ellchow import (
     smyth,
     torsion_report,
 )
-from ellchow.modular import convention_self_test, getzler_cycles, qspec_label
+from ellchow.modular import getzler_cycles, qspec_label
 from ellchow.patch import tau
 
 
@@ -58,10 +58,6 @@ def test_two_marking_stable_space():
     inv = torsion_report(qp, 2)
     assert inv.rank == 1
     assert inv.torsion == (24,)
-
-
-def test_convention_self_test():
-    assert convention_self_test() is True
 
 
 @pytest.mark.parametrize("n", [2, 3])
