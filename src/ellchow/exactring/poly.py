@@ -27,7 +27,9 @@ from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[tuple[str, int], ...]
 
-_NAME_RE = re.compile(r"^(l|nu|xi)$|^([a-z])\{(\d+(?:,\d+)*)\}$")
+# A marking has no leading zero, so that each subset has one name.
+_MARK = r"(?:0|[1-9]\d*)"
+_NAME_RE = re.compile(rf"^(l|nu|xi)$|^([a-z])\{{({_MARK}(?:,{_MARK})*)\}}$")
 _KEY_CACHE: dict[str, tuple] = {}
 _BASE_ORDER = {"l": 0, "nu": 1, "xi": 2}
 
@@ -372,7 +374,8 @@ class IntPolynomial:
         if compact == "0":
             return cls.zero()
         total: dict[Mono, int] = {}
-        chunks = re.findall(r"[+-]?[^+-]+", compact)
+        # A sign right after "^" belongs to an exponent, not to a new term.
+        chunks = re.findall(r"[+-]?[^+-]+(?:(?<=\^)[+-][^+-]*)*", compact)
         if "".join(chunks) != compact:
             raise ValueError(f"dangling operator in {text!r}")
         for chunk in chunks:
@@ -390,10 +393,13 @@ class IntPolynomial:
                 if re.fullmatch(r"\d+", factor):
                     coeff *= int(factor)
                     continue
-                m = re.fullmatch(r"([a-z]+(?:\{[\d,]+\})?)(?:\^(\d+))?", factor)
+                m = re.fullmatch(r"([a-z]+(?:\{[\d,]+\})?)(?:\^(-?\d+))?", factor)
                 if m is None:
                     raise ValueError(f"malformed factor {factor!r} in {text!r}")
-                mono.append((m.group(1), int(m.group(2) or 1)))
+                name, e = m.group(1), int(m.group(2) or 1)
+                if e < 0:
+                    raise ValueError(f"negative exponent {e} of {name} in {text!r}")
+                mono.append((name, e))
             key = _canonical_mono(mono)
             total[key] = total.get(key, 0) + coeff
         return cls(total)

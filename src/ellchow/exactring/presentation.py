@@ -57,7 +57,6 @@ from .poly import (
     IntPolynomial,
     Mono,
     mono_degree,
-    mono_mul,
     symbol_degree,
     symbol_key,
 )
@@ -267,31 +266,40 @@ class GradedPresentation:
         echelon-reduced relations: relation degrees ascending, then
         multipliers ``mono`` in basis order, then relations in list order.
 
-        The products are formed by index arithmetic instead of polynomial
-        multiplication: each relation's terms are taken once per relation
-        degree, and for each multiplier every relation monomial is mapped
-        once to the column of its product (``None`` when the product is
-        killed), then shared by all relations of that degree.
+        A product is found by adding packed exponent vectors (Monagan-Pearce,
+        CASC 2007): symbol ``i`` gets a bit field of width
+        ``degree.bit_length()``; a monomial packs to its exponents shifted
+        into their fields.  Symbol degrees are at least 1, so no exponent of
+        a degree-``degree`` monomial exceeds ``degree < 2**width``: a sum of
+        keys never carries and is the key of the product, which is killed
+        when missing from the packed basis.  Distinct relation monomials have
+        distinct products, so a row is its sorted pairs.  The key is local to
+        the ring and degree, so ``vector`` keeps the tuple-keyed basis index.
         """
-        idx = self.basis_index(degree)
+        width = degree.bit_length()
+        shift = {nm: i * width for i, nm in enumerate(self.symbols)}
+
+        def pack(mono: Mono) -> int:
+            return sum(e << shift[nm] for nm, e in mono)
+
+        index = {pack(m): i for i, m in enumerate(self.basis(degree))}
         for delta in sorted(self._rels_by_degree):
             if delta > degree:
                 continue
             rels = self._reduced_relations(delta)
             if not rels:
                 continue
-            rel_terms = [list(rel.items()) for rel in rels]
-            rel_monos = dict.fromkeys(m for terms in rel_terms for m, _ in terms)
+            rel_terms = [[(pack(m), c) for m, c in rel.items()] for rel in rels]
             for mono in self.basis(degree - delta):
-                # The basis holds every unkilled monomial of the degree, so
-                # a product missing from it is killed.
-                cols = {f: idx.get(mono_mul(mono, f)) for f in rel_monos}
+                key = pack(mono)
                 for terms in rel_terms:
-                    row = flat_from_pairs(
-                        (cols[m], c) for m, c in terms if cols[m] is not None
+                    pairs = sorted(
+                        (col, c)
+                        for k, c in terms
+                        if (col := index.get(key + k)) is not None
                     )
-                    if row:
-                        yield row
+                    if pairs:
+                        yield [x for pair in pairs for x in pair]
 
     def lattice(self, degree: int) -> Echelon:
         """The staircase of the degree-``degree`` relation lattice (cached).

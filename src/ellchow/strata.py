@@ -179,10 +179,11 @@ def lift_from_tail(
     return g.rename_symbols(mapping)
 
 
+@lru_cache(maxsize=None)
 def ctop_tail(n: int, partition: SetPartition) -> IntPolynomial:
     """Product of the pullbacks of the whole-block divisors: the excess
-    class dividing corrections during patching.  Undefined on the
-    all-singleton partition."""
+    class dividing corrections during patching (cached per stratum, like
+    its tail model).  Undefined on the all-singleton partition."""
     blocks = partition.nonsingleton_blocks()
     if not blocks:
         raise ValueError(

@@ -201,6 +201,23 @@ def test_restrict_bad_polynomial(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        # a leading zero would make t{1,02} a second name of t{1,2}
+        ("t{1,02} - t{1,2}", "malformed symbol name: 't{1,02}'"),
+        ("t{0,1}", "element 0 not in ground set"),
+        ("l^-1", "negative exponent -1 of l in 'l^-1'"),
+        ("l^+1", "malformed factor 'l^+1' in 'l^+1'"),
+    ],
+)
+def test_restrict_names_a_bad_symbol_or_exponent(poly, message, capsys):
+    code, text = invoke("restrict", "--n", "4", "--partition", "1 2 3|4", poly)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_restrict_nu_to_singular_model(capsys):
     code, text = invoke(
         "restrict", "--n", "6", "--partition", "1 2 3 4 5 6", "--ell", "nu"

@@ -1,6 +1,8 @@
 """Exact multivariate integer polynomials: arithmetic, ordering, text and
 JSON round-trips, substitution."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,17 @@ def test_symbol_key_rejects_malformed():
         symbol_key("T{1,2}")
     with pytest.raises(ValueError):
         symbol_key("lambda")
+
+
+@pytest.mark.parametrize("name", ["t{1,02}", "t{01}", "d{00,1}"])
+def test_marking_with_a_leading_zero_is_malformed(name):
+    # t{1,02} would be a second name of t{1,2}, with the same order key
+    message = f"malformed symbol name: {name!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        symbol_key(name)
+    with pytest.raises(ValueError, match="malformed symbol name"):
+        GradedPresentation(["t{1,2}", name], [])
+    assert symbol_key("t{0,1}")[3] == (0, 1)
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -223,6 +236,19 @@ def test_negative_and_malformed_exponents_rejected():
         IntPolynomial.monomial((("l", -2),))
     with pytest.raises(ValueError):
         IntPolynomial.monomial((("x1", 1),))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("l^-1", "negative exponent -1 of l in 'l^-1'"),
+        ("l^+1", "malformed factor 'l^+1' in 'l^+1'"),
+        ("2*t{1,2}^-3 + l", "negative exponent -3 of t{1,2} in '2*t{1,2}^-3 + l'"),
+    ],
+)
+def test_signed_exponent_is_named_with_the_input_text(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntPolynomial.parse(text)
 
 
 # -- random round-trip properties ------------------------------------------

@@ -293,6 +293,82 @@ def test_smith_invariants_of_staircase_match_raw_product_rows(build, top):
         assert inv.torsion == tuple(x for x in raw if x > 1), d
 
 
+# -- product rows -------------------------------------------------------------
+
+
+def reference_product_rows(pres, d):
+    """The nonzero rows ``vector(mono * rel, d)`` by polynomial
+    multiplication: relation degrees ascending, multipliers in basis order,
+    relations in list order."""
+    rows = []
+    for delta in range(d + 1):
+        for mono in pres.basis(d - delta):
+            for rel in pres._reduced_relations(delta):
+                row = pres.vector(IntPolynomial.monomial(mono) * rel, d)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@st.composite
+def presented_rings(draw):
+    """One to five symbols (``nu`` has degree 2), squarefree kills and
+    homogeneous relations; with ``free``, the last symbol drawn is in
+    neither, so it is free."""
+    names = draw(
+        st.lists(st.sampled_from(KILL_SYMBOLS), min_size=1, max_size=5, unique=True)
+    )
+    free = draw(st.booleans()) and len(names) > 1
+    bound = names[:-1] if free else names
+    relations = [
+        IntPolynomial.monomial(tuple((nm, 1) for nm in kill))
+        for kill in draw(
+            st.lists(
+                st.lists(st.sampled_from(bound), min_size=1, max_size=3, unique=True),
+                max_size=2,
+            )
+        )
+    ]
+    for delta in draw(st.lists(st.integers(1, 3), max_size=3)):
+        monos = [
+            m
+            for k in range(1, delta + 1)
+            for m in itertools.combinations_with_replacement(bound, k)
+            if sum(symbol_degree(nm) for nm in m) == delta
+        ]
+        if not monos:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4))
+        relations.append(sum(
+            (
+                draw(st.sampled_from((1, -1, 2, -3, 6)))
+                * IntPolynomial.monomial(tuple((nm, 1) for nm in m))
+                for m in chosen
+            ),
+            IntPolynomial.zero(),
+        ))
+    return GradedPresentation(names, relations)
+
+
+def assert_rows_match_products(pres):
+    for d in range(6):
+        assert list(pres._product_rows(d)) == reference_product_rows(pres, d), d
+
+
+@given(presented_rings())
+@settings(max_examples=80, deadline=None)
+def test_packed_product_rows_equal_polynomial_products(pres):
+    assert_rows_match_products(pres)
+
+
+def test_packed_product_rows_at_the_edge_of_the_field_width():
+    # l^d times a multiplier fills l's field with d, the largest exponent a
+    # degree-d monomial has; one bit less would carry it into xi's field
+    pres = GradedPresentation(sym("l", "xi"), (2 * L - 3 * X, 5 * L**2))
+    assert_rows_match_products(pres)
+    assert pres.vector(5 * L**4, 4) in list(pres._product_rows(4))
+
+
 # -- division in the quotient --------------------------------------------------
 
 

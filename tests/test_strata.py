@@ -188,8 +188,30 @@ def test_lift_rejects_foreign_symbols():
 
 
 def test_ctop_undefined_on_open_stratum():
-    with pytest.raises(ValueError):
-        ctop_tail(4, s_max(4))
+    # an error is not cached: every call raises
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ctop_tail(4, s_max(4))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_cached_ctop_is_the_product_of_whole_block_images(n):
+    for part in enumerate_partitions(n):
+        if not part.codim():
+            continue
+        model = tail_model(n, part)
+        expected = IntPolynomial.one()
+        for block in part.nonsingleton_blocks():
+            expected = expected * model.image_of(subset_name("t", block))
+        # a repeated call returns the cached class
+        assert ctop_tail(n, part) == expected, part.text()
+        assert ctop_tail(n, part) == expected, part.text()
+
+
+def test_ctop_does_not_depend_on_how_the_partition_is_written():
+    a = SetPartition.parse("1 2|3 4|5", 5)
+    b = SetPartition.parse("5|4 3|2 1", 5)
+    assert ctop_tail(5, a) == ctop_tail(5, b) == P("l^2")
 
 
 # Every stratum that patching visits for n <= 6: all partitions but the
