@@ -222,9 +222,7 @@ def _cmd_present(args) -> tuple[dict, list[str]]:
     qp = qstable_presentation(args.n, _parse_space(args.n, args.space))
     pres = qp.presentation
     deleted = sorted(qp.deleted)
-    relations = list(pres.relations) + [
-        IntPolynomial.monomial(m) for m in pres.kill_monomials()
-    ]
+    relations = pres.defining_relations()
     payload = {
         "name": pres.name,
         "symbols": list(pres.symbols),
@@ -294,13 +292,34 @@ _COMMANDS = {
 # -- argument wiring ---------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """The parser of a subcommand.  With ``signed_values`` set, it reads an
+    argument that starts with one ``-`` and is no option of its own, such
+    as ``-l`` or ``-2*t{1,2}``, as a value: the text of a class starts with
+    ``-`` whenever its leading coefficient is negative."""
+
+    signed_values = False
+
+    def _parse_optional(self, arg_string):
+        if (
+            self.signed_values
+            and arg_string[:1] == "-"
+            and arg_string[1:2] != "-"
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellchow",
         description="Integral intersection rings of modular compactifications "
         "of genus-one curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_ArgumentParser
+    )
 
     def common(p):
         p.add_argument("--n", type=int, required=True, help="marking count")
@@ -329,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int)
 
     p = sub.add_parser("restrict", help="pull a class back to a stratum")
+    p.signed_values = True
     common(p)
     p.add_argument("--partition", required=True)
     p.add_argument(

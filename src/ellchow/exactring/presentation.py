@@ -37,7 +37,7 @@ staircases.
 The ``x``-free rings share staircases, not bases: two of them that are
 equal up to an order-preserving renaming of their symbols (same symbol
 degrees in symbol order, same relations in the same order written with
-symbol indices, same kill index sets) enumerate the same basis positions,
+symbol slots, same kill masks) enumerate the same basis positions,
 each monomial renamed, and have the same product rows, so their
 ``lattice(d)`` is the same staircase, built once; each ring enumerates
 its own basis.  The boundary ring of a block depends only on how many
@@ -85,6 +85,14 @@ class InvariantFactors:
     torsion: tuple[int, ...]
 
 
+def _pack(shift: dict[str, int], mono: Mono) -> int:
+    """The packed key of ``mono`` under one degree's symbol shifts."""
+    try:
+        return sum(e << shift[nm] for nm, e in mono)
+    except KeyError as err:
+        raise PresentationError(f"unknown symbol {err.args[0]!r}") from None
+
+
 class GradedPresentation:
     """Z[symbols] / (relations), graded by total symbol degree."""
 
@@ -101,7 +109,12 @@ class GradedPresentation:
         self.name = name
         sym_set = set(ordered)
 
-        self.squarefree_kills: list[frozenset[str]] = []
+        # Every internal encoding reads a symbol by its slot, its index in
+        # ``symbols``.  A kill is the bit mask of its slots, filed under its
+        # last slot; a monomial of degree ``d`` packs to its exponents shifted
+        # into bit fields of one width per degree (see ``_columns``).
+        self._slots = {nm: i for i, nm in enumerate(ordered)}
+        self._kills: list[int] = []
         self.relations: list[IntPolynomial] = []
 
         for rel in relations:
@@ -113,71 +126,46 @@ class GradedPresentation:
             if not rel.is_homogeneous():
                 raise PresentationError(f"relation not homogeneous: {rel.text()}")
             mono, coeff = next(rel.items())
-            if (
-                len(rel) == 1
-                and coeff in (1, -1)
-                and mono
-                and all(e == 1 for _, e in mono)
-            ):
-                self.squarefree_kills.append(frozenset(nm for nm, _ in mono))
+            if len(rel) == 1 and coeff in (1, -1) and {e for _, e in mono} == {1}:
+                self._kills.append(sum(1 << self._slots[nm] for nm, _ in mono))
             else:
                 self.relations.append(rel)
 
-        # Every symbol of the ring, mapped to the kills that contain it.
-        self._kills_by_name: dict[str, list[frozenset[str]]] = {
-            nm: [] for nm in ordered
-        }
-        for kill in self.squarefree_kills:
-            for nm in kill:
-                self._kills_by_name[nm].append(kill)
+        self._kills_at: list[list[int]] = [[] for _ in ordered]
+        covered = 0
+        for kill in self._kills:
+            self._kills_at[kill.bit_length() - 1].append(kill)
+            covered |= kill
 
         self._basis_cache: dict[int, list[Mono]] = {}
-        self._index_cache: dict[int, dict[Mono, int]] = {}
+        self._column_cache: dict[int, tuple[dict[str, int], dict[int, int]]] = {}
         self._lattice_cache: dict[int, Echelon] = {}
         self._reduced_rels: dict[int, list[IntPolynomial]] = {}
         self._rels_by_degree: dict[int, list[IntPolynomial]] = {}
+        used: set[str] = set()
         for rel in self.relations:
             self._rels_by_degree.setdefault(rel.degree(), []).append(rel)
+            used |= rel.symbols_used()
 
         # Symbols in no relation and no kill; relations are fixed from here
         # on, so the set is too.
-        used: set[str] = set()
-        for rel in self.relations:
-            used |= rel.symbols_used()
-        for kill in self.squarefree_kills:
-            used |= kill
-        self._free_symbols = frozenset(ordered) - used
+        self._free_symbols = frozenset(
+            nm for i, nm in enumerate(ordered)
+            if nm not in used and not covered >> i & 1
+        )
         self._without_cache: dict[str, GradedPresentation] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
 
-    def kill_monomials(self) -> list[Mono]:
-        """The kills set aside from ``relations``, in input order: each is
-        the squarefree monomial of a relation ``+1`` or ``-1`` times a
-        product of distinct generators."""
-        return [
-            tuple((nm, 1) for nm in sorted(kill, key=symbol_key))
-            for kill in self.squarefree_kills
+    def defining_relations(self) -> list[IntPolynomial]:
+        """The relations, then each kill as its squarefree monomial, in
+        input order: a list that presents the same ring."""
+        return self.relations + [
+            IntPolynomial.monomial(tuple(
+                (nm, 1) for i, nm in enumerate(self.symbols) if kill >> i & 1
+            ))
+            for kill in self._kills
         ]
-
-    def _is_killed(self, mono: Mono) -> bool:
-        """True when the support of ``mono`` contains a kill; raises on a
-        symbol outside the ring."""
-        for nm, _ in mono:
-            if nm not in self._kills_by_name:
-                raise PresentationError(f"unknown symbol {nm!r}")
-        support = {nm for nm, _ in mono}
-        for nm in support:
-            if self._kill_at(nm, support):
-                return True
-        return False
-
-    def _kill_at(self, nm: str, support: set[str]) -> bool:
-        """Whether some kill containing ``nm`` lies in ``support``."""
-        for kill in self._kills_by_name[nm]:
-            if kill <= support:
-                return True
-        return False
 
     def basis(self, degree: int) -> list[Mono]:
         """Pruned monomial basis of the given degree, in canonical order
@@ -189,40 +177,56 @@ class GradedPresentation:
             return self._basis_cache.setdefault(degree, [])
         out = []
         syms = self.symbols
+        kills_at = self._kills_at
         chosen: list[tuple[str, int]] = []
-        support: set[str] = set()
 
-        def rec(i: int, remaining: int) -> None:
+        def rec(i: int, remaining: int, support: int) -> None:
             if remaining == 0:
                 out.append(tuple(chosen))
                 return
             if i == len(syms):
                 return
-            nm = syms[i]
-            d = symbol_degree(nm)
-            support.add(nm)
-            if not self._kill_at(nm, support):
+            # Slots are added in order, so a kill lies in the support exactly
+            # when it does as its last slot is added.
+            grown = support | 1 << i
+            for kill in kills_at[i]:
+                if kill & grown == kill:
+                    break
+            else:
+                nm = syms[i]
+                d = symbol_degree(nm)
                 for e in range(remaining // d, 0, -1):
                     chosen.append((nm, e))
-                    rec(i + 1, remaining - e * d)
+                    rec(i + 1, remaining - e * d, grown)
                     chosen.pop()
-            support.discard(nm)
-            rec(i + 1, remaining)
+            rec(i + 1, remaining, support)
 
-        rec(0, degree)
+        rec(0, degree, 0)
         return self._basis_cache.setdefault(degree, out)
 
-    def basis_index(self, degree: int) -> dict[Mono, int]:
-        cached = self._index_cache.get(degree)
+    def _columns(self, degree: int) -> tuple[dict[str, int], dict[int, int]]:
+        """Each symbol's shift and the column of each basis monomial's packed
+        key in one degree (cached).
+
+        Slot ``i`` gets a bit field of width ``degree.bit_length()`` (packed
+        exponent vectors, Monagan-Pearce, CASC 2007).  No exponent of a
+        degree-``degree`` monomial exceeds ``degree < 2**width``, so its key
+        is injective whatever the order of its symbols, the keys of two
+        factors add without carry to the key of the product, and a monomial
+        is killed exactly when its key is missing from the index.
+        """
+        cached = self._column_cache.get(degree)
         if cached is not None:
             return cached
-        idx = {m: i for i, m in enumerate(self.basis(degree))}
-        return self._index_cache.setdefault(degree, idx)
+        width = degree.bit_length()
+        shift = {nm: i * width for i, nm in enumerate(self.symbols)}
+        index = {_pack(shift, m): i for i, m in enumerate(self.basis(degree))}
+        return self._column_cache.setdefault(degree, (shift, index))
 
     def vector(self, f: IntPolynomial, degree: int) -> list:
         """Flat coordinate row of a homogeneous polynomial in the pruned
         basis; killed monomials project to zero."""
-        idx = self.basis_index(degree)
+        shift, index = self._columns(degree)
         pairs: list[tuple[int, int]] = []
         for mono, coeff in f.items():
             if mono_degree(mono) != degree:
@@ -230,17 +234,9 @@ class GradedPresentation:
                     f"term {IntPolynomial.monomial(mono, coeff).text()} "
                     f"is not of degree {degree}"
                 )
-            col = idx.get(mono)
+            col = index.get(_pack(shift, mono))
             if col is not None:
                 pairs.append((col, coeff))
-            elif not self._is_killed(mono):
-                # The basis holds every unkilled canonical monomial of the
-                # degree, so this one is stored out of canonical form.
-                raise PresentationError(
-                    f"monomial {IntPolynomial({mono: 1}).text()} is not in "
-                    f"canonical symbol order (that is "
-                    f"{IntPolynomial.monomial(mono).text()})"
-                )
         return flat_from_pairs(pairs)
 
     def from_vector(self, flat: list, degree: int) -> IntPolynomial:
@@ -266,32 +262,21 @@ class GradedPresentation:
         echelon-reduced relations: relation degrees ascending, then
         multipliers ``mono`` in basis order, then relations in list order.
 
-        A product is found by adding packed exponent vectors (Monagan-Pearce,
-        CASC 2007): symbol ``i`` gets a bit field of width
-        ``degree.bit_length()``; a monomial packs to its exponents shifted
-        into their fields.  Symbol degrees are at least 1, so no exponent of
-        a degree-``degree`` monomial exceeds ``degree < 2**width``: a sum of
-        keys never carries and is the key of the product, which is killed
-        when missing from the packed basis.  Distinct relation monomials have
-        distinct products, so a row is its sorted pairs.  The key is local to
-        the ring and degree, so ``vector`` keeps the tuple-keyed basis index.
+        The column of a product is looked up in the packed index that
+        ``vector`` reads, by the sum of its factors' keys (see ``_columns``).
+        Distinct relation monomials have distinct products, so a row is its
+        sorted pairs.
         """
-        width = degree.bit_length()
-        shift = {nm: i * width for i, nm in enumerate(self.symbols)}
-
-        def pack(mono: Mono) -> int:
-            return sum(e << shift[nm] for nm, e in mono)
-
-        index = {pack(m): i for i, m in enumerate(self.basis(degree))}
+        shift, index = self._columns(degree)
         for delta in sorted(self._rels_by_degree):
             if delta > degree:
                 continue
             rels = self._reduced_relations(delta)
             if not rels:
                 continue
-            rel_terms = [[(pack(m), c) for m, c in rel.items()] for rel in rels]
+            rel_terms = [[(_pack(shift, m), c) for m, c in rel.items()] for rel in rels]
             for mono in self.basis(degree - delta):
-                key = pack(mono)
+                key = _pack(shift, mono)
                 for terms in rel_terms:
                     pairs = sorted(
                         (col, c)
@@ -377,24 +362,19 @@ class GradedPresentation:
             return ring
         ring = GradedPresentation(
             [nm for nm in self.symbols if nm != x],
-            self.relations
-            + [IntPolynomial.monomial(m) for m in self.kill_monomials()],
+            self.defining_relations(),
             name=f"{self.name} without {x}",
         )
-        index = {nm: i for i, nm in enumerate(ring.symbols)}
         signature = (
             tuple(symbol_degree(nm) for nm in ring.symbols),
             tuple(
                 tuple(sorted(
-                    (tuple((index[nm], e) for nm, e in mono), coeff)
+                    (tuple((ring._slots[nm], e) for nm, e in mono), coeff)
                     for mono, coeff in rel.items()
                 ))
                 for rel in ring.relations
             ),
-            tuple(sorted(
-                tuple(sorted(index[nm] for nm in kill))
-                for kill in ring.squarefree_kills
-            )),
+            tuple(sorted(ring._kills)),
         )
         ring._lattice_cache = _STAIRCASES.setdefault(signature, ring._lattice_cache)
         return self._without_cache.setdefault(x, ring)

@@ -124,10 +124,7 @@ def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
             continue  # a two-marking block carries no divisor generators
         ring = keel_presentation(block).presentation
         symbols.extend(ring.symbols)
-        relations.extend(ring.relations)
-        relations.extend(
-            IntPolynomial.monomial(m) for m in ring.kill_monomials()
-        )
+        relations.extend(ring.defining_relations())
     kind = "ell" if elliptic else "tail"
     pres = GradedPresentation(
         symbols, relations, name=f"{kind}({partition.text()})"

@@ -234,6 +234,32 @@ def test_restrict_no_singular_model_over_open_stratum():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "poly, expected", [("-l", "-l\n"), ("-l*t{1,2}", "-l*d{2,3}\n")]
+)
+def test_restrict_reads_a_leading_minus_as_the_polynomial(poly, expected):
+    # class text starts with '-' when its leading coefficient is negative,
+    # so it can be fed back with or without '--'
+    argv = ("restrict", "--n", "4", "--partition", "1 2 3|4")
+    assert invoke(*argv, poly) == (0, expected)
+    assert invoke(*argv, "--", poly) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "extra, code, stream, message",
+    [
+        (("-h",), 0, "out", "usage: ellchow restrict"),
+        (("--bogus", "l"), 2, "err", "unrecognized arguments: --bogus"),
+        (("--bogus",), 2, "err", "the following arguments are required: poly"),
+        ((), 2, "err", "the following arguments are required: poly"),
+    ],
+)
+def test_restrict_options_keep_their_exit_status(extra, code, stream, message, capsys):
+    argv = ("restrict", "--n", "4", "--partition", "1 2 3|4") + extra
+    assert invoke(*argv) == (code, "")
+    assert message in getattr(capsys.readouterr(), stream)
+
+
 # -- present ---------------------------------------------------------------------
 
 

@@ -48,7 +48,7 @@ def test_rejects_foreign_symbols_in_relations():
 
 def test_vector_rejects_foreign_symbols():
     pres = free_ring("l")
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=r"^unknown symbol 'nu'$"):
         pres.vector(NU, 2)
 
 
@@ -123,8 +123,12 @@ def test_basis_and_kill_test_match_brute_force(ring):
         killed = [
             any(kill <= {nm for nm, _ in mono} for kill in kills) for mono in monos
         ]
-        assert [pres._is_killed(mono) for mono in monos] == killed
-        assert pres.basis(d) == [m for m, k in zip(monos, killed) if not k]
+        basis = [m for m, k in zip(monos, killed) if not k]
+        assert pres.basis(d) == basis
+        # a monomial is killed exactly when it has no column
+        for mono, k in zip(monos, killed):
+            column = [] if k else [basis.index(mono), 1]
+            assert pres.vector(IntPolynomial.monomial(mono), d) == column
 
 
 # -- normal forms and equality ------------------------------------------------
@@ -207,11 +211,13 @@ def test_vector_round_trip():
     assert pres.from_vector(vec, 2) == f
 
 
-def test_kill_monomials_are_the_squarefree_unit_relations():
+def test_defining_relations_end_with_the_squarefree_unit_relations():
+    # the kills follow the lattice relations, each as its monomial, in
+    # input order
     rels = (-X * L, L**3, 3 * L * X, NU, L**2 * X)
     pres = GradedPresentation(sym("l", "nu", "xi"), rels)
-    assert pres.kill_monomials() == [(("l", 1), ("xi", 1)), (("nu", 1),)]
     assert pres.relations == [L**3, 3 * L * X, L**2 * X]
+    assert pres.defining_relations() == pres.relations + [L * X, NU]
 
 
 def test_unit_monomials_with_repeated_factors_are_lattice_rows():
@@ -220,7 +226,7 @@ def test_unit_monomials_with_repeated_factors_are_lattice_rows():
     rels = (L**3, L**2 * X, 6 * L * X**2)
     pres = GradedPresentation(sym("l", "xi"), rels)
     assert pres.relations == list(rels)
-    assert pres.kill_monomials() == []
+    assert pres.defining_relations() == list(rels)
     assert pres.hilbert_function(5) == [1, 2, 3, 1, 1, 1]
     for d in range(6):
         assert pres.smith_invariants(d).torsion == ((6,) if d >= 3 else ()), d
@@ -228,21 +234,34 @@ def test_unit_monomials_with_repeated_factors_are_lattice_rows():
     assert pres.normal_form(f) == L * X**2
 
 
-def test_vector_rejects_non_canonical_monomial():
-    # a monomial outside the basis is dropped only when a kill divides it,
-    # and the error names the order it is stored in
+def test_vector_maps_a_non_canonical_monomial_to_its_column():
+    # a monomial's packed key does not depend on the order of its symbols
     pres = GradedPresentation(sym("l", "xi"), (L**2,))
-    with pytest.raises(
-        PresentationError,
-        match=r"^monomial xi\*l is not in canonical symbol order "
-        r"\(that is l\*xi\)$",
-    ):
-        pres.vector(IntPolynomial({(("xi", 1), ("l", 1)): 1}), 2)
-    with pytest.raises(
-        PresentationError,
-        match=r"^monomial l\*l is not in canonical symbol order \(that is l\^2\)$",
-    ):
-        pres.vector(IntPolynomial({(("l", 1), ("l", 1)): 1}), 2)
+    assert pres.vector(IntPolynomial({(("xi", 1), ("l", 1)): 1}), 2) == (
+        pres.vector(L * X, 2)
+    )
+    assert pres.vector(IntPolynomial({(("l", 1), ("l", 1)): 1}), 2) == (
+        pres.vector(L**2, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GradedPresentation(
+            sym("l", "nu", "xi", "t{1,2}"), (L * T12, 2 * L * X - 3 * X**2)
+        ),
+        lambda: keel_presentation(range(1, 6)).presentation,
+    ],
+    ids=["hand-built", "keel5"],
+)
+def test_packed_column_index_is_injective(build):
+    # degrees 1, 2, 4 and 8 are where the field width steps up; one bit
+    # less would merge l^2 with nu, or every degree-1 symbol
+    pres = build()
+    for d in range(9):
+        for i, mono in enumerate(pres.basis(d)):
+            assert pres.vector(IntPolynomial.monomial(mono), d) == [i, 1], (d, mono)
 
 
 def test_vector_drops_killed_monomials():

@@ -47,7 +47,9 @@ def test_layer_trace_installs_and_counts():
     assert int(proc.stdout) > 0
 
 
-def test_every_exactring_export_has_a_user_outside_the_package():
+def text_outside_exactring():
+    """The source of ``src/``, ``tests/`` and ``perfbench/`` outside the
+    exact-algebra package."""
     files = [
         path
         for path in (ROOT / "src" / "ellchow").rglob("*.py")
@@ -55,12 +57,27 @@ def test_every_exactring_export_has_a_user_outside_the_package():
     ]
     files += list((ROOT / "tests").rglob("*.py"))
     files += list((ROOT / "perfbench").rglob("*.py"))
-    text = "\n".join(path.read_text(encoding="utf-8") for path in files)
+    return "\n".join(path.read_text(encoding="utf-8") for path in files)
+
+
+def test_every_exactring_export_has_a_user_outside_the_package():
+    text = text_outside_exactring()
     unused = [
         name
         for name in exactring.__all__
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
+    assert unused == []
+
+
+def test_every_public_presentation_member_has_a_user_outside_the_package():
+    pres = exactring.GradedPresentation(("l",), ())
+    members = {name for name in dir(pres) if not name.startswith("_")}
+    assert {"basis", "relations", "symbols", "vector"} <= members
+    text = text_outside_exactring()
+    unused = sorted(
+        name for name in members if not re.search(rf"\.{re.escape(name)}\b", text)
+    )
     assert unused == []
 
 
