@@ -26,7 +26,6 @@ from ellchow import (
     mzero_point_poly,
     qstable_presentation,
     restricts_to_zero_everywhere,
-    s_max,
     schubert_to_ln,
     smyth,
     tail_model,

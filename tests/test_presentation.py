@@ -16,7 +16,12 @@ from ellchow import (
     keel_presentation,
     qstable_presentation,
 )
-from ellchow.exactring import smith_invariants_of_rows, symbol_degree, symbol_key
+from ellchow.exactring import (
+    Echelon,
+    smith_invariants_of_rows,
+    symbol_degree,
+    symbol_key,
+)
 
 
 L = IntPolynomial.symbol("l")
@@ -315,14 +320,32 @@ def test_smith_invariants_of_staircase_match_raw_product_rows(build, top):
 # -- product rows -------------------------------------------------------------
 
 
-def reference_product_rows(pres, d):
+def divides(a, b):
+    """Whether the monomial ``a`` divides ``b``, exponent by exponent."""
+    exps = dict(b)
+    return all(exps.get(nm, 0) >= e for nm, e in a)
+
+
+def reference_product_rows(pres, d, criterion=True):
     """The nonzero rows ``vector(mono * rel, d)`` by polynomial
     multiplication: relation degrees ascending, multipliers in basis order,
-    relations in list order."""
+    relations in list order.  With ``criterion``, a row is left out when an
+    earlier relation has leading coefficient 1 and its leading monomial
+    divides the multiplier."""
+    rels = [
+        (delta, pres.basis(delta)[row[0]], row[1], pres.from_vector(row, delta))
+        for delta in range(d + 1)
+        for row in pres._reduced_relations(delta)
+    ]
     rows = []
     for delta in range(d + 1):
         for mono in pres.basis(d - delta):
-            for rel in pres._reduced_relations(delta):
+            for j, (rel_degree, _, _, rel) in enumerate(rels):
+                if rel_degree != delta or criterion and any(
+                    coeff == 1 and divides(lead, mono)
+                    for _, lead, coeff, _ in rels[:j]
+                ):
+                    continue
                 row = pres.vector(IntPolynomial.monomial(mono) * rel, d)
                 if row:
                     rows.append(row)
@@ -386,6 +409,39 @@ def test_packed_product_rows_at_the_edge_of_the_field_width():
     pres = GradedPresentation(sym("l", "xi"), (2 * L - 3 * X, 5 * L**2))
     assert_rows_match_products(pres)
     assert pres.vector(5 * L**4, 4) in list(pres._product_rows(4))
+
+
+def staircase_shape(ech):
+    return sorted((row[0], row[1]) for row in ech.rows)
+
+
+@given(presented_rings())
+@settings(max_examples=80, deadline=None)
+def test_product_criterion_keeps_the_relation_lattice(pres):
+    # The kept rows span the lattice of every product row: same pivots and
+    # leading coefficients, and each full product row reduces to zero
+    for d in range(6):
+        full = Echelon()
+        rows = reference_product_rows(pres, d, criterion=False)
+        for row in rows:
+            full.insert(list(row))
+        kept = pres.lattice(d)
+        assert staircase_shape(kept) == staircase_shape(full), d
+        assert not [row for row in rows if kept.residue(row)], d
+
+
+def test_product_criterion_skips_only_unit_leading_relations():
+    # 2*l leads with 2, so l * (l*xi + xi^2) stays a row; dropping it as if
+    # 2 were a unit would add a third Z/2 in degree 3
+    pres = GradedPresentation(sym("l", "xi"), (2 * L, X**2 + L * X))
+    assert pres.smith_invariants(3).torsion == (2, 2)
+
+
+def test_product_criterion_row_counts_on_the_six_marking_genus_zero_ring():
+    # 6,501 and 26,206 product rows in degrees 3 and 4 without the criterion
+    pres = keel_presentation(range(1, 7)).presentation
+    counts = [sum(1 for _ in pres._product_rows(d)) for d in (3, 4)]
+    assert counts == [4586, 16106]
 
 
 # -- division in the quotient --------------------------------------------------

@@ -1,6 +1,8 @@
-"""The benchmark's per-layer trace hooks still find what they wrap, and
-the exact-algebra package re-exports nothing that goes unused."""
+"""The benchmark's per-layer trace hooks still find what they wrap, the
+exact-algebra package re-exports nothing that goes unused, and no module
+imports a name it never uses."""
 
+import ast
 import os
 import re
 import subprocess
@@ -135,3 +137,27 @@ def test_patching_builds_lattices_of_division_rings_only():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(path):
+    """The names ``path`` imports, ``__future__`` features aside, that it
+    never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A package __init__ imports names to re-export them
+    unused = {
+        str(path.relative_to(ROOT)): sorted(names)
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert unused == {}
