@@ -28,9 +28,7 @@ from .keel import KeelRing, keel_presentation, mzero_point_count, mzero_point_po
 from .modular import (
     GetzlerCycles,
     GetzlerReport,
-    QPresentation,
     getzler_check,
-    hilbert_poincare,
     qstable_presentation,
     torsion_report,
 )
@@ -68,7 +66,6 @@ from .strata import (
     ctop_tail,
     ell_model,
     lift_from_tail,
-    restrict_to_ell,
     restrict_to_tail,
     tail_model,
 )
@@ -92,9 +89,7 @@ __all__ = [
     "psi_star",
     "GetzlerCycles",
     "GetzlerReport",
-    "QPresentation",
     "getzler_check",
-    "hilbert_poincare",
     "qstable_presentation",
     "torsion_report",
     "QSpec",
@@ -126,7 +121,6 @@ __all__ = [
     "ctop_tail",
     "ell_model",
     "lift_from_tail",
-    "restrict_to_ell",
     "restrict_to_tail",
     "tail_model",
     "__version__",

@@ -31,12 +31,7 @@ from typing import Sequence
 from .corering import ClassTableError
 from .exactring import IntPolynomial, PresentationError
 from .keel import keel_presentation, mzero_point_poly
-from .modular import (
-    getzler_check,
-    hilbert_poincare,
-    qstable_presentation,
-    torsion_report,
-)
+from .modular import getzler_check, qstable_presentation, torsion_report
 from .partitions import (
     QSpec,
     SetPartition,
@@ -46,6 +41,7 @@ from .partitions import (
     smyth,
 )
 from .patch import (
+    ambient_symbols,
     classes_equal,
     ell_class,
     expected_class,
@@ -160,7 +156,7 @@ def _verify_duality(args) -> list[Check]:
     n = args.n
     checks = []
     for label, q in _dm_and_smyth(n):
-        ranks = hilbert_poincare(qstable_presentation(n, q), n)
+        ranks = qstable_presentation(n, q).hilbert_function(n)
         checks.append(
             Check(f"duality:{label}:{n}", "identity", ranks == ranks[::-1])
         )
@@ -197,6 +193,8 @@ _VERIFY = {
 
 
 def _cmd_verify(args) -> tuple[dict, list[str]]:
+    if args.fixtures is not None and args.target != "appendix":
+        raise ValueError("--fixtures applies to verify appendix only")
     checks = _VERIFY[args.target](args)
     width = max((len(c.name) for c in checks), default=4)
     lines = [
@@ -219,9 +217,8 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_present(args) -> tuple[dict, list[str]]:
-    qp = qstable_presentation(args.n, _parse_space(args.n, args.space))
-    pres = qp.presentation
-    deleted = sorted(qp.deleted)
+    pres = qstable_presentation(args.n, _parse_space(args.n, args.space))
+    deleted = sorted(set(ambient_symbols(args.n)) - set(pres.symbols))
     relations = pres.defining_relations()
     payload = {
         "name": pres.name,
@@ -259,9 +256,9 @@ def _cmd_hilbert(args) -> tuple[dict, list[str]]:
     q = _parse_space(args.n, args.space)
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"degree {args.degree} is negative")
-    qp = qstable_presentation(args.n, q)
-    ranks = hilbert_poincare(qp, args.degree)
-    payload = {"space": qp.presentation.name, "ranks": ranks}
+    pres = qstable_presentation(args.n, q)
+    ranks = pres.hilbert_function(args.n if args.degree is None else args.degree)
+    payload = {"space": pres.name, "ranks": ranks}
     return payload, [" ".join(str(r) for r in ranks)]
 
 

@@ -107,13 +107,9 @@ def _canonical_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
         symbol_key(name)
         if e < 0:
             raise ValueError(f"negative exponent {e} of {name}")
-        exps[name] = exps.get(name, 0) + e
-    return tuple(
-        sorted(
-            ((name, e) for name, e in exps.items() if e),
-            key=lambda p: symbol_key(p[0]),
-        )
-    )
+        if e:
+            exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items(), key=lambda p: symbol_key(p[0])))
 
 
 def _terms_product(a: Mapping[Mono, int], b: Mapping[Mono, int]) -> dict[Mono, int]:
@@ -145,14 +141,7 @@ class IntPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
-        data: dict[Mono, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    data[mono] = data.get(mono, 0) + coeff
-                    if not data[mono]:
-                        del data[mono]
-        self._terms = data
+        self._terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -170,12 +159,7 @@ class IntPolynomial:
 
     @classmethod
     def symbol(cls, name: str, exp: int = 1) -> "IntPolynomial":
-        symbol_key(name)
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return cls.one()
-        return cls({((name, exp),): 1})
+        return cls.monomial(((name, exp),))
 
     @classmethod
     def monomial(cls, mono: Mono, coeff: int = 1) -> "IntPolynomial":

@@ -359,9 +359,6 @@ class GradedPresentation:
             total = total + self.from_vector(residue, d)
         return total
 
-    def classes_equal(self, f: IntPolynomial, g: IntPolynomial) -> bool:
-        return self.reduces_to_zero(f - g)
-
     def smith_invariants(self, degree: int) -> InvariantFactors:
         diag = smith_invariants_of_rows(self.lattice(degree).rows)
         return InvariantFactors(

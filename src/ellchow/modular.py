@@ -11,10 +11,10 @@ named by a singularity specification is obtained by:
   is *not* allowed (those loci are removed from the space, so their
   classes vanish).
 
-``torsion_report`` and ``hilbert_poincare`` expose the Smith invariants
-and free ranks of the graded pieces.  ``getzler_check`` verifies the
-classical degree-two cycle identity on four markings against the patched
-nodal classes, entirely inside the ambient ring.
+``torsion_report`` gives the Smith invariants of one graded piece.
+``getzler_check`` verifies the classical degree-two cycle identity on four
+markings against the patched nodal classes, entirely inside the ambient
+ring.
 """
 
 from __future__ import annotations
@@ -67,15 +67,6 @@ def qspec_label(q: QSpec) -> str:
     return "custom"
 
 
-@dataclass(frozen=True)
-class QPresentation:
-    """A compactification's ring: the surviving generators and relations."""
-
-    qspec: QSpec
-    presentation: GradedPresentation
-    deleted: frozenset[str]
-
-
 def _disjoint_family_kills(
     q: QSpec, survivors: list[tuple[int, ...]]
 ) -> list[IntPolynomial]:
@@ -92,8 +83,10 @@ def _disjoint_family_kills(
     return [tau_monomial(s) for _, s in families]
 
 
-def qstable_presentation(n: int, q: QSpec) -> QPresentation:
-    """The graded presentation of the compactification named by ``q``."""
+def qstable_presentation(n: int, q: QSpec) -> GradedPresentation:
+    """The graded presentation of the compactification named by ``q``: the
+    ambient generators less the contracted divisors, which are absent from
+    its ``symbols``."""
     if q.n != n:
         raise ValueError("specification is for a different marking count")
     validate_qspec(q)
@@ -102,10 +95,9 @@ def qstable_presentation(n: int, q: QSpec) -> QPresentation:
     for b in boundary_subsets(n):
         contracted = disc_completion([b], n) in q.allowed
         (deleted if contracted else survivors).append(b)
-    deleted_names = frozenset(subset_name("t", b) for b in deleted)
     zero = IntPolynomial.zero()
-    subs = {name: zero for name in deleted_names}
-    symbols = [s for s in ambient_symbols(n) if s not in deleted_names]
+    subs = {subset_name("t", b): zero for b in deleted}
+    symbols = [s for s in ambient_symbols(n) if s not in subs]
 
     relations: list[IntPolynomial] = [
         rel.substitute(subs) for rel in base_relations(n)
@@ -129,22 +121,13 @@ def qstable_presentation(n: int, q: QSpec) -> QPresentation:
             continue  # the all-singleton class does not exist there
         relations.append(ell_class(n, s).substitute(subs))
 
-    pres = GradedPresentation(
+    return GradedPresentation(
         symbols, relations, name=f"qstable({n},{qspec_label(q)})"
     )
-    return QPresentation(
-        qspec=q, presentation=pres, deleted=deleted_names
-    )
 
 
-def torsion_report(qp: QPresentation, degree: int) -> InvariantFactors:
-    return qp.presentation.smith_invariants(degree)
-
-
-def hilbert_poincare(qp: QPresentation, d_max: int | None = None) -> list[int]:
-    if d_max is None:
-        d_max = qp.qspec.n
-    return qp.presentation.hilbert_function(d_max)
+def torsion_report(pres: GradedPresentation, degree: int) -> InvariantFactors:
+    return pres.smith_invariants(degree)
 
 
 # -- the four-marking cycle identity --------------------------------------------
@@ -237,6 +220,8 @@ def getzler_check(
     Hodge square and the elliptic class (reported separately, under the
     keys ``"cycle-hodge"`` and ``"cycle-ell"``)."""
     n = 4
+    if delta_data is not None and delta_data.n != n:
+        raise ValueError("restriction data is for a different marking count")
     lam = IntPolynomial.symbol("l")
     cyc = getzler_cycles()
     base = (
@@ -281,7 +266,7 @@ def getzler_check(
 
     conditional = None
     if delta_data is not None:
-        t0 = fundamental_class(n, delta_data)
+        t0 = fundamental_class(delta_data)
         cycle = (
             t0 * cyc.tau3
             - 4 * cyc.tau2 * cyc.tau3

@@ -166,12 +166,10 @@ def _patch(
     return f
 
 
-def fundamental_class(n: int, data: RestrictionData) -> IntPolynomial:
+def fundamental_class(data: RestrictionData) -> IntPolynomial:
     """The ambient class restricting to the prescribed value on every
     stratum, built by descending level patching from the seed."""
-    if data.n != n:
-        raise ValueError("restriction data is for a different marking count")
-    return _patch(n, data.seed, data.target, None)
+    return _patch(data.n, data.seed, data.target, None)
 
 
 def lift_relation(
@@ -187,7 +185,7 @@ def lift_relation(
 # -- named classes ----------------------------------------------------------------
 
 
-def _singular_class_data(kind: str, n: int, t: SetPartition) -> RestrictionData:
+def singular_class_data(kind: str, n: int, t: SetPartition) -> RestrictionData:
     """Restriction data of the closed ``kind`` (``"ell"`` or ``"nod"``)
     singularity locus with branch partition ``t``."""
 
@@ -201,24 +199,12 @@ def _singular_class_data(kind: str, n: int, t: SetPartition) -> RestrictionData:
     )
 
 
-def ell_class_data(n: int, t: SetPartition) -> RestrictionData:
-    """Restriction data of the closed elliptic-singularity locus with
-    branch partition ``t``."""
-    return _singular_class_data("ell", n, t)
-
-
-def nod_class_data(n: int, t: SetPartition) -> RestrictionData:
-    """Restriction data of the closed nodal-singularity locus with branch
-    partition ``t``."""
-    return _singular_class_data("nod", n, t)
-
-
 def ell_class(n: int, t: SetPartition) -> IntPolynomial:
-    return fundamental_class(n, ell_class_data(n, t))
+    return fundamental_class(singular_class_data("ell", n, t))
 
 
 def nod_class(n: int, t: SetPartition) -> IntPolynomial:
-    return fundamental_class(n, nod_class_data(n, t))
+    return fundamental_class(singular_class_data("nod", n, t))
 
 
 # -- the ambient presentation -------------------------------------------------------

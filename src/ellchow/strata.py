@@ -153,13 +153,6 @@ def restrict_to_tail(
     return tail_model(n, partition).restrict(f)
 
 
-def restrict_to_ell(
-    n: int, partition: SetPartition, f: IntPolynomial
-) -> IntPolynomial:
-    """Pullback of an ambient class to the elliptic-singularity model."""
-    return ell_model(n, partition).restrict(f)
-
-
 def lift_from_tail(
     n: int, partition: SetPartition, g: IntPolynomial
 ) -> IntPolynomial:

@@ -538,6 +538,18 @@ def test_verify_getzler_rejects_other_marking_counts(n, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "target", ["counts", "duality", "getzler", "relations", "torsion"]
+)
+def test_fixtures_apply_to_verify_appendix_only(target, capsys):
+    code, text = invoke("verify", target, "--fixtures", "missing.json")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: --fixtures applies to verify appendix only\n"
+    )
+
+
 def test_unknown_command_exits_two():
     code, _ = invoke("frobnicate")
     assert code == 2

@@ -156,7 +156,7 @@ def test_cusp_is_hodge_multiple_of_node():
             nod = min_class("nod", m, shape)
             ell = min_class("ell", m, shape)
             factor = 2 if len(shape) == 2 else 1
-            assert ring.classes_equal(ell, factor * P("l") * nod), (m, shape)
+            assert ring.reduces_to_zero(ell - factor * P("l") * nod), (m, shape)
 
 
 def test_six_marking_nodal_classes_in_schubert_coordinates():
@@ -170,13 +170,13 @@ def test_six_marking_nodal_classes_in_schubert_coordinates():
         ("ell", (2, 1, 1, 1, 1)): schubert_to_ln(3, 3),
     }
     for (kind, shape), sigma in table.items():
-        assert ring.classes_equal(min_class(kind, 6, shape), sigma), (kind, shape)
+        assert ring.reduces_to_zero(min_class(kind, 6, shape) - sigma), (kind, shape)
 
 
 def test_square_of_degree_three_schubert_class():
     ring = min_presentation(6)
     s3 = schubert_to_ln(3)
-    assert ring.classes_equal(s3 * s3, P("l^2*nu^2 - nu^3"))
+    assert ring.reduces_to_zero(s3 * s3 - P("l^2*nu^2 - nu^3"))
 
 
 def test_class_degrees_match_branch_count():

@@ -228,7 +228,7 @@ def test_staircases_are_pinned():
     # shapes are lattice invariants, pinned apart: a change of which product
     # rows span the lattice may move the rows, never the shapes.
     g0 = keel_presentation(range(1, 7)).presentation
-    dm = qstable_presentation(5, dm_space(5)).presentation
+    dm = qstable_presentation(5, dm_space(5))
     built = [g0.lattice(d) for d in range(4)] + [dm.lattice(d) for d in range(4)]
     assert [_digest((e.rows, sorted(e.pivots.items()))) for e in built] == [
         "1391876e63685b7d",
@@ -442,7 +442,7 @@ DM5_INVARIANTS = [
 
 
 def test_smith_invariants_are_pinned():
-    dm4 = qstable_presentation(4, dm_space(4)).presentation
+    dm4 = qstable_presentation(4, dm_space(4))
     assert invariant_lists(dm4, 4) == [expand(p) for p in DM4_INVARIANTS]
     keel6 = keel_presentation(range(1, 7)).presentation
     assert invariant_lists(keel6, 3) == [expand(p) for p in KEEL6_INVARIANTS]
@@ -450,5 +450,5 @@ def test_smith_invariants_are_pinned():
 
 @pytest.mark.extended
 def test_five_marking_smith_invariants_are_pinned():
-    dm5 = qstable_presentation(5, dm_space(5)).presentation
+    dm5 = qstable_presentation(5, dm_space(5))
     assert invariant_lists(dm5, 4) == [expand(p) for p in DM5_INVARIANTS]

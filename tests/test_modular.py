@@ -7,14 +7,13 @@ from ellchow import (
     RestrictionData,
     dm_space,
     getzler_check,
-    hilbert_poincare,
     lp_minimal,
     qstable_presentation,
     smyth,
     torsion_report,
 )
 from ellchow.modular import getzler_cycles, qspec_label
-from ellchow.patch import tau
+from ellchow.patch import ambient_symbols, tau
 
 
 P = IntPolynomial.parse
@@ -41,20 +40,20 @@ def test_marking_count_mismatch():
 
 def test_one_marking_stable_space():
     qp = qstable_presentation(1, dm_space(1))
-    assert list(qp.presentation.symbols) == ["l"]
-    assert hilbert_poincare(qp, 2) == [1, 1, 0]
+    assert list(qp.symbols) == ["l"]
+    assert qp.hilbert_function(2) == [1, 1, 0]
     inv = torsion_report(qp, 2)
     assert inv.rank == 0
     assert inv.torsion == (24,)
     # twenty-four times the Hodge square dies, twelve times does not
-    assert qp.presentation.reduces_to_zero(P("24*l^2"))
-    assert not qp.presentation.reduces_to_zero(P("12*l^2"))
+    assert qp.reduces_to_zero(P("24*l^2"))
+    assert not qp.reduces_to_zero(P("12*l^2"))
 
 
 def test_two_marking_stable_space():
     qp = qstable_presentation(2, dm_space(2))
-    assert qp.deleted == frozenset()
-    assert hilbert_poincare(qp) == [1, 2, 1]
+    assert set(ambient_symbols(2)) == set(qp.symbols)
+    assert qp.hilbert_function(2) == [1, 2, 1]
     inv = torsion_report(qp, 2)
     assert inv.rank == 1
     assert inv.torsion == (24,)
@@ -87,18 +86,18 @@ def test_smallest_smyth_space_on_four_markings():
 )
 def test_minimal_space_ranks(n, ranks):
     qp = qstable_presentation(n, lp_minimal(n))
-    assert hilbert_poincare(qp, n + 1) == ranks
+    assert qp.hilbert_function(n + 1) == ranks
 
 
 def test_minimal_space_deletes_every_divisor():
     qp = qstable_presentation(4, lp_minimal(4))
-    assert list(qp.presentation.symbols) == ["l"]
-    assert len(qp.deleted) == 2**4 - 4 - 1
+    assert list(qp.symbols) == ["l"]
+    assert len(set(ambient_symbols(4)) - set(qp.symbols)) == 2**4 - 4 - 1
 
 
 def test_six_marking_minimal_space_keeps_both_core_generators():
     qp = qstable_presentation(6, lp_minimal(6))
-    assert list(qp.presentation.symbols) == ["l", "nu"]
+    assert list(qp.symbols) == ["l", "nu"]
     assert torsion_report(qp, 2).rank == 2
 
 
@@ -107,21 +106,21 @@ def test_six_marking_minimal_space_keeps_both_core_generators():
 
 def test_smyth_deletions():
     qp = qstable_presentation(4, smyth(4, 1))
-    assert qp.deleted == frozenset({"t{1,2,3,4}"})
+    assert set(ambient_symbols(4)) - set(qp.symbols) == {"t{1,2,3,4}"}
     wide = qstable_presentation(4, smyth(4, 2))
-    assert wide.deleted == frozenset(
-        {"t{1,2,3}", "t{1,2,4}", "t{1,3,4}", "t{2,3,4}", "t{1,2,3,4}"}
-    )
+    assert set(ambient_symbols(4)) - set(wide.symbols) == {
+        "t{1,2,3}", "t{1,2,4}", "t{1,3,4}", "t{2,3,4}", "t{1,2,3,4}"
+    }
 
 
 def test_disjoint_collision_kills():
     # two disjoint pairs jointly form an allowed two-block collision, so
     # their product vanishes in the two-stable space
     qp = qstable_presentation(4, smyth(4, 2))
-    assert qp.presentation.reduces_to_zero(tau((1, 2)) * tau((3, 4)))
+    assert qp.reduces_to_zero(tau((1, 2)) * tau((3, 4)))
     # in the stable space the product survives
     dm = qstable_presentation(4, dm_space(4))
-    assert not dm.presentation.reduces_to_zero(tau((1, 2)) * tau((3, 4)))
+    assert not dm.reduces_to_zero(tau((1, 2)) * tau((3, 4)))
 
 
 def test_removed_singular_classes_vanish():
@@ -130,7 +129,7 @@ def test_removed_singular_classes_vanish():
     # the one-block cusp locus is removed from the stable space, so its
     # class is a relation there
     qp = qstable_presentation(3, dm_space(3))
-    assert qp.presentation.reduces_to_zero(ell_class(3, s_min(3)))
+    assert qp.reduces_to_zero(ell_class(3, s_min(3)))
 
 
 # -- palindromy -------------------------------------------------------------------------
@@ -140,18 +139,18 @@ def test_removed_singular_classes_vanish():
 def test_rank_lists_are_palindromic(n):
     spaces = [dm_space(n)] + [smyth(n, m) for m in range(1, n)]
     for q in spaces:
-        ranks = hilbert_poincare(qstable_presentation(n, q), n)
+        ranks = qstable_presentation(n, q).hilbert_function(n)
         assert ranks == ranks[::-1], qspec_label(q)
 
 
 @pytest.mark.extended
 def test_five_marking_duality_and_degree_two_torsion():
     dm = qstable_presentation(5, dm_space(5))
-    assert hilbert_poincare(dm, 5) == [1, 27, 102, 102, 27, 1]
+    assert dm.hilbert_function(5) == [1, 27, 102, 102, 27, 1]
     assert torsion_report(dm, 2).torsion == (24,)
     for m in range(1, 5):
         qp = qstable_presentation(5, smyth(5, m))
-        ranks = hilbert_poincare(qp, 5)
+        ranks = qp.hilbert_function(5)
         assert ranks == ranks[::-1], (m, ranks)
         assert torsion_report(qp, 2).torsion == (), m
 
@@ -193,3 +192,10 @@ def test_getzler_conditional_checks():
     report = getzler_check(delta_data=data)
     assert report.conditional == {"cycle-hodge": True, "cycle-ell": True}
     assert report.passed is True
+
+
+def test_getzler_check_checks_marking_count():
+    lam = IntPolynomial.symbol("l")
+    data = RestrictionData(n=3, seed=12 * lam, target=lambda p: 12 * lam)
+    with pytest.raises(ValueError, match="different marking count"):
+        getzler_check(delta_data=data)

@@ -238,6 +238,13 @@ def test_negative_and_malformed_exponents_rejected():
         IntPolynomial.monomial((("x1", 1),))
 
 
+def test_symbol_names_a_negative_exponent_like_monomial():
+    message = "negative exponent -1 of l"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntPolynomial.symbol("l", -1)
+    assert IntPolynomial.symbol("l", 0) == IntPolynomial.one()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -144,7 +144,7 @@ def test_normal_form_idempotent_and_coset_stable():
     f = 30 * L**2 + 5 * L * X + X**2
     nf = pres.normal_form(f)
     assert pres.normal_form(nf) == nf
-    assert pres.classes_equal(f, nf)
+    assert pres.reduces_to_zero(f - nf)
     # adding any relation multiple must not change the normal form
     assert pres.normal_form(f + 7 * (24 * L**2)) == nf
     assert nf == 6 * L**2 + X**2  # 30 mod 24; l*xi killed
@@ -302,7 +302,7 @@ def test_smith_invariants_mixed():
     "build, top",
     [
         (lambda: keel_presentation(range(1, 6)).presentation, 3),
-        (lambda: qstable_presentation(4, dm_space(4)).presentation, 4),
+        (lambda: qstable_presentation(4, dm_space(4)), 4),
     ],
     ids=["keel5", "dm4"],
 )

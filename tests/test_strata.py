@@ -14,7 +14,6 @@ from ellchow import (
     ell_model,
     enumerate_partitions,
     lift_from_tail,
-    restrict_to_ell,
     restrict_to_tail,
     s_max,
     s_min,
@@ -128,7 +127,7 @@ def test_nu_needs_six_markings():
 
 def test_nu_has_no_singular_model_image():
     with pytest.raises(NuRestrictionError):
-        restrict_to_ell(6, s_min(6), P("nu"))
+        ell_model(6, s_min(6)).restrict(P("nu"))
 
 
 # -- restriction is a ring map, lift is a section ---------------------------------
@@ -152,10 +151,11 @@ def ambient_polys(draw):
 @given(ambient_polys(), ambient_polys())
 @settings(max_examples=40, deadline=None)
 def test_restriction_is_a_ring_homomorphism(f, g):
+    # the elliptic model sends l to -xi and the whole block t{1,2,3} to zero
     part = SetPartition.parse("1 2 3|4", 4)
-    r = lambda h: restrict_to_tail(4, part, h)
-    assert r(f + g) == r(f) + r(g)
-    assert r(f * g) == r(f) * r(g)
+    for r in (tail_model(4, part).restrict, ell_model(4, part).restrict):
+        assert r(f + g) == r(f) + r(g)
+        assert r(f * g) == r(f) * r(g)
 
 
 def test_restrict_after_lift_is_identity():

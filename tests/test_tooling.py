@@ -1,6 +1,6 @@
 """The benchmark's per-layer trace hooks still find what they wrap, the
-exact-algebra package re-exports nothing that goes unused, and no module
-imports a name it never uses."""
+exact-algebra package re-exports nothing that goes unused, no module
+imports a name it never uses, and README's quick start runs as shown."""
 
 import ast
 import os
@@ -161,3 +161,23 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert unused == {}
+
+
+def test_readme_quick_start_shows_what_it_computes():
+    # Each bare expression of the quick start ends in a comment showing its
+    # value: a list or tuple as its repr, a class as its text.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start\n+```python\n(.*?)```", readme, re.S)[1]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        text = value.text() if isinstance(value, exactring.IntPolynomial) else repr(value)
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        assert comment.rstrip().endswith(text), (comment, text)
+        shown.append(value)
+    assert shown == [[1, 2, 1, 0], (1, (24,)), exactring.IntPolynomial.parse("24*l^2")]
