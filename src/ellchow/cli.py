@@ -88,7 +88,7 @@ def _dm_and_smyth(n: int) -> list[tuple[str, QSpec]]:
 
 def _verify_appendix(args) -> list[Check]:
     n = args.n
-    table = load_fixture_file(args.fixtures) if args.fixtures else None
+    table = None if args.fixtures is None else load_fixture_file(args.fixtures)
     checks = []
     for s in enumerate_partitions(n):
         try:

@@ -11,6 +11,7 @@ Schubert classes into the ``l``/``nu`` coordinates.
 :func:`min_class` looks up the core-ring value of a closed elliptic- or
 nodal-singularity locus by marking count and branch shape.  Missing
 entries (empty loci) raise :class:`ClassTableError`.
+:func:`stratum_value` reads it for the value of such a locus on a stratum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .exactring import GradedPresentation, IntPolynomial
-from .partitions import SetPartition
+from .partitions import SetPartition, compose, refines
 
 
 class ClassTableError(Exception):
@@ -114,3 +115,12 @@ def min_class(
             f"no {kind} class with {m} markings and shape {key[2]}"
         )
     return value
+
+
+def stratum_value(kind: str, t: SetPartition, p: SetPartition) -> IntPolynomial:
+    """Value on the stratum of ``p`` of the closed ``kind`` locus with branch
+    partition ``t``: the core-ring class of the partition ``t`` induces on
+    the blocks of ``p`` when ``t`` coarsens ``p``, and zero otherwise."""
+    if refines(t, p):
+        return min_class(kind, p.length, compose(t, p))
+    return IntPolynomial.zero()

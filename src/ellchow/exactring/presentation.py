@@ -41,9 +41,9 @@ coefficients of its blocks together, and its canonical residue (see the
 ``lattice`` module) is the sum of the blocks' residues: the normal form
 of ``f`` is the sum over ``i`` of ``x^i`` times the ``x``-free normal
 form of the ``x^i``-coefficient of ``f``.  A ring with a free symbol
-therefore reduces, tests for zero and divides in its ``x``-free ring for
-the first free symbol ``x`` in symbol order, and builds only ``x``-free
-staircases.
+records the first one in symbol order as ``x`` and caches its ``x``-free
+ring; it reduces, tests for zero and divides there, and builds only
+``x``-free staircases.
 
 The ``x``-free rings share staircases, not bases: two of them that are
 equal up to an order-preserving renaming of their symbols (same symbol
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .lattice import Echelon, flat_from_pairs, smith_invariants_of_rows
@@ -158,13 +159,10 @@ class GradedPresentation:
             self._rels_by_degree.setdefault(rel.degree(), []).append(rel)
             used |= rel.symbols_used()
 
-        # Symbols in no relation and no kill; relations are fixed from here
-        # on, so the set is too.
-        self._free_symbols = frozenset(
-            nm for i, nm in enumerate(ordered)
-            if nm not in used and not covered >> i & 1
-        )
-        self._without_cache: dict[str, GradedPresentation] = {}
+        # The first symbol in no relation and no kill, if any; relations are
+        # fixed from here on, so it is too.
+        self._free: str | None = next((nm for i, nm in enumerate(ordered)
+                                       if nm not in used and not covered >> i & 1), None)
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -346,11 +344,11 @@ class GradedPresentation:
     def normal_form(self, f: IntPolynomial) -> IntPolynomial:
         """The canonical staircase residue of ``f``; with a free symbol, the
         residue taken one coefficient at a time in the ring without the
-        first one (see the module docstring)."""
+        free one (see the module docstring)."""
         total = IntPolynomial.zero()
-        if self._free_symbols:
-            x = min(self._free_symbols, key=symbol_key)
-            core = self._without(x)
+        x = self._free
+        if x is not None:
+            core = self._x_free
             for i, part in f.coefficients_in(x).items():
                 total = total + core.normal_form(part) * IntPolynomial.symbol(x, i)
             return total
@@ -374,17 +372,15 @@ class GradedPresentation:
 
     # -- division ----------------------------------------------------------------
 
-    def _without(self, x: str) -> GradedPresentation:
-        """The ring on every symbol but ``x``, with the same relations and
-        kills (cached), sharing its staircases with every such ring equal
-        to it up to an order-preserving renaming of symbols."""
-        ring = self._without_cache.get(x)
-        if ring is not None:
-            return ring
+    @cached_property
+    def _x_free(self) -> GradedPresentation:
+        """The ring on every symbol but the free one, with the same relations
+        and kills, sharing its staircases with every such ring equal to it up
+        to an order-preserving renaming of symbols."""
         ring = GradedPresentation(
-            [nm for nm in self.symbols if nm != x],
+            [nm for nm in self.symbols if nm != self._free],
             self.defining_relations(),
-            name=f"{self.name} without {x}",
+            name=f"{self.name} without {self._free}",
         )
         signature = (
             tuple(symbol_degree(nm) for nm in ring.symbols),
@@ -398,7 +394,7 @@ class GradedPresentation:
             tuple(sorted(ring._kills)),
         )
         ring._lattice_cache = _STAIRCASES.setdefault(signature, ring._lattice_cache)
-        return self._without_cache.setdefault(x, ring)
+        return ring
 
     def divide_in_quotient(
         self, g: IntPolynomial, c: IntPolynomial
@@ -406,48 +402,45 @@ class GradedPresentation:
         """Some ``h`` with ``h*c = g`` in the quotient ring, returned in
         normal form; raises :class:`NotDivisibleError` when none exists.
 
-        The divisor must have leading coefficient ``+1`` or ``-1`` in some
-        symbol ``x`` that occurs in no relation and no kill monomial, such
-        as ``l`` in ``ctop_tail``.  The division then runs in the ``x``-free
-        ring alone (see the module docstring): long division in ``x``
-        reduces each quotient coefficient (the remainder's leading
-        ``x``-coefficient times the sign) to its ``x``-free normal form
-        before it meets the divisor, so the quotient is reduced as built,
-        and ``g`` is a multiple exactly when every ``x``-coefficient of the
-        remainder reduces to zero there.
-        Any other divisor is outside the contract: it raises
-        :class:`PresentationError` unless ``g`` reduces to zero.
+        The divisor must have leading coefficient ``+1`` or ``-1`` in the
+        ring's free symbol ``x``, the first symbol in symbol order that
+        occurs in no relation and no kill monomial, such as ``l`` in
+        ``ctop_tail``.  The division then runs in the ``x``-free ring alone
+        (see the module docstring): long division in ``x`` reduces each
+        quotient coefficient (the remainder's leading ``x``-coefficient
+        times the sign) to its ``x``-free normal form before it meets the
+        divisor, so the quotient is reduced as built, and ``g`` is a
+        multiple exactly when every ``x``-coefficient of the remainder
+        reduces to zero there.  Any other divisor, or a ring with no free
+        symbol, is outside the contract: it raises :class:`PresentationError`.
         """
         if c.is_zero():
             raise PresentationError("division by the zero class")
         if not (g.is_homogeneous() and c.is_homogeneous()):
             raise PresentationError("divide_in_quotient expects homogeneous input")
 
-        for x in sorted(c.symbols_used() & self._free_symbols, key=symbol_key):
-            divisor = c.coefficients_in(x)
-            top = max(divisor)
-            lead = divisor.pop(top)
-            if lead == 1 or lead == -1:
-                core = self._without(x)
-                rem = defaultdict(IntPolynomial, g.coefficients_in(x))
-                quotient = IntPolynomial.zero()
-                for k in range(max(rem, default=-1), top - 1, -1):
-                    part = core.normal_form(rem[k] * lead.constant())
-                    quotient = quotient + part * IntPolynomial.symbol(x, k - top)
-                    for j, cj in divisor.items():
-                        rem[k - top + j] -= part * cj
-                rest = [core.normal_form(rem[j]) for j in range(top)]
-                if any(rest):
-                    text = sum(
-                        (p * IntPolynomial.symbol(x, j) for j, p in enumerate(rest)),
-                        IntPolynomial.zero(),
-                    ).text()
-                    raise NotDivisibleError(f"remainder {text} does not vanish")
-                return quotient
-
-        if self.reduces_to_zero(g):
-            return IntPolynomial.zero()
-        raise PresentationError(
-            f"divisor {c.text()} has leading coefficient +1 or -1 in no "
-            f"symbol free of the relations"
-        )
+        x = self._free
+        divisor = c.coefficients_in(x) if x is not None else {}
+        top = max(divisor, default=0)
+        lead = divisor.pop(top, 0)
+        if lead != 1 and lead != -1:
+            raise PresentationError(
+                f"divisor {c.text()} has no leading coefficient +1 or -1 in "
+                f"the first symbol free of the relations"
+            )
+        core = self._x_free
+        rem = defaultdict(IntPolynomial, g.coefficients_in(x))
+        quotient = IntPolynomial.zero()
+        for k in range(max(rem, default=-1), top - 1, -1):
+            part = core.normal_form(rem[k] * lead.constant())
+            quotient = quotient + part * IntPolynomial.symbol(x, k - top)
+            for j, cj in divisor.items():
+                rem[k - top + j] -= part * cj
+        rest = [core.normal_form(rem[j]) for j in range(top)]
+        if any(rest):
+            text = sum(
+                (p * IntPolynomial.symbol(x, j) for j, p in enumerate(rest)),
+                IntPolynomial.zero(),
+            ).text()
+            raise NotDivisibleError(f"remainder {text} does not vanish")
+        return quotient

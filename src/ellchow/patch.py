@@ -32,7 +32,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .corering import min_class, core_relation_seeds
+from .corering import core_relation_seeds, min_class, stratum_value
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -42,7 +42,6 @@ from .exactring import (
 from .keel import divisor_sum, four_point_relations, incompatible_products
 from .partitions import (
     SetPartition,
-    compose,
     enumerate_partitions,
     marking_count,
     partitions_of_length,
@@ -159,9 +158,7 @@ def _patch(
             r = restrict_to_tail(n, s, f) - target(s)
             gbar = model.presentation.divide_in_quotient(r, ctop_tail(n, s))
             if not gbar.is_zero():
-                corrections = corrections + tau_monomial(s) * lift_from_tail(
-                    n, s, gbar
-                )
+                corrections = corrections + tau_monomial(s) * lift_from_tail(gbar)
         f = f - corrections
     return f
 
@@ -188,14 +185,12 @@ def lift_relation(
 def singular_class_data(kind: str, n: int, t: SetPartition) -> RestrictionData:
     """Restriction data of the closed ``kind`` (``"ell"`` or ``"nod"``)
     singularity locus with branch partition ``t``."""
-
-    def target(p: SetPartition) -> IntPolynomial:
-        if refines(t, p):
-            return min_class(kind, p.length, compose(t, p))
-        return IntPolynomial.zero()
-
+    if t.n != n:
+        raise ValueError("partition is not on the marking set")
     return RestrictionData(
-        n=n, seed=min_class(kind, n, t.shape()), target=target
+        n=n,
+        seed=min_class(kind, n, t.shape()),
+        target=lambda p: stratum_value(kind, t, p),
     )
 
 
@@ -223,8 +218,8 @@ def six_marking_extras() -> tuple[IntPolynomial, ...]:
     for s in enumerate_partitions(6):
         if s == top or not refines(banana, s):
             continue
-        value = min_class("nod", s.length, compose(banana, s))
-        seed = tau_monomial(s) * (NU - lift_from_tail(6, s, value))
+        value = stratum_value("nod", banana, s)
+        seed = tau_monomial(s) * (NU - lift_from_tail(value))
         extras.append(lift_relation(6, seed, start_length=s.length - 1))
     return tuple(extras)
 

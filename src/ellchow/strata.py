@@ -28,10 +28,10 @@ corrections during patching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .corering import min_class, min_presentation
+from .corering import min_presentation, stratum_value
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -40,7 +40,7 @@ from .exactring import (
     subset_name,
 )
 from .keel import divisor_sum, keel_presentation
-from .partitions import SetPartition, compose, disc_completion, refines, s_max
+from .partitions import SetPartition, disc_completion, s_max
 
 
 class NuRestrictionError(Exception):
@@ -64,6 +64,9 @@ class StratumModel:
     partition: SetPartition
     presentation: GradedPresentation
     elliptic: bool
+    _images: dict[str, IntPolynomial] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def image_of(self, name: str) -> IntPolynomial:
         """Pullback of one ambient generator."""
@@ -79,11 +82,7 @@ class StratumModel:
                 )
             if self.n != 6:
                 raise PresentationError("nu only exists with six markings")
-            banana = banana_partition()
-            if refines(banana, self.partition):
-                induced = compose(banana, self.partition)
-                return min_class("nod", self.partition.length, induced)
-            return IntPolynomial.zero()
+            return stratum_value("nod", banana_partition(), self.partition)
         elems = name_elements(name)
         # A boundary divisor t{B} has at least two markings in B.
         if elems is None or len(elems) < 2 or not name.startswith("t"):
@@ -106,9 +105,10 @@ class StratumModel:
         return -IntPolynomial.symbol("l") - psi
 
     def restrict(self, f: IntPolynomial) -> IntPolynomial:
-        """Pullback of an ambient class."""
-        images = {name: self.image_of(name) for name in f.symbols_used()}
-        return f.substitute(images)
+        """Pullback of an ambient class; generator images are kept per model."""
+        for name in f.symbols_used() - self._images.keys():
+            self._images[name] = self.image_of(name)
+        return f.substitute(self._images)
 
 
 def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
@@ -153,9 +153,7 @@ def restrict_to_tail(
     return tail_model(n, partition).restrict(f)
 
 
-def lift_from_tail(
-    n: int, partition: SetPartition, g: IntPolynomial
-) -> IntPolynomial:
+def lift_from_tail(g: IntPolynomial) -> IntPolynomial:
     """Rename block divisors to ambient boundary divisors; a section of the
     restriction map (restricting the lift returns ``g`` exactly)."""
     mapping: dict[str, str] = {}

@@ -506,6 +506,15 @@ def test_verify_empty_fixtures_fail_every_class(tmp_path):
     assert text.endswith("passed 0/5\n")
 
 
+def test_verify_empty_fixtures_path_is_unreadable(capsys):
+    # an empty path names no file; it does not select the packaged table
+    code, text = invoke("verify", "appendix", "--n", "3", "--fixtures", "")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 @pytest.mark.parametrize("table", [[1, 2], {"1": [1]}, {"1": {"1": 5}}])
 def test_verify_malformed_fixtures(tmp_path, table, capsys):
     path = tmp_path / "table.json"

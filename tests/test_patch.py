@@ -258,6 +258,13 @@ def test_nod_target_values():
     assert data.target(s_min(4)) == IntPolynomial.zero()
 
 
+@pytest.mark.parametrize("cls", [ell_class, nod_class])
+def test_singular_class_rejects_a_partition_on_other_markings(cls):
+    # checked before any lookup, so the class table is never blamed
+    with pytest.raises(ValueError, match="^partition is not on the marking set$"):
+        cls(4, SetPartition.parse("1 2|3", 3))
+
+
 def test_prescriptions_are_achieved():
     """The patched class restricts to exactly the prescribed value on
     every stratum, the defining property of the construction."""

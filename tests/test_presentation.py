@@ -182,7 +182,7 @@ def test_normal_form_splits_on_a_free_symbol_after_the_first(symbols, relations)
     # xi is free but l comes first, so the blocks of the powers of xi
     # interleave in column order; the residue still splits along them
     pres = GradedPresentation(symbols, relations)
-    assert min(pres._free_symbols, key=symbol_key) == "xi"
+    assert pres._free == "xi"
     rng = random.Random(f"{symbols}")
     for d in range(6):
         for _ in range(5):
@@ -448,8 +448,9 @@ def test_product_criterion_row_counts_on_the_six_marking_genus_zero_ring():
 
 
 def test_divide_zero_numerator():
-    pres = GradedPresentation(sym("l"), (24 * L**2,))
-    assert pres.divide_in_quotient(48 * L**2, L).is_zero() is True
+    # l is free, and the numerator 48*l*xi^2 is zero in the quotient
+    pres = GradedPresentation(sym("l", "xi"), (24 * X**2,))
+    assert pres.divide_in_quotient(48 * L * X**2, L).is_zero() is True
 
 
 def test_divide_fast_path_exact():
@@ -479,6 +480,18 @@ def test_divide_without_free_unit_leading_symbol_is_out_of_contract():
     assert not isinstance(info.value, NotDivisibleError)
 
 
+def test_divide_only_in_the_first_free_symbol():
+    # l and xi are both free and l comes first; the divisor leads with 2 in
+    # l and with 1 in xi, but division runs in l alone, so it is out of
+    # contract even though long division in xi would find a quotient
+    pres = free_ring("l", "xi")
+    assert pres._free == "l"
+    c = 2 * L + X
+    with pytest.raises(PresentationError) as info:
+        pres.divide_in_quotient(c * X, c)
+    assert not isinstance(info.value, NotDivisibleError)
+
+
 def test_divide_not_divisible():
     # xi is free with leading coefficient 1, and l^2 leaves a remainder
     pres = GradedPresentation(sym("l", "xi"), (24 * L**2,))
@@ -504,7 +517,7 @@ def test_division_rings_share_staircases_only_up_to_order_preserving_renaming():
     def division_ring(symbols, relation):
         pres = GradedPresentation(("xi",) + symbols, (relation,))
         assert pres.divide_in_quotient(X * relation, X).is_zero()
-        return pres._without("xi")
+        return pres._x_free
 
     base = division_ring(("d{1,2}", "d{1,3}"), 2 * d12)
     renamed = division_ring(("d{2,3}", "d{2,4}"), 2 * d23)
@@ -530,11 +543,13 @@ def test_divide_requires_homogeneous():
 
 
 def test_divide_torsion_witness():
-    # in Z[x]/(2x): 2x^2 = (2x)*x reduces to zero, so dividing by x gives
-    # a quotient with x*h == 2x^2 in the ring; h == 0 is a valid witness
-    pres = GradedPresentation(sym("xi"), (2 * X,))
-    h = pres.divide_in_quotient(2 * X**2, X)
-    assert pres.reduces_to_zero(X * h - 2 * X**2)
+    # in Z[l, xi]/(2 xi), with l free: 2 l xi = l * (2 xi) reduces to zero,
+    # so dividing it by l gives a quotient with l*h == 2 l xi in the ring;
+    # h == 0 is a valid witness
+    pres = GradedPresentation(sym("l", "xi"), (2 * X,))
+    h = pres.divide_in_quotient(2 * L * X, L)
+    assert h.is_zero()
+    assert pres.reduces_to_zero(L * h - 2 * L * X)
 
 
 def test_divide_random_products_round_trip():

@@ -168,20 +168,20 @@ def test_restrict_after_lift_is_identity():
         SYM("d{1,4}") * SYM("d{1,4}") + 7 * SYM("d{2,3}"),
     ]
     for g in samples:
-        assert restrict_to_tail(5, part, lift_from_tail(5, part, g)) == g
+        assert restrict_to_tail(5, part, lift_from_tail(g)) == g
 
 
 def test_restrict_after_lift_keeps_core_generators():
     top = s_max(6)
     g = P("nu") * P("l") - 4 * P("nu")
-    assert restrict_to_tail(6, top, lift_from_tail(6, top, g)) == g
+    assert restrict_to_tail(6, top, lift_from_tail(g)) == g
 
 
 def test_lift_rejects_foreign_symbols():
     from ellchow.exactring import PresentationError
 
     with pytest.raises(PresentationError):
-        lift_from_tail(4, s_min(4), SYM("x{1,2}"))
+        lift_from_tail(SYM("x{1,2}"))
 
 
 # -- excess classes ----------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_division_ring_normal_form_matches_the_tail_model(text, n):
     # of relations and kills.
     rng = random.Random(f"l-free {text}/{n}")
     pres = tail_model(n, SetPartition.parse(text, n)).presentation
-    core = pres._without("l")
+    core = pres._x_free
     assert core.symbols == tuple(nm for nm in pres.symbols if nm != "l")
     rels = core.defining_relations()
 
@@ -291,7 +291,7 @@ def test_relabelled_division_rings_share_staircases():
     # l-free rings have the same basis positions and product rows, and the
     # second reads the staircases the first built
     rings = [
-        tail_model(5, SetPartition.parse(text, 5)).presentation._without("l")
+        tail_model(5, SetPartition.parse(text, 5)).presentation._x_free
         for text in ("1 2 3 4|5", "1|2 3 4 5")
     ]
     assert rings[0].symbols != rings[1].symbols
@@ -309,7 +309,7 @@ def test_division_rings_sharing_staircases_have_renamed_bases():
     shared = 0
     for n in range(2, 6):
         for part in enumerate_partitions(n):
-            ring = tail_model(n, part).presentation._without("l")
+            ring = tail_model(n, part).presentation._x_free
             other = first.setdefault(id(ring._lattice_cache), ring)
             if other is ring:
                 continue
@@ -334,7 +334,7 @@ def test_division_rings_up_to_six_markings_share_eight_staircase_classes():
     for n in range(1, 7):
         for part in enumerate_partitions(n):
             if (n, part) != (6, s_max(6)):
-                ring = tail_model(n, part).presentation._without("l")
+                ring = tail_model(n, part).presentation._x_free
                 staircases.add(id(ring._lattice_cache))
         counts.append(len(staircases))
     assert counts == [1, 1, 2, 3, 4, 8]

@@ -1,15 +1,18 @@
 """The benchmark's per-layer trace hooks still find what they wrap, the
 exact-algebra package re-exports nothing that goes unused, no module
-imports a name it never uses, and README's quick start runs as shown."""
+imports a name it never uses, and README's quick start and command lines
+run as shown."""
 
 import ast
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-from ellchow import exactring
+from ellchow import cli, exactring
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,7 +118,7 @@ tail_model(4, SetPartition.parse("1 2 3 4", 4)).presentation.normal_form(
 )
 assert len(rings) > patched
 tails = [tail_model(4, s).presentation for s in enumerate_partitions(4)]
-division = {id(pres._without("l")) for pres in tails}
+division = {id(pres._x_free) for pres in tails}
 full = {id(pres) for pres in tails}
 assert not [pres.name for pres in rings if id(pres) in full]
 assert not [pres.name for pres in rings if id(pres) not in division]
@@ -181,3 +184,21 @@ def test_readme_quick_start_shows_what_it_computes():
         assert comment.rstrip().endswith(text), (comment, text)
         shown.append(value)
     assert shown == [[1, 2, 1, 0], (1, (24,)), exactring.IntPolynomial.parse("24*l^2")]
+
+
+def test_readme_command_lines_exit_zero_and_print_what_they_show():
+    # Every ellchow line of the command-line block exits 0, and a trailing
+    # "# -> X" comment is the whole text the line prints.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command-line interface\n.*?```sh\n(.*?)```", readme, re.S)[1]
+    shown = []
+    for line in block.splitlines():
+        if not line.startswith("ellchow "):
+            continue
+        command, _, comment = line.partition("# ->")
+        out = io.StringIO()
+        assert cli.run(shlex.split(command)[1:], out=out) == 0, line
+        if comment:
+            assert out.getvalue() == comment.strip() + "\n", line
+            shown.append(comment.strip())
+    assert shown == ["1 2 1", "24*l^2", "0"]
