@@ -1,36 +1,37 @@
 """Integer lattices inside a free module Z^N.
 
 A row is a flat list ``[col0, c0, col1, c1, ...]`` with strictly increasing
-column indices and nonzero integer coefficients.  A basis is kept in
-*staircase* form: ``pivots`` maps a pivot column to the index of the unique
-basis row leading at that column, and every stored row has positive leading
-coefficient.  No inter-row reduction is performed on the stored rows
-(this is not Hermite form), yet :func:`reduce_row` still produces a
-canonical representative of each residue class: at every pivot column the
-remainder is the floor residue in ``[0, a)``, and an induction on the
-leading column of differences shows two rows in the same coset reduce to
-the same result.
+column indices and nonzero integer coefficients.  An :class:`Echelon` keeps
+a basis in *staircase* form: ``pivots`` maps a pivot column to the index of
+the unique basis row leading at that column, and every stored row has
+positive leading coefficient.  No inter-row reduction is performed on the
+stored rows (this is not Hermite form), yet :meth:`Echelon.residue` still
+produces a canonical representative of each residue class: at every pivot
+column the remainder is the floor residue in ``[0, a)``, and an induction
+on the leading column of differences shows two rows in the same coset
+reduce to the same result.
 
-Both eliminations, :func:`insert_row` and :func:`reduce_row`, work in one
-sparse accumulator instead of rebuilding the row at every pivot they clear:
-a dict ``column -> coefficient`` seeded from the row, with a heap of its
-pending columns (the row's ascending column list is already a heap).  The
-smallest pending column is popped; at a pivot column ``q`` times the pivot
-row is subtracted past its leading entry only, and the columns new to the
-dict are pushed.  The pivot rows touched lead at the popped column, so
-every column they change is still pending and is popped later.  Pivot
-columns are therefore still cleared in ascending order with the same
-integer operations as on a flat row, and the residue is the same canonical
-one; the heap is the division trick of Monagan and Pearce ("Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors",
-CASC 2007).  ``insert_row`` turns the accumulator back into a flat row only
-when it claims a new pivot or meets a pivot that does not divide its
-coefficient, where it merges the two rows by an extended gcd and restarts
-from the merged row.
+Both eliminations, :meth:`Echelon.insert` and :meth:`Echelon.residue`,
+work in one sparse accumulator instead of rebuilding the row at every
+pivot they clear: a dict ``column -> coefficient`` seeded from the row,
+with a heap of its pending columns (the row's ascending column list is
+already a heap).  The smallest pending column is popped; at a pivot column
+``q`` times the pivot row is subtracted past its leading entry only, and
+the columns new to the dict are pushed.  The pivot rows touched lead at
+the popped column, so every column they change is still pending and is
+popped later.  Pivot columns are therefore still cleared in ascending
+order with the same integer operations as on a flat row, and the residue
+is the same canonical one; the heap is the division trick of Monagan and
+Pearce ("Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  ``insert`` turns the accumulator back into
+a flat row only when it claims a new pivot or meets a pivot that does not
+divide its coefficient, where it merges the two rows by an extended gcd
+and restarts from the merged row; :func:`row_combine` builds each merged
+row by one :func:`flat_from_pairs` call on the scaled entries of both.
 
-:class:`Echelon` wraps the staircase in a small class API.  It is the one
-elimination kernel: :func:`smith_invariants_of_rows` reads invariant factors
-off staircases of the rows and of the columns in turn.
+:class:`Echelon` is the one elimination kernel:
+:func:`smith_invariants_of_rows` reads invariant factors off staircases of
+the rows and of the columns in turn.
 """
 
 from __future__ import annotations
@@ -60,144 +61,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def row_scale(row: list, s: int) -> list:
-    """``s * row`` as a fresh flat row (``s`` must be nonzero)."""
-    out = list(row)
-    for i in range(1, len(out), 2):
-        out[i] = out[i] * s
-    return out
-
-
-def row_combine(a: list, sa: int, b: list, sb: int) -> list:
-    """``sa*a + sb*b`` as a fresh flat row (zero entries dropped)."""
-    out: list = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ca, cb = a[i], b[j]
-        if ca == cb:
-            v = sa * a[i + 1] + sb * b[j + 1]
-            if v:
-                out.append(ca)
-                out.append(v)
-            i += 2
-            j += 2
-        elif ca < cb:
-            v = sa * a[i + 1]
-            if v:
-                out.append(ca)
-                out.append(v)
-            i += 2
-        else:
-            v = sb * b[j + 1]
-            if v:
-                out.append(cb)
-                out.append(v)
-            j += 2
-    while i < la:
-        v = sa * a[i + 1]
-        if v:
-            out.append(a[i])
-            out.append(v)
-        i += 2
-    while j < lb:
-        v = sb * b[j + 1]
-        if v:
-            out.append(b[j])
-            out.append(v)
-        j += 2
-    return out
-
-
-def _subtract_tail(acc: dict, heap: list, p: list, q: int) -> None:
-    """Subtract ``q * p`` past its leading entry from the accumulator
-    ``acc``, pushing the columns new to it onto ``heap``."""
-    m = -q
-    for pc, pv in zip(p[2::2], p[3::2]):
-        v = acc.get(pc)
-        if v is None:
-            acc[pc] = m * pv
-            heappush(heap, pc)
-        else:
-            acc[pc] = v + m * pv
-
-
-def insert_row(rows: list, pivots: dict, row: list) -> None:
-    """Add ``row`` to the staircase basis, preserving its invariants.
-
-    Walks the columns of ``row`` in ascending order in an accumulator (see
-    the module docstring).  An unclaimed column claims a new pivot
-    (sign-normalised).  At a claimed column whose pivot coefficient divides
-    the row's, the pivot row is subtracted and the walk goes on.  Otherwise
-    an extended-gcd update replaces the pivot row by one leading with the
-    gcd, and the walk restarts from a row whose leading column is strictly
-    larger.
-    """
-    while row:
-        acc = dict(zip(row[::2], row[1::2]))
-        heap = row[::2]  # ascending, hence already a heap
-        while heap:
-            col = heappop(heap)
-            c = acc[col]
-            if not c:
-                continue
-            j = pivots.get(col)
-            if j is not None:
-                p = rows[j]
-                a = p[1]
-                if c % a == 0:
-                    _subtract_tail(acc, heap, p, c // a)
-                    continue
-            row = [col, c]
-            for k in sorted(heap):
-                v = acc[k]
-                if v:
-                    row.append(k)
-                    row.append(v)
-            if j is None:
-                if c < 0:
-                    row = row_scale(row, -1)
-                pivots[col] = len(rows)
-                rows.append(row)
-                return
-            g, x, y = xgcd(a, c)
-            rows[j] = row_combine(p, x, row, y)
-            row = row_combine(row, a // g, p, -(c // g))
-            break
-        else:
-            return  # every column cancelled: the row was in the lattice
-
-
-def reduce_row(rows: list, pivots: dict, row: list) -> list:
-    """Canonical residue of ``row`` modulo the staircase basis.
-
-    At each pivot column the coefficient is floor-reduced into ``[0, a)``
-    where ``a`` is the (positive) pivot coefficient; non-pivot columns are
-    kept as-is.  Membership in the lattice is equivalent to an empty result.
-    """
-    acc = dict(zip(row[::2], row[1::2]))
-    heap = row[::2]  # ascending, hence already a heap
-    out: list = []
-    while heap:
-        col = heappop(heap)
-        c = acc[col]
-        if not c:
-            continue
-        j = pivots.get(col)
-        if j is not None:
-            p = rows[j]
-            a = p[1]
-            q = c // a
-            if q:
-                c -= q * a
-                _subtract_tail(acc, heap, p, q)
-                if not c:
-                    continue
-        out.append(col)
-        out.append(c)
-    return out
-
-
 def flat_from_pairs(pairs: Iterable[tuple[int, int]]) -> list:
     """Build a flat row from ``(column, coefficient)`` pairs (any order;
     repeated columns are summed, zeros dropped)."""
@@ -215,6 +78,25 @@ def flat_from_pairs(pairs: Iterable[tuple[int, int]]) -> list:
     return out
 
 
+def row_combine(a: list, sa: int, b: list, sb: int) -> list:
+    """``sa*a + sb*b`` as a fresh flat row (zero entries dropped)."""
+    return flat_from_pairs([*zip(a[::2], [sa * v for v in a[1::2]]),
+                            *zip(b[::2], [sb * v for v in b[1::2]])])
+
+
+def _subtract_tail(acc: dict, heap: list, p: list, q: int) -> None:
+    """Subtract ``q * p`` past its leading entry from the accumulator
+    ``acc``, pushing the columns new to it onto ``heap``."""
+    m = -q
+    for pc, pv in zip(p[2::2], p[3::2]):
+        v = acc.get(pc)
+        if v is None:
+            acc[pc] = m * pv
+            heappush(heap, pc)
+        else:
+            acc[pc] = v + m * pv
+
+
 class Echelon:
     """A lattice in Z^N kept as a staircase basis with canonical residues.
 
@@ -230,13 +112,83 @@ class Echelon:
         self.pivots: dict[int, int] = {}
 
     def insert(self, row: list) -> None:
-        insert_row(self.rows, self.pivots, row)
+        """Add ``row`` to the staircase basis, preserving its invariants.
+
+        Walks the columns of ``row`` in ascending order in an accumulator
+        (see the module docstring).  An unclaimed column claims a new pivot
+        (sign-normalised).  At a claimed column whose pivot coefficient
+        divides the row's, the pivot row is subtracted.  Otherwise an
+        extended-gcd update replaces the pivot row by one leading with the
+        gcd, and the walk restarts from a row leading further right.
+        """
+        rows, pivots = self.rows, self.pivots
+        while row:
+            acc = dict(zip(row[::2], row[1::2]))
+            heap = row[::2]  # ascending, hence already a heap
+            while heap:
+                col = heappop(heap)
+                c = acc[col]
+                if not c:
+                    continue
+                j = pivots.get(col)
+                if j is not None:
+                    p = rows[j]
+                    a = p[1]
+                    if c % a == 0:
+                        _subtract_tail(acc, heap, p, c // a)
+                        continue
+                row = [col, c]
+                for k in sorted(heap):
+                    v = acc[k]
+                    if v:
+                        row.append(k)
+                        row.append(v)
+                if j is None:
+                    if c < 0:
+                        row[1::2] = [-v for v in row[1::2]]
+                    pivots[col] = len(rows)
+                    rows.append(row)
+                    return
+                g, x, y = xgcd(a, c)
+                rows[j] = row_combine(p, x, row, y)
+                row = row_combine(row, a // g, p, -(c // g))
+                break
+            else:
+                return  # every column cancelled: the row was in the lattice
 
     def residue(self, row: list) -> list:
-        return reduce_row(self.rows, self.pivots, row)
+        """Canonical residue of ``row`` modulo the staircase basis.
+
+        At each pivot column the coefficient is floor-reduced into ``[0, a)``
+        where ``a`` is the (positive) pivot coefficient; non-pivot columns
+        are kept as-is.  Membership in the lattice is equivalent to an empty
+        result.
+        """
+        rows, pivots = self.rows, self.pivots
+        acc = dict(zip(row[::2], row[1::2]))
+        heap = row[::2]  # ascending, hence already a heap
+        out: list = []
+        while heap:
+            col = heappop(heap)
+            c = acc[col]
+            if not c:
+                continue
+            j = pivots.get(col)
+            if j is not None:
+                p = rows[j]
+                a = p[1]
+                q = c // a
+                if q:
+                    c -= q * a
+                    _subtract_tail(acc, heap, p, q)
+                    if not c:
+                        continue
+            out.append(col)
+            out.append(c)
+        return out
 
     def contains(self, row: list) -> bool:
-        return not reduce_row(self.rows, self.pivots, row)
+        return not self.residue(row)
 
     @property
     def rank(self) -> int:

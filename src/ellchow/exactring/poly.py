@@ -216,6 +216,15 @@ class IntPolynomial:
             out.setdefault(dict(m).get(name, 0), {})[rest] = c
         return {e: IntPolynomial(t) for e, t in out.items()}
 
+    @classmethod
+    def from_coefficients_in(cls, name: str, parts: Mapping) -> "IntPolynomial":
+        """The inverse of :meth:`coefficients_in`: the sum over ``e`` of
+        ``name^e`` times ``parts[e]``, each part free of ``name``."""
+        return cls({
+            _canonical_mono(m + ((name, e),)): c
+            for e, part in parts.items() for m, c in part._terms.items()
+        })
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
@@ -281,7 +290,9 @@ class IntPolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant equals its int (see __eq__), so it hashes as one.
+        terms = self._terms
+        return hash(terms.get((), 0) if terms.keys() <= {()} else frozenset(terms.items()))
 
     # -- substitution ------------------------------------------------------
 

@@ -128,20 +128,26 @@ class GradedPresentation:
         self._slots = {nm: i for i, nm in enumerate(ordered)}
         self._kills: list[int] = []
         self.relations: list[IntPolynomial] = []
+        self._rels_by_degree: dict[int, list[IntPolynomial]] = {}
+        used: set[str] = set()
 
         for rel in relations:
             if rel.is_zero():
                 continue
-            if not rel.symbols_used() <= sym_set:
-                extra = sorted(rel.symbols_used() - sym_set)
-                raise PresentationError(f"relation uses unknown symbols {extra}")
-            if not rel.is_homogeneous():
+            names = rel.symbols_used()
+            if not names <= sym_set:
+                raise PresentationError(
+                    f"relation uses unknown symbols {sorted(names - sym_set)}")
+            degrees = {mono_degree(m) for m, _ in rel.items()}
+            if len(degrees) > 1:
                 raise PresentationError(f"relation not homogeneous: {rel.text()}")
             mono, coeff = next(rel.items())
             if len(rel) == 1 and coeff in (1, -1) and {e for _, e in mono} == {1}:
                 self._kills.append(sum(1 << self._slots[nm] for nm, _ in mono))
             else:
                 self.relations.append(rel)
+                self._rels_by_degree.setdefault(degrees.pop(), []).append(rel)
+                used |= names
 
         self._kills_at: list[list[int]] = [[] for _ in ordered]
         covered = 0
@@ -153,11 +159,6 @@ class GradedPresentation:
         self._column_cache: dict[int, tuple[dict[str, int], dict[int, int]]] = {}
         self._lattice_cache: dict[int, Echelon] = {}
         self._reduced_rels: dict[int, list[list]] = {}
-        self._rels_by_degree: dict[int, list[IntPolynomial]] = {}
-        used: set[str] = set()
-        for rel in self.relations:
-            self._rels_by_degree.setdefault(rel.degree(), []).append(rel)
-            used |= rel.symbols_used()
 
         # The first symbol in no relation and no kill, if any; relations are
         # fixed from here on, so it is too.
@@ -217,17 +218,19 @@ class GradedPresentation:
         """Each symbol's shift and the column of each basis monomial's packed
         key in one degree (cached).
 
-        Slot ``i`` gets a bit field of width ``degree.bit_length()`` (packed
-        exponent vectors, Monagan-Pearce, CASC 2007).  No exponent of a
-        degree-``degree`` monomial exceeds ``degree < 2**width``, so its key
-        is injective whatever the order of its symbols, the keys of two
-        factors add without carry to the key of the product, and a monomial
-        is killed exactly when its key is missing from the index.
+        Slot ``i`` gets a bit field of width ``degree.bit_length() + 1``
+        (packed exponent vectors, Monagan-Pearce, CASC 2007) whose top bit is
+        spare, always 0 in a key, so that ``_product_rows`` can compare all
+        exponents of two keys at once.  No exponent of a degree-``degree``
+        monomial exceeds ``degree < 2**(width - 1)``, so its key is injective
+        whatever the order of its symbols, the keys of two factors add
+        without carry to the key of the product, and a monomial is killed
+        exactly when its key is missing from the index.
         """
         cached = self._column_cache.get(degree)
         if cached is not None:
             return cached
-        width = degree.bit_length()
+        width = degree.bit_length() + 1
         shift = {nm: i * width for i, nm in enumerate(self.symbols)}
         index = {_pack(shift, m): i for i, m in enumerate(self.basis(degree))}
         return self._column_cache.setdefault(degree, (shift, index))
@@ -276,29 +279,29 @@ class GradedPresentation:
         The column of a product is looked up in the packed index that
         ``vector`` reads, by the sum of its factors' keys (see ``_columns``).
         Distinct relation monomials have distinct products, so a row is its
-        sorted pairs.
+        sorted pairs.  A unit leader is the key of its relation's first term;
+        ``guard`` sets the spare top bit of every field, and a field's top
+        bit survives ``(key | guard) - lead`` without a borrow into the next
+        field exactly when its exponent in ``key`` is at least the leader's.
         """
         shift, index = self._columns(degree)
-        slots = self._slots
-
-        def unary(mono: Mono) -> int:
-            # e bits at slot * degree: a divisor's bits are a subset
-            return sum(((1 << e) - 1) << slots[nm] * degree for nm, e in mono)
+        guard = sum(1 << s + degree.bit_length() for s in shift.values())
 
         earlier: list[tuple[int, int]] = []  # lower degrees' unit leaders
         for delta in sorted(d for d in self._rels_by_degree if d <= degree):
             rows, basis = self._reduced_relations(delta), self.basis(delta)
-            # a multiple of the unit leader of relation j keeps rows 0..j
-            cuts = earlier + [(j + 1, unary(basis[r[0]]))
-                              for j, r in enumerate(rows) if r[1] == 1]
-            earlier += [(0, lead) for _, lead in cuts[len(earlier):]]
             rel_terms = [
                 [(_pack(shift, basis[col]), c) for col, c in zip(r[::2], r[1::2])]
                 for r in rows
             ]
+            # a multiple of the unit leader of relation j keeps rows 0..j
+            cuts = earlier + [(j + 1, terms[0][0])
+                              for j, terms in enumerate(rel_terms) if terms[0][1] == 1]
+            earlier += [(0, lead) for _, lead in cuts[len(earlier):]]
             for mono in self.basis(degree - delta) if rows else ():
-                key, bits = _pack(shift, mono), unary(mono)
-                keep = next((n for n, lead in cuts if lead & bits == lead), len(rows))
+                probe = guard | (key := _pack(shift, mono))
+                keep = next((n for n, lead in cuts if probe - lead & guard == guard),
+                            len(rows))
                 for terms in rel_terms[:keep]:
                     pairs = sorted(
                         (col, c)
@@ -345,13 +348,13 @@ class GradedPresentation:
         """The canonical staircase residue of ``f``; with a free symbol, the
         residue taken one coefficient at a time in the ring without the
         free one (see the module docstring)."""
-        total = IntPolynomial.zero()
         x = self._free
         if x is not None:
             core = self._x_free
-            for i, part in f.coefficients_in(x).items():
-                total = total + core.normal_form(part) * IntPolynomial.symbol(x, i)
-            return total
+            return IntPolynomial.from_coefficients_in(
+                x, {i: core.normal_form(part) for i, part in f.coefficients_in(x).items()}
+            )
+        total = IntPolynomial.zero()
         for d, comp in f.homogeneous_components().items():
             residue = self.lattice(d).residue(self.vector(comp, d))
             total = total + self.from_vector(residue, d)
@@ -430,17 +433,13 @@ class GradedPresentation:
             )
         core = self._x_free
         rem = defaultdict(IntPolynomial, g.coefficients_in(x))
-        quotient = IntPolynomial.zero()
+        quotient: dict[int, IntPolynomial] = {}
         for k in range(max(rem, default=-1), top - 1, -1):
-            part = core.normal_form(rem[k] * lead.constant())
-            quotient = quotient + part * IntPolynomial.symbol(x, k - top)
-            for j, cj in divisor.items():
+            part = quotient[k - top] = core.normal_form(rem[k] * lead.constant())
+            for j, cj in divisor.items() if part else ():
                 rem[k - top + j] -= part * cj
-        rest = [core.normal_form(rem[j]) for j in range(top)]
-        if any(rest):
-            text = sum(
-                (p * IntPolynomial.symbol(x, j) for j, p in enumerate(rest)),
-                IntPolynomial.zero(),
-            ).text()
+        rest = {j: core.normal_form(rem[j]) for j in range(top)}
+        if any(rest.values()):
+            text = IntPolynomial.from_coefficients_in(x, rest).text()
             raise NotDivisibleError(f"remainder {text} does not vanish")
-        return quotient
+        return IntPolynomial.from_coefficients_in(x, quotient)

@@ -68,9 +68,11 @@ def tau(subset: Iterable[int]) -> IntPolynomial:
     return IntPolynomial.symbol(subset_name("t", elems))
 
 
+@lru_cache(maxsize=None)
 def tau_monomial(partition: SetPartition) -> IntPolynomial:
     """The composite divisor of a partition: the product of the divisors
-    of its non-singleton blocks (one for the all-singleton partition)."""
+    of its non-singleton blocks (one for the all-singleton partition),
+    cached per partition like ``ctop_tail``."""
     total = IntPolynomial.one()
     for block in partition.nonsingleton_blocks():
         total = total * tau(block)

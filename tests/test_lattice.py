@@ -16,10 +16,7 @@ from ellchow.exactring.lattice import (
     KERNEL_NAME,
     Echelon,
     flat_from_pairs,
-    insert_row,
-    reduce_row,
     row_combine,
-    row_scale,
     smith_invariants_of_rows,
     xgcd,
 )
@@ -100,26 +97,25 @@ def test_insert_preserves_membership():
     for _ in range(60):
         width = rng.randint(1, 6)
         rows_dense = random_rows(rng, rng.randint(1, 5), width)
-        rows, pivots = [], {}
+        e = Echelon()
         flats = [
             flat_from_pairs([(i, c) for i, c in enumerate(r) if c])
             for r in rows_dense
         ]
         for f in flats:
-            insert_row(rows, pivots, list(f))
+            e.insert(list(f))
         for f in flats:
-            assert reduce_row(rows, pivots, list(f)) == []
+            assert e.residue(list(f)) == []
 
 
 def test_staircase_invariants():
     rng = random.Random(29)
     for _ in range(60):
         width = rng.randint(1, 6)
-        rows, pivots = [], {}
+        e = Echelon()
         for r in random_rows(rng, rng.randint(1, 7), width):
-            insert_row(
-                rows, pivots, list(flat_from_pairs([(i, c) for i, c in enumerate(r) if c]))
-            )
+            e.insert(flat_from_pairs([(i, c) for i, c in enumerate(r) if c]))
+        rows, pivots = e.rows, e.pivots
         lead_cols = [row[0] for row in rows]
         assert len(set(lead_cols)) == len(lead_cols)
         for row in rows:
@@ -133,14 +129,13 @@ def test_residue_is_canonical_on_cosets():
     rng = random.Random(31)
     for _ in range(40):
         width = rng.randint(1, 5)
-        rows, pivots = [], {}
+        e = Echelon()
         for r in random_rows(rng, rng.randint(1, 4), width, bound=5):
-            insert_row(
-                rows, pivots, list(flat_from_pairs([(i, c) for i, c in enumerate(r) if c]))
-            )
+            e.insert(flat_from_pairs([(i, c) for i, c in enumerate(r) if c]))
+        rows, pivots = e.rows, e.pivots
         vec = random_rows(rng, 1, width, bound=8)[0]
         flat = flat_from_pairs([(i, c) for i, c in enumerate(vec) if c])
-        res1 = reduce_row(rows, pivots, list(flat))
+        res1 = e.residue(list(flat))
         # shift by a random span element: same residue expected
         shift = [0] * width
         for row in rows:
@@ -149,7 +144,7 @@ def test_residue_is_canonical_on_cosets():
                 shift[i] += c * v
         shifted = [a + b for a, b in zip(vec, shift)]
         flat2 = flat_from_pairs([(i, c) for i, c in enumerate(shifted) if c])
-        res2 = reduce_row(rows, pivots, list(flat2))
+        res2 = e.residue(list(flat2))
         assert res1 == res2
         for i, v in zip(res1[::2], res1[1::2]):
             if i in pivots:
@@ -163,7 +158,7 @@ def reference_insert(rows, pivots, row):
         j = pivots.get(col)
         if j is None:
             if c < 0:
-                row = row_scale(row, -1)
+                row = row_combine(row, -1, [], 0)
             pivots[col] = len(rows)
             rows.append(row)
             return
@@ -207,15 +202,15 @@ sparse_rows = st.dictionaries(
 def test_accumulator_matches_the_row_rebuilding_reference(inserted, probes):
     # Same pivot order and integer operations: the staircase is identical
     # entry for entry after every insertion, and so is every residue.
-    rows, pivots = [], {}
+    e = Echelon()
     ref_rows, ref_pivots = [], {}
     for f in inserted:
-        insert_row(rows, pivots, list(f))
+        e.insert(list(f))
         reference_insert(ref_rows, ref_pivots, list(f))
-        assert rows == ref_rows
-        assert pivots == ref_pivots
+        assert e.rows == ref_rows
+        assert e.pivots == ref_pivots
     for f in inserted + probes:
-        assert reduce_row(rows, pivots, f) == reference_reduce(rows, pivots, f)
+        assert e.residue(f) == reference_reduce(e.rows, e.pivots, f)
 
 
 def _digest(value):

@@ -298,6 +298,20 @@ def test_hash_consistent_with_eq(a, b):
         assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("c", [0, 3, -5])
+def test_constant_hashes_as_the_int_it_equals(c):
+    p = IntPolynomial.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert c in {p} and p in {c}
+    assert len({p, c}) == 1
+
+
+@given(polynomials(), st.sampled_from(["l", "nu", "t{1,2,3}"]))
+@settings(max_examples=60, deadline=None)
+def test_from_coefficients_in_inverts_coefficients_in(poly, name):
+    assert IntPolynomial.from_coefficients_in(name, poly.coefficients_in(name)) == poly
+
+
 @given(polynomials(), polynomials(), polynomials())
 @settings(max_examples=40, deadline=None)
 def test_distributivity_random(a, b, c):

@@ -1,9 +1,10 @@
 """The benchmark's per-layer trace hooks still find what they wrap, the
 exact-algebra package re-exports nothing that goes unused, no module
-imports a name it never uses, and README's quick start and command lines
-run as shown."""
+imports a name it never uses, no helper goes unnamed outside its
+definition, and README's quick start and command lines run as shown."""
 
 import ast
+import importlib
 import io
 import os
 import re
@@ -164,6 +165,42 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert unused == {}
+
+
+def defined_helpers():
+    """``(module, class or None, name)`` of every module-level function and
+    class method defined in ``src/ellchow``, dunders aside."""
+    for path in sorted((ROOT / "src" / "ellchow").rglob("*.py")):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for fn in members:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    yield module, owner, fn.name
+
+
+def test_every_helper_is_named_outside_its_definition():
+    # A function or method whose name appears only where it is defined is
+    # dead; an override of a base class method is called by that base.
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+    )
+    dead = []
+    for module, owner, name in defined_helpers():
+        if owner is not None:
+            cls = getattr(importlib.import_module(module), owner)
+            if any(hasattr(base, name) for base in cls.__mro__[1:]):
+                continue
+        uses = len(re.findall(rf"\b{name}\b", text))
+        if uses <= len(re.findall(rf"\bdef {name}\b", text)):
+            dead.append(f"{module}.{owner + '.' if owner else ''}{name}")
+    assert dead == []
 
 
 def test_readme_quick_start_shows_what_it_computes():
