@@ -11,10 +11,21 @@ polynomial is meaningful on its own, without a ring attached:
 * ``d{1,2}``  — a genus-zero boundary divisor inside one stratum factor
                 (degree 1).
 
-Monomials are stored as tuples of ``(name, exponent)`` pairs sorted by the
+A monomial is one integer, its *key*: a packed exponent vector
+(Monagan–Pearce, CASC 2007).  Each name is interned on first sight, in one
+registry for the process, and gets a field: bits ``8*i`` to ``8*i + 7``
+of a key hold the exponent of the ``i``-th interned name, and field 0
+holds the monomial's degree.  The top bit of every field is spare, so no
+degree, and hence no exponent, exceeds ``MAX_DEGREE``; then the keys of
+two monomials add without carry to the key of their product, and an entry
+point or a product that would overflow raises ``ValueError``.
+
+A key's value depends on the order in which names were interned, so no
+output may depend on it.  Names enter through ``symbol``, ``monomial``,
+``parse`` and ``from_json_obj``, and leave through ``sorted_terms`` (hence
+``text`` and JSON), ``symbols_used`` and ``rename_symbols``, in the
 canonical symbol order ``l < nu < xi < braced names by (size, elements,
-prefix letter)``.
-The canonical text form sorts terms by (degree, exponent vector
+prefix letter)``.  The canonical text form sorts terms by (degree, exponent vector
 descending-lexicographic), e.g. ``24*l^3 + 24*l^2*t{1,2}``, and round-trips
 through :meth:`IntPolynomial.parse`.  The JSON form is a list of
 ``{"coeff": c, "exponents": [[name, e], ...]}`` objects in the same order.
@@ -23,15 +34,27 @@ through :meth:`IntPolynomial.parse`.  The JSON form is a list of
 from __future__ import annotations
 
 import re
+import threading
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
-Mono = tuple[tuple[str, int], ...]
+# A field is one byte, so ``int.to_bytes`` reads a key field by field.
+FIELD_BITS = 8
+DEGREE = (1 << FIELD_BITS) - 1  # the mask of field 0
+MAX_DEGREE = DEGREE >> 1
 
 # A marking has no leading zero, so that each subset has one name.
 _MARK = r"(?:0|[1-9]\d*)"
 _NAME_RE = re.compile(rf"^(l|nu|xi)$|^([a-z])\{{({_MARK}(?:,{_MARK})*)\}}$")
 _KEY_CACHE: dict[str, tuple] = {}
 _BASE_ORDER = {"l": 0, "nu": 1, "xi": 2}
+
+# The registry: the name of each field (field 0 is the degree) and the key
+# of each interned name to the first power.
+_NAMES: list[str] = [""]
+_UNITS: dict[str, int] = {}
+_INTERN = threading.Lock()
 
 
 def symbol_key(name: str) -> tuple:
@@ -69,55 +92,57 @@ def name_elements(name: str) -> tuple[int, ...] | None:
     return key[3] if key[0] == 1 else None
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted monomials, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[str, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        na, ea = a[i]
-        nb, eb = b[j]
-        if na == nb:
-            out.append((na, ea + eb))
-            i += 1
-            j += 1
-        elif symbol_key(na) < symbol_key(nb):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def unit_key(name: str) -> int:
+    """The key of ``name`` to the first power; checks and interns a new name."""
+    unit = _UNITS.get(name)
+    if unit is None:
+        degree = symbol_degree(name)
+        with _INTERN:
+            unit = _UNITS.get(name)
+            if unit is None:
+                _NAMES.append(name)
+                unit = _UNITS[name] = degree + (1 << FIELD_BITS * (len(_NAMES) - 1))
+    return unit
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(symbol_degree(name) * e for name, e in m)
+def key_fields(key: int) -> list[tuple[int, int]]:
+    """The ``(field, exponent)`` pairs of a key's nonzero exponents, by field."""
+    raw = key.to_bytes((key.bit_length() + 7) >> 3, "little")
+    rest, out = raw[1:].lstrip(b"\0"), []
+    while rest:
+        out.append((len(raw) - len(rest), rest[0]))
+        rest = rest[1:].lstrip(b"\0")
+    return out
 
 
-def _canonical_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
-    """The monomial of ``(name, exponent)`` pairs in canonical form: names
-    checked, repeated names summed, zero exponents dropped, symbol order."""
-    exps: dict[str, int] = {}
+def _overflow(degree: int) -> ValueError:
+    return ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+
+
+def monomial_key(pairs: Iterable[tuple[str, int]]) -> int:
+    """The key of the monomial of ``(name, exponent)`` pairs; repeated
+    names multiply and zero exponents drop out."""
+    key = degree = 0
     for name, e in pairs:
-        symbol_key(name)
+        unit = unit_key(name)
         if e < 0:
             raise ValueError(f"negative exponent {e} of {name}")
-        if e:
-            exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items(), key=lambda p: symbol_key(p[0])))
+        key += e * unit
+        degree += e * (unit & DEGREE)
+    if degree > MAX_DEGREE:
+        raise _overflow(degree)
+    return key
 
 
-def _terms_product(a: Mapping[Mono, int], b: Mapping[Mono, int]) -> dict[Mono, int]:
+def _terms_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """The terms of the product of two polynomials given by their terms."""
-    out: dict[Mono, int] = {}
+    out: dict[int, int] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = mono_mul(ma, mb)
+            m = ma + mb
+            # both summands fit, so a sum that does not is caught here
+            if m & DEGREE > MAX_DEGREE:
+                raise _overflow(m & DEGREE)
             v = out.get(m, 0) + ca * cb
             if v:
                 out[m] = v
@@ -126,21 +151,19 @@ def _terms_product(a: Mapping[Mono, int], b: Mapping[Mono, int]) -> dict[Mono, i
     return out
 
 
-def mono_sort_key(m: Mono) -> tuple:
-    """Within a fixed degree: exponent-vector descending-lexicographic order."""
-    return tuple((symbol_key(name), -e) for name, e in m)
-
-
-def term_sort_key(m: Mono) -> tuple:
-    return (mono_degree(m), mono_sort_key(m))
+def _poly(terms: dict[int, int]) -> "IntPolynomial":
+    """The polynomial of ``terms``: a new dict without zero coefficients."""
+    res = IntPolynomial.__new__(IntPolynomial)
+    res._terms = terms
+    return res
 
 
 class IntPolynomial:
-    """Immutable sparse polynomial with integer coefficients."""
+    """Immutable sparse polynomial with integer coefficients, by monomial key."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
+    def __init__(self, terms: Mapping[int, int] | None = None):
         self._terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
@@ -151,7 +174,7 @@ class IntPolynomial:
 
     @classmethod
     def const(cls, c: int) -> "IntPolynomial":
-        return cls({(): c}) if c else cls()
+        return cls({0: c}) if c else cls()
 
     @classmethod
     def one(cls) -> "IntPolynomial":
@@ -162,16 +185,23 @@ class IntPolynomial:
         return cls.monomial(((name, exp),))
 
     @classmethod
-    def monomial(cls, mono: Mono, coeff: int = 1) -> "IntPolynomial":
-        return cls({_canonical_mono(mono): coeff})
+    def monomial(cls, mono: Iterable[tuple[str, int]], coeff: int = 1) -> "IntPolynomial":
+        return cls({monomial_key(mono): coeff})
 
     # -- inspection --------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Mono, int]]:
+    def items(self) -> Iterator[tuple[int, int]]:
+        """The ``(key, coefficient)`` pairs of the terms."""
         return iter(self._terms.items())
 
-    def sorted_terms(self) -> list[tuple[Mono, int]]:
-        return sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))
+    def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
+        """The terms as ``((name, exponent), ...)`` and coefficient, in canonical order."""
+        named = []
+        for m, c in self._terms.items():
+            mono = tuple(sorted(((_NAMES[f], e) for f, e in key_fields(m)),
+                                key=lambda p: symbol_key(p[0])))
+            named.append(((m & DEGREE, [(symbol_key(nm), -e) for nm, e in mono]), mono, c))
+        return [(mono, c) for _, mono, c in sorted(named)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -184,103 +214,91 @@ class IntPolynomial:
 
     def degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(mono_degree(m) for m in self._terms)
+        return max((m & DEGREE for m in self._terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {mono_degree(m) for m in self._terms}
-        return len(degrees) <= 1
+        return len({m & DEGREE for m in self._terms}) <= 1
 
     def homogeneous_components(self) -> dict[int, "IntPolynomial"]:
-        buckets: dict[int, dict[Mono, int]] = {}
+        buckets: dict[int, dict[int, int]] = {}
         for m, c in self._terms.items():
-            buckets.setdefault(mono_degree(m), {})[m] = c
-        return {d: IntPolynomial(t) for d, t in sorted(buckets.items())}
+            buckets.setdefault(m & DEGREE, {})[m] = c
+        return {d: _poly(t) for d, t in sorted(buckets.items())}
 
     def symbols_used(self) -> set[str]:
-        return {name for m in self._terms for name, _ in m}
-
-    def coefficient(self, mono: Mono) -> int:
-        return self._terms.get(mono, 0)
+        return {_NAMES[f] for f, _ in key_fields(reduce(or_, self._terms, 0))}
 
     def constant(self) -> int:
-        return self._terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def coefficients_in(self, name: str) -> dict[int, "IntPolynomial"]:
         """The polynomial multiplying each power ``name^e`` (with that factor
         removed), keyed by the exponents ``e`` that occur."""
-        out: dict[int, dict[Mono, int]] = {}
+        unit = unit_key(name)
+        shift = unit.bit_length() - 1  # the lowest bit of the name's field
+        out: dict[int, dict[int, int]] = {}
         for m, c in self._terms.items():
-            rest = tuple(p for p in m if p[0] != name)
-            out.setdefault(dict(m).get(name, 0), {})[rest] = c
-        return {e: IntPolynomial(t) for e, t in out.items()}
+            e = m >> shift & DEGREE
+            out.setdefault(e, {})[m - e * unit] = c
+        return {e: _poly(t) for e, t in out.items()}
 
     @classmethod
     def from_coefficients_in(cls, name: str, parts: Mapping) -> "IntPolynomial":
         """The inverse of :meth:`coefficients_in`: the sum over ``e`` of
         ``name^e`` times ``parts[e]``, each part free of ``name``."""
-        return cls({
-            _canonical_mono(m + ((name, e),)): c
-            for e, part in parts.items() for m, c in part._terms.items()
-        })
+        terms: dict[int, int] = {}
+        for e, part in parts.items():
+            terms.update(_terms_product(part._terms, {monomial_key(((name, e),)): 1}))
+        return _poly(terms)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "IntPolynomial | int", sign: int) -> "IntPolynomial":
         if isinstance(other, int):
             other = IntPolynomial.const(other)
         out = dict(self._terms)
         for m, c in other._terms.items():
-            v = out.get(m, 0) + c
+            v = out.get(m, 0) + sign * c
             if v:
                 out[m] = v
             else:
-                out.pop(m, None)
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._terms = out
-        return res
-
-    __radd__ = __add__
+                del out[m]
+        return _poly(out)
 
     def __neg__(self) -> "IntPolynomial":
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial.const(other)
-        return self + (-other)
+        return self * -1
 
     def __rsub__(self, other: int) -> "IntPolynomial":
         return IntPolynomial.const(other) - self
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            if not other:
-                return IntPolynomial.zero()
-            res = IntPolynomial.__new__(IntPolynomial)
-            res._terms = {m: c * other for m, c in self._terms.items()}
-            return res
-        res = IntPolynomial.__new__(IntPolynomial)
-        res._terms = _terms_product(self._terms, other._terms)
-        return res
+            return self if other == 1 else IntPolynomial(
+                {m: c * other for m, c in self._terms.items()})
+        return _poly(_terms_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "IntPolynomial":
         if exp < 0:
             raise ValueError("negative exponent")
-        result = None
-        base = self
-        while exp:
-            if exp & 1:
-                result = base if result is None else result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return IntPolynomial.one() if result is None else result
+        if len(self._terms) == 1:  # a monomial's key scales
+            [(m, c)] = self._terms.items()
+            if (m & DEGREE) * exp > MAX_DEGREE:
+                raise _overflow((m & DEGREE) * exp)
+            return _poly({m * exp: c**exp})
+        result = self if exp else IntPolynomial.one()
+        for _ in range(exp - 1):
+            result = result * self
+        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -292,71 +310,85 @@ class IntPolynomial:
     def __hash__(self) -> int:
         # A constant equals its int (see __eq__), so it hashes as one.
         terms = self._terms
-        return hash(terms.get((), 0) if terms.keys() <= {()} else frozenset(terms.items()))
+        return hash(terms.get(0, 0) if terms.keys() <= {0} else frozenset(terms.items()))
 
     # -- substitution ------------------------------------------------------
 
     def substitute(self, images: Mapping[str, "IntPolynomial"]) -> "IntPolynomial":
         """Ring-homomorphic substitution; names absent from ``images`` map to
-        themselves."""
-        power_cache: dict[tuple[str, int], IntPolynomial] = {}
+        themselves.
 
-        def power(name: str, e: int) -> IntPolynomial:
-            key = (name, e)
-            got = power_cache.get(key)
-            if got is None:
-                base = images.get(name)
-                if base is None:
-                    got = IntPolynomial.symbol(name, e)
-                else:
-                    got = base**e
-                power_cache[key] = got
-            return got
-
-        # Every term is summed into one dict; a term with a factor whose
-        # image is zero is skipped before any multiplication.
-        total: dict[Mono, int] = {}
+        A term with a factor whose image is zero meets the mask ``zero`` of
+        those fields and is skipped.  Every other term walks its fields: a
+        power whose image has one term is folded into the key and the
+        coefficient, and only images with several terms are multiplied."""
+        image_at: dict[int, dict[int, int]] = {}  # the nonzero images by field
+        zero = 0
+        for f, _ in key_fields(reduce(or_, self._terms, 0)):
+            image = images.get(_NAMES[f])
+            if image is None:
+                image_at[f] = {_UNITS[_NAMES[f]]: 1}
+            elif image:
+                image_at[f] = image._terms
+            else:
+                zero |= DEGREE << FIELD_BITS * f
+        powers: dict[tuple[int, int], dict[int, int]] = {}
+        total: dict[int, int] = {}
         for m, c in self._terms.items():
-            factors = [power(name, e)._terms for name, e in m]
-            if not all(factors):
+            if m & zero:
                 continue
-            term = {(): c}
-            for factor in factors:
-                term = _terms_product(term, factor)
-            for mono, coeff in term.items():
-                total[mono] = total.get(mono, 0) + coeff
+            key, coeff, several = 0, c, []
+            for f, e in key_fields(m):
+                power = image_at[f] if e == 1 else powers.get((f, e))
+                if power is None:
+                    power = powers[f, e] = (IntPolynomial(image_at[f]) ** e)._terms
+                if len(power) > 1:
+                    several.append(power)
+                    continue
+                for k, v in power.items():
+                    key += k
+                    coeff *= v
+                # both summands fit, so a sum that does not is caught here
+                if key & DEGREE > MAX_DEGREE:
+                    raise _overflow(key & DEGREE)
+            if not several:
+                total[key] = total.get(key, 0) + coeff
+                continue
+            term = {key: coeff}
+            for power in several:
+                term = _terms_product(term, power)
+            for k, v in term.items():
+                total[k] = total.get(k, 0) + v
         return IntPolynomial(total)
 
     def rename_symbols(self, mapping: Mapping[str, str]) -> "IntPolynomial":
         """Pure symbol renaming (a degree-preserving bijection on names)."""
-        out: dict[Mono, int] = {}
+        unit_at = {f: unit_key(mapping.get(_NAMES[f], _NAMES[f]))
+                   for f, _ in key_fields(reduce(or_, self._terms, 0))}
+        out: dict[int, int] = {}
         for m, c in self._terms.items():
-            renamed = _canonical_mono((mapping.get(name, name), e) for name, e in m)
-            out[renamed] = out.get(renamed, 0) + c
+            # no exponent sum exceeds the degree, nor a name's degree 2, so
+            # no field carries, and field 0 shows an overflow
+            key = sum(e * unit_at[f] for f, e in key_fields(m))
+            if key & DEGREE > MAX_DEGREE:
+                raise _overflow(key & DEGREE)
+            out[key] = out.get(key, 0) + c
         return IntPolynomial(out)
 
     # -- canonical text / JSON forms ----------------------------------------
 
     def text(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms()):
-            mag = abs(coeff)
-            factors = [
-                name if e == 1 else f"{name}^{e}" for name, e in mono
-            ]
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if i == 0:
-                chunks.append(body if coeff > 0 else "-" + body)
-            else:
-                chunks.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(chunks)
+        out = ""
+        for mono, coeff in self.sorted_terms():
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            if out:
+                out += " - " if coeff < 0 else " + "
+            elif coeff < 0:
+                out = "-"
+            out += "*".join(factors)
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.text()})"
@@ -368,21 +400,16 @@ class IntPolynomial:
             raise ValueError("empty polynomial text")
         if compact == "0":
             return cls.zero()
-        total: dict[Mono, int] = {}
+        total: dict[int, int] = {}
         # A sign right after "^" belongs to an exponent, not to a new term.
         chunks = re.findall(r"[+-]?[^+-]+(?:(?<=\^)[+-][^+-]*)*", compact)
         if "".join(chunks) != compact:
             raise ValueError(f"dangling operator in {text!r}")
         for chunk in chunks:
-            sign = 1
-            if chunk[0] == "+":
-                chunk = chunk[1:]
-            elif chunk[0] == "-":
-                sign = -1
-                chunk = chunk[1:]
+            coeff = -1 if chunk[0] == "-" else 1
+            chunk = chunk[1:] if chunk[0] in "+-" else chunk
             if not chunk:
                 raise ValueError(f"dangling sign in {text!r}")
-            coeff = sign
             mono: list[tuple[str, int]] = []
             for factor in chunk.split("*"):
                 if re.fullmatch(r"\d+", factor):
@@ -395,7 +422,7 @@ class IntPolynomial:
                 if e < 0:
                     raise ValueError(f"negative exponent {e} of {name} in {text!r}")
                 mono.append((name, e))
-            key = _canonical_mono(mono)
+            key = monomial_key(mono)
             total[key] = total.get(key, 0) + coeff
         return cls(total)
 
@@ -407,9 +434,9 @@ class IntPolynomial:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "IntPolynomial":
-        total: dict[Mono, int] = {}
+        total: dict[int, int] = {}
         for entry in obj:
-            mono = _canonical_mono(
+            mono = monomial_key(
                 (str(name), int(e)) for name, e in entry["exponents"]
             )
             total[mono] = total.get(mono, 0) + int(entry["coeff"])

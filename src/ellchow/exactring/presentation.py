@@ -4,7 +4,9 @@ A :class:`GradedPresentation` is a polynomial ring on named generators
 modulo a finite list of homogeneous relations.  Each graded piece is a
 finitely generated abelian group; all computations reduce to integer
 linear algebra on the lattice spanned, in a fixed monomial basis, by the
-products ``monomial * relation`` of the right degree.
+products ``monomial * relation`` of the right degree.  A monomial is its
+packed key (see the ``poly`` module) throughout: a basis is a list of
+keys, a column is found by its key, and a product's key is a sum.
 
 A relation that is ``+1`` or ``-1`` times a squarefree monomial, a
 product of distinct generators such as an incompatible pair of boundary
@@ -33,28 +35,23 @@ relations and kills is the *``x``-free ring*.  Every product row
 ``mono * rel`` lies in the power of ``x`` that ``mono`` carries, so each
 degree's lattice is a direct sum of one block per power of ``x``, and the
 block of ``x^i`` is the ``x``-free lattice ``i * deg(x)`` degrees down,
-with its columns in the same relative order.  When ``x`` is not the first
-symbol the blocks interleave in column order, but their columns are
-still disjoint, so the part of a lattice vector in one block is itself a
-lattice vector.  The lattice then has the pivot columns and leading
-coefficients of its blocks together, and its canonical residue (see the
-``lattice`` module) is the sum of the blocks' residues: the normal form
-of ``f`` is the sum over ``i`` of ``x^i`` times the ``x``-free normal
-form of the ``x^i``-coefficient of ``f``.  A ring with a free symbol
-records the first one in symbol order as ``x`` and caches its ``x``-free
-ring; it reduces, tests for zero and divides there, and builds only
-``x``-free staircases.
+with its columns in the same relative order (interleaved with the other
+blocks' when ``x`` is not the first symbol, but disjoint from them).  Its
+canonical residue (see the ``lattice`` module) is the sum of the blocks'
+residues: the normal form of ``f`` is the sum over ``i`` of ``x^i`` times
+the ``x``-free normal form of the ``x^i``-coefficient of ``f``.  A ring
+with a free symbol records the first one in symbol order as ``x`` and
+caches its ``x``-free ring; it reduces, tests for zero and divides there.
 
 The ``x``-free rings share staircases, not bases: two of them that are
 equal up to an order-preserving renaming of their symbols (same symbol
 degrees in symbol order, same relations in the same order written with
-symbol slots, same kill masks) enumerate the same basis positions,
-each monomial renamed, and have the same product rows, so their
-``lattice(d)`` is the same staircase, built once; each ring enumerates
-its own basis.  The boundary ring of a block depends only on how many
-markings it has, so stratum models whose markings are relabelled in
-symbol order are such rings, e.g. those of ``1 2 3 4|5`` and
-``1|2 3 4 5``.
+symbol slots, same kill masks) enumerate the same basis positions, each
+monomial renamed, and have the same reduced relations and product rows,
+so these and ``lattice(d)`` are built once; each ring enumerates its own
+basis.  A block's boundary ring depends only on how many markings it has,
+so stratum models relabelled in symbol order, e.g. ``1 2 3 4|5`` and
+``1|2 3 4 5``, have such rings.
 """
 
 from __future__ import annotations
@@ -66,17 +63,19 @@ from typing import Iterable, Sequence
 
 from .lattice import Echelon, flat_from_pairs, smith_invariants_of_rows
 from .poly import (
+    DEGREE,
+    FIELD_BITS,
+    MAX_DEGREE,
     IntPolynomial,
-    Mono,
-    mono_degree,
-    symbol_degree,
+    key_fields,
     symbol_key,
+    unit_key,
 )
 
 
-# The staircases of the x-free rings, by signature up to an order-preserving
-# renaming of symbols (see the module docstring).
-_STAIRCASES: dict[tuple, dict[int, Echelon]] = {}
+# The staircases and reduced relation rows of the x-free rings, by signature
+# up to an order-preserving renaming of symbols (see the module docstring).
+_STAIRCASES: dict[tuple, tuple[dict[int, Echelon], dict[int, list[list]]]] = {}
 
 
 class PresentationError(Exception):
@@ -97,104 +96,91 @@ class InvariantFactors:
     torsion: tuple[int, ...]
 
 
-def _pack(shift: dict[str, int], mono: Mono) -> int:
-    """The packed key of ``mono`` under one degree's symbol shifts."""
-    try:
-        return sum(e << shift[nm] for nm, e in mono)
-    except KeyError as err:
-        raise PresentationError(f"unknown symbol {err.args[0]!r}") from None
-
-
 class GradedPresentation:
     """Z[symbols] / (relations), graded by total symbol degree."""
 
-    def __init__(
-        self,
-        symbols: Sequence[str],
-        relations: Iterable[IntPolynomial],
-        name: str = "",
-    ) -> None:
-        ordered = sorted(set(symbols), key=symbol_key)
-        if len(ordered) != len(list(symbols)):
+    def __init__(self, symbols: Sequence[str], relations: Iterable[IntPolynomial],
+                 name: str = "") -> None:
+        given = list(symbols)
+        ordered = sorted(set(given), key=symbol_key)
+        if len(ordered) != len(given):
             raise PresentationError("duplicate symbol names")
         self.symbols: tuple[str, ...] = tuple(ordered)
         self.name = name
-        sym_set = set(ordered)
 
-        # Every internal encoding reads a symbol by its slot, its index in
-        # ``symbols``.  A kill is the bit mask of its slots, filed under its
-        # last slot; a monomial of degree ``d`` packs to its exponents shifted
-        # into bit fields of one width per degree (see ``_columns``).
-        self._slots = {nm: i for i, nm in enumerate(ordered)}
-        self._kills: list[int] = []
+        # A symbol's slot is its index in ``symbols``.  ``_units`` holds each
+        # slot's key, ``_slot_at`` each field's slot, ``_mask`` the bits of the
+        # ring's fields and of field 0 and ``_guard`` their spare top bits.  A
+        # kill is kept as its key and as the mask of its slots, by last slot.
+        self._units = [unit_key(nm) for nm in ordered]
+        shifts = [u.bit_length() - 1 for u in self._units]  # each field's lowest bit
+        self._slot_at = {s // FIELD_BITS: i for i, s in enumerate(shifts)}
+        self._mask = sum(DEGREE << s for s in [0, *shifts])
+        self._guard = sum(MAX_DEGREE + 1 << s for s in [0, *shifts])
+        self._kill_keys: list[int] = []
+        self._kills_at: list[list[int]] = [[] for _ in ordered]
+        covered = 0  # the slots of every kill
         self.relations: list[IntPolynomial] = []
         self._rels_by_degree: dict[int, list[IntPolynomial]] = {}
-        used: set[str] = set()
+        used = 0  # the bits of every relation's keys
 
         for rel in relations:
             if rel.is_zero():
                 continue
-            names = rel.symbols_used()
-            if not names <= sym_set:
-                raise PresentationError(
-                    f"relation uses unknown symbols {sorted(names - sym_set)}")
-            degrees = {mono_degree(m) for m, _ in rel.items()}
+            if any(m | self._mask != self._mask for m, _ in rel.items()):
+                unknown = rel.symbols_used() - set(ordered)
+                raise PresentationError(f"relation uses unknown symbols {sorted(unknown)}")
+            degrees = {m & DEGREE for m, _ in rel.items()}
             if len(degrees) > 1:
                 raise PresentationError(f"relation not homogeneous: {rel.text()}")
-            mono, coeff = next(rel.items())
-            if len(rel) == 1 and coeff in (1, -1) and {e for _, e in mono} == {1}:
-                self._kills.append(sum(1 << self._slots[nm] for nm, _ in mono))
+            key, coeff = next(rel.items())
+            fields = key_fields(key) if len(rel) == 1 and coeff in (1, -1) else ()
+            if fields and {e for _, e in fields} == {1}:
+                kill = sum(1 << self._slot_at[f] for f, _ in fields)
+                self._kill_keys.append(key)
+                self._kills_at[kill.bit_length() - 1].append(kill)
+                covered |= kill
             else:
                 self.relations.append(rel)
                 self._rels_by_degree.setdefault(degrees.pop(), []).append(rel)
-                used |= names
+                for m, _ in rel.items():
+                    used |= m
 
-        self._kills_at: list[list[int]] = [[] for _ in ordered]
-        covered = 0
-        for kill in self._kills:
-            self._kills_at[kill.bit_length() - 1].append(kill)
-            covered |= kill
-
-        self._basis_cache: dict[int, list[Mono]] = {}
-        self._column_cache: dict[int, tuple[dict[str, int], dict[int, int]]] = {}
+        self._basis_cache: dict[int, list[int]] = {}
+        self._column_cache: dict[int, dict[int, int]] = {}
         self._lattice_cache: dict[int, Echelon] = {}
         self._reduced_rels: dict[int, list[list]] = {}
 
         # The first symbol in no relation and no kill, if any; relations are
         # fixed from here on, so it is too.
-        self._free: str | None = next((nm for i, nm in enumerate(ordered)
-                                       if nm not in used and not covered >> i & 1), None)
+        self._free: str | None = next((nm for i, nm in enumerate(ordered) if not (
+            used >> shifts[i] & DEGREE or covered >> i & 1)), None)
 
     # -- monomial bookkeeping ------------------------------------------------
 
     def defining_relations(self) -> list[IntPolynomial]:
         """The relations, then each kill as its squarefree monomial, in
         input order: a list that presents the same ring."""
-        return self.relations + [
-            IntPolynomial.monomial(tuple(
-                (nm, 1) for i, nm in enumerate(self.symbols) if kill >> i & 1
-            ))
-            for kill in self._kills
-        ]
+        return self.relations + [IntPolynomial({key: 1}) for key in self._kill_keys]
 
-    def basis(self, degree: int) -> list[Mono]:
-        """Pruned monomial basis of the given degree, in canonical order
-        (exponent vectors descending-lexicographic over the symbol order)."""
+    def basis(self, degree: int) -> list[int]:
+        """The keys of the pruned monomial basis of the given degree, in
+        canonical order (exponent vectors descending-lexicographic over the
+        symbol order)."""
         cached = self._basis_cache.get(degree)
         if cached is not None:
             return cached
-        if degree < 0:
-            return self._basis_cache.setdefault(degree, [])
-        out = []
-        syms = self.symbols
+        if degree > MAX_DEGREE:
+            raise ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+        out: list[int] = []
+        units = self._units
         kills_at = self._kills_at
-        chosen: list[tuple[str, int]] = []
 
-        def rec(i: int, remaining: int, support: int) -> None:
+        def rec(i: int, remaining: int, key: int, support: int) -> None:
             if remaining == 0:
-                out.append(tuple(chosen))
+                out.append(key)
                 return
-            if i == len(syms):
+            if i == len(units):
                 return
             # Slots are added in order, so a kill lies in the support exactly
             # when it does as its last slot is added.
@@ -203,58 +189,46 @@ class GradedPresentation:
                 if kill & grown == kill:
                     break
             else:
-                nm = syms[i]
-                d = symbol_degree(nm)
+                u = units[i]
+                d = u & DEGREE
                 for e in range(remaining // d, 0, -1):
-                    chosen.append((nm, e))
-                    rec(i + 1, remaining - e * d, grown)
-                    chosen.pop()
-            rec(i + 1, remaining, support)
+                    rec(i + 1, remaining - e * d, key + e * u, grown)
+            rec(i + 1, remaining, key, support)
 
-        rec(0, degree, 0)
+        if degree >= 0:
+            rec(0, degree, 0, 0)
         return self._basis_cache.setdefault(degree, out)
 
-    def _columns(self, degree: int) -> tuple[dict[str, int], dict[int, int]]:
-        """Each symbol's shift and the column of each basis monomial's packed
-        key in one degree (cached).
-
-        Slot ``i`` gets a bit field of width ``degree.bit_length() + 1``
-        (packed exponent vectors, Monagan-Pearce, CASC 2007) whose top bit is
-        spare, always 0 in a key, so that ``_product_rows`` can compare all
-        exponents of two keys at once.  No exponent of a degree-``degree``
-        monomial exceeds ``degree < 2**(width - 1)``, so its key is injective
-        whatever the order of its symbols, the keys of two factors add
-        without carry to the key of the product, and a monomial is killed
-        exactly when its key is missing from the index.
-        """
-        cached = self._column_cache.get(degree)
-        if cached is not None:
-            return cached
-        width = degree.bit_length() + 1
-        shift = {nm: i * width for i, nm in enumerate(self.symbols)}
-        index = {_pack(shift, m): i for i, m in enumerate(self.basis(degree))}
-        return self._column_cache.setdefault(degree, (shift, index))
+    def _columns(self, degree: int) -> dict[int, int]:
+        """The column of each basis monomial of one degree, by its key
+        (cached).  A ring monomial of this degree is killed exactly when its
+        key is missing."""
+        if degree not in self._column_cache:
+            self._column_cache[degree] = {key: i for i, key in enumerate(self.basis(degree))}
+        return self._column_cache[degree]
 
     def vector(self, f: IntPolynomial, degree: int) -> list:
         """Flat coordinate row of a homogeneous polynomial in the pruned
         basis; killed monomials project to zero."""
-        shift, index = self._columns(degree)
+        index = self._columns(degree)
+        mask = self._mask
         pairs: list[tuple[int, int]] = []
-        for mono, coeff in f.items():
-            if mono_degree(mono) != degree:
-                raise PresentationError(
-                    f"term {IntPolynomial.monomial(mono, coeff).text()} "
-                    f"is not of degree {degree}"
-                )
-            col = index.get(_pack(shift, mono))
+        for key, coeff in f.items():
+            col = index.get(key)
             if col is not None:
                 pairs.append((col, coeff))
+                continue
+            term = IntPolynomial({key: coeff})
+            if key | mask != mask:
+                unknown = min(term.symbols_used() - set(self.symbols), key=symbol_key)
+                raise PresentationError(f"unknown symbol {unknown!r}")
+            if key & DEGREE != degree:
+                raise PresentationError(f"term {term.text()} is not of degree {degree}")
         return flat_from_pairs(pairs)
 
     def from_vector(self, flat: list, degree: int) -> IntPolynomial:
         basis = self.basis(degree)
-        terms = {basis[flat[i]]: flat[i + 1] for i in range(0, len(flat), 2)}
-        return IntPolynomial(terms)
+        return IntPolynomial({basis[col]: c for col, c in zip(flat[::2], flat[1::2])})
 
     # -- the relation lattice -------------------------------------------------
 
@@ -276,30 +250,27 @@ class GradedPresentation:
         the module docstring from ``m' * LM(r_i) = m' * (r_i - tail(r_i))``).
         A multiplier scans for the first such ``r_p`` and keeps ``j <= p``.
 
-        The column of a product is looked up in the packed index that
-        ``vector`` reads, by the sum of its factors' keys (see ``_columns``).
-        Distinct relation monomials have distinct products, so a row is its
-        sorted pairs.  A unit leader is the key of its relation's first term;
-        ``guard`` sets the spare top bit of every field, and a field's top
-        bit survives ``(key | guard) - lead`` without a borrow into the next
-        field exactly when its exponent in ``key`` is at least the leader's.
+        The column of a product is looked up in the index that ``vector``
+        reads, by the sum of its factors' keys.  Distinct relation monomials
+        have distinct products, so a row is its sorted pairs.  A unit leader
+        is the key of its relation's first term; ``guard`` sets the spare top
+        bit of field 0 and of every field of the ring, and such a bit
+        survives ``(key | guard) - lead`` without a borrow into the next
+        field exactly when that field of ``key`` is at least the leader's.
         """
-        shift, index = self._columns(degree)
-        guard = sum(1 << s + degree.bit_length() for s in shift.values())
+        index = self._columns(degree)
+        guard = self._guard
 
         earlier: list[tuple[int, int]] = []  # lower degrees' unit leaders
         for delta in sorted(d for d in self._rels_by_degree if d <= degree):
             rows, basis = self._reduced_relations(delta), self.basis(delta)
-            rel_terms = [
-                [(_pack(shift, basis[col]), c) for col, c in zip(r[::2], r[1::2])]
-                for r in rows
-            ]
+            rel_terms = [[(basis[col], c) for col, c in zip(r[::2], r[1::2])] for r in rows]
             # a multiple of the unit leader of relation j keeps rows 0..j
             cuts = earlier + [(j + 1, terms[0][0])
                               for j, terms in enumerate(rel_terms) if terms[0][1] == 1]
             earlier += [(0, lead) for _, lead in cuts[len(earlier):]]
-            for mono in self.basis(degree - delta) if rows else ():
-                probe = guard | (key := _pack(shift, mono))
+            for key in self.basis(degree - delta) if rows else ():
+                probe = guard | key
                 keep = next((n for n, lead in cuts if probe - lead & guard == guard),
                             len(rows))
                 for terms in rel_terms[:keep]:
@@ -348,17 +319,17 @@ class GradedPresentation:
         """The canonical staircase residue of ``f``; with a free symbol, the
         residue taken one coefficient at a time in the ring without the
         free one (see the module docstring)."""
+        if not f:
+            return f
         x = self._free
         if x is not None:
             core = self._x_free
             return IntPolynomial.from_coefficients_in(
                 x, {i: core.normal_form(part) for i, part in f.coefficients_in(x).items()}
             )
-        total = IntPolynomial.zero()
-        for d, comp in f.homogeneous_components().items():
-            residue = self.lattice(d).residue(self.vector(comp, d))
-            total = total + self.from_vector(residue, d)
-        return total
+        parts = [self.from_vector(self.lattice(d).residue(self.vector(comp, d)), d)
+                 for d, comp in f.homogeneous_components().items()]
+        return parts[0] if len(parts) == 1 else sum(parts, IntPolynomial.zero())
 
     def smith_invariants(self, degree: int) -> InvariantFactors:
         diag = smith_invariants_of_rows(self.lattice(degree).rows)
@@ -369,9 +340,7 @@ class GradedPresentation:
         )
 
     def hilbert_function(self, d_max: int) -> list[int]:
-        return [
-            len(self.basis(d)) - self.lattice(d).rank for d in range(d_max + 1)
-        ]
+        return [len(self.basis(d)) - self.lattice(d).rank for d in range(d_max + 1)]
 
     # -- division ----------------------------------------------------------------
 
@@ -385,18 +354,14 @@ class GradedPresentation:
             self.defining_relations(),
             name=f"{self.name} without {self._free}",
         )
-        signature = (
-            tuple(symbol_degree(nm) for nm in ring.symbols),
-            tuple(
-                tuple(sorted(
-                    (tuple((ring._slots[nm], e) for nm, e in mono), coeff)
-                    for mono, coeff in rel.items()
-                ))
-                for rel in ring.relations
-            ),
-            tuple(sorted(ring._kills)),
-        )
-        ring._lattice_cache = _STAIRCASES.setdefault(signature, ring._lattice_cache)
+        slots = ring._slot_at  # a relation's terms written with slots, sorted
+        relations = tuple(tuple(sorted(
+            (sum(e << FIELD_BITS * slots[f] for f, e in key_fields(key)), coeff)
+            for key, coeff in rel.items())) for rel in ring.relations)
+        kills = tuple(sorted(kill for at in ring._kills_at for kill in at))
+        signature = (tuple(u & DEGREE for u in ring._units), relations, kills)
+        ring._lattice_cache, ring._reduced_rels = _STAIRCASES.setdefault(
+            signature, (ring._lattice_cache, ring._reduced_rels))
         return ring
 
     def divide_in_quotient(
@@ -425,8 +390,8 @@ class GradedPresentation:
         x = self._free
         divisor = c.coefficients_in(x) if x is not None else {}
         top = max(divisor, default=0)
-        lead = divisor.pop(top, 0)
-        if lead != 1 and lead != -1:
+        lead = divisor.pop(top, IntPolynomial.zero())
+        if len(lead) != 1 or abs(lead.constant()) != 1:
             raise PresentationError(
                 f"divisor {c.text()} has no leading coefficient +1 or -1 in "
                 f"the first symbol free of the relations"

@@ -110,12 +110,18 @@ def incompatible_products(
 
 def keel_presentation(markings: Sequence[int]) -> KeelRing:
     """Divisor presentation of the genus-zero space on ``markings`` plus one
-    implicit point."""
-    ms = tuple(sorted(set(markings)))
-    if len(ms) != len(tuple(markings)):
+    implicit point (cached per marking set)."""
+    given = tuple(markings)
+    ms = tuple(sorted(set(given)))
+    if len(ms) != len(given):
         raise ValueError("repeated markings")
     if len(ms) < 2:
         raise ValueError("need at least two markings")
+    return _keel_ring(ms)
+
+
+@lru_cache(maxsize=None)
+def _keel_ring(ms: tuple[int, ...]) -> KeelRing:
     subsets = [
         t for size in range(2, len(ms)) for t in combinations(ms, size)
     ]

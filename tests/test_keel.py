@@ -46,6 +46,15 @@ def test_rejects_bad_markings():
         keel_presentation([1, 1, 2])
 
 
+def test_keel_ring_is_built_once_per_marking_set():
+    ring = keel_presentation([3, 1, 2])
+    assert ring.markings == (1, 2, 3)
+    assert keel_presentation(iter((1, 2, 3))) is ring
+    assert keel_presentation([1, 2, 4]) is not ring
+    with pytest.raises(ValueError, match="^repeated markings$"):
+        keel_presentation(iter((1, 2, 2)))
+
+
 def test_divisor_lookup():
     ring = keel_presentation([2, 4, 7, 9])
     assert ring.divisor([4, 2]).text() == "d{2,4}"

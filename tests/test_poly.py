@@ -1,18 +1,28 @@
 """Exact multivariate integer polynomials: arithmetic, ordering, text and
 JSON round-trips, substitution."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellchow import GradedPresentation, IntPolynomial
 from ellchow.exactring.poly import (
+    MAX_DEGREE,
     name_elements,
     subset_name,
     symbol_degree,
     symbol_key,
+    unit_key,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 L = IntPolynomial.symbol("l")
@@ -115,7 +125,7 @@ def test_ring_axioms_spot():
 def test_integer_coefficients_exact():
     big = 10**40
     f = big * L
-    assert (f * f).coefficient((("l", 2),)) == big * big
+    assert f * f == IntPolynomial.monomial((("l", 2),), big * big)
 
 
 def test_power():
@@ -245,6 +255,103 @@ def test_symbol_names_a_negative_exponent_like_monomial():
     assert IntPolynomial.symbol("l", 0) == IntPolynomial.one()
 
 
+def test_degree_at_the_top_of_a_field_fits():
+    # 127 fills l's field and field 0 up to their spare top bits
+    top = L**MAX_DEGREE
+    assert top == L**64 * L**63 == IntPolynomial.symbol("l", MAX_DEGREE)
+    assert top.text() == f"l^{MAX_DEGREE}" and top.degree() == MAX_DEGREE
+    assert top.coefficients_in("l") == {MAX_DEGREE: IntPolynomial.one()}
+    assert (NU**63 * L).degree() == MAX_DEGREE
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: L**100 * L**100,
+        lambda: L**200,
+        lambda: L**MAX_DEGREE * XI,
+        lambda: NU**64,
+        lambda: IntPolynomial.symbol("l", 10**3),
+        lambda: IntPolynomial.monomial((("l", 100), ("xi", 28))),
+        lambda: IntPolynomial.parse("l^128"),
+        lambda: IntPolynomial.from_json_obj([{"coeff": 1, "exponents": [["nu", 64]]}]),
+        lambda: IntPolynomial.from_coefficients_in("l", {128: IntPolynomial.one()}),
+        lambda: IntPolynomial.from_coefficients_in("l", {100: L**28}),
+        lambda: (L**101 * XI).substitute({"xi": L**27 + XI**27}),
+        lambda: (L**101 * XI).substitute({"xi": L**27}),
+        lambda: (L**100 * XI).rename_symbols({"xi": "nu"}) * L**27,
+        lambda: (L**64 * XI**63).rename_symbols({"xi": "nu"}),
+    ],
+)
+def test_a_degree_past_the_field_raises(build):
+    # an exponent or degree that would reach a field's spare bit raises
+    # instead of carrying into the next field
+    with pytest.raises(ValueError, match="exceeds 127"):
+        build()
+
+
+INTERNING_ORDER = """
+import json, sys
+from ellchow import SetPartition, ell_class, gorenstein_presentation
+from ellchow.exactring import IntPolynomial, subset_name
+from itertools import combinations
+
+names = ["l", "nu", "xi"] + [
+    subset_name(p, b) for p in "dt" for k in (2, 3, 4)
+    for b in combinations(range(1, 5), k)
+]
+for name in (names if sys.argv[1] == "forward" else names[::-1]):
+    IntPolynomial.symbol(name)
+value = ell_class(4, SetPartition.parse("1 2|3 4", 4))
+pres = gorenstein_presentation(4)
+rest = pres.normal_form(value * IntPolynomial.parse("l + t{1,2}"))
+for f in (value, rest, IntPolynomial.parse("d{2,3}*t{1,2} + xi^2*nu - l")):
+    print(f.text())
+    print(json.dumps(f.to_json_obj()))
+"""
+
+
+def test_output_does_not_depend_on_the_order_names_are_interned():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", INTERNING_ORDER, order],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120, check=True,
+        ).stdout
+        for order in ("forward", "backward")
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 6
+    json.loads(outputs[0].splitlines()[1])
+
+
+def test_concurrent_interning_gives_each_name_its_own_field():
+    # fresh names interned from more threads than cores, switching often
+    names = [[f"d{{{1000 + 10 * k + j},{2000 + k}}}" for j in range(8)] for k in range(6)]
+    units: dict[str, int] = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda batch=batch: units.update(
+                (name, unit_key(name)) for name in batch))
+            for batch in names
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    flat = [name for batch in names for name in batch]
+    assert sorted(units) == sorted(flat)
+    assert len(set(units.values())) == len(flat)
+    for name in flat:
+        assert unit_key(name) == units[name]
+        assert IntPolynomial.symbol(name).symbols_used() == {name}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -320,7 +427,7 @@ def test_distributivity_random(a, b, c):
 
 def substitute_term_by_term(f, images):
     total = IntPolynomial.zero()
-    for mono, coeff in f.items():
+    for mono, coeff in f.sorted_terms():
         term = IntPolynomial.const(coeff)
         for name, e in mono:
             term = term * images.get(name, IntPolynomial.symbol(name)) ** e

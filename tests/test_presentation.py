@@ -2,7 +2,11 @@
 factors, and exact division in the quotient."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,9 @@ from ellchow.exactring import (
     symbol_degree,
     symbol_key,
 )
+from ellchow.exactring.poly import MAX_DEGREE
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 L = IntPolynomial.symbol("l")
@@ -55,6 +62,15 @@ def test_vector_rejects_foreign_symbols():
     pres = free_ring("l")
     with pytest.raises(PresentationError, match=r"^unknown symbol 'nu'$"):
         pres.vector(NU, 2)
+    with pytest.raises(PresentationError, match=r"^unknown symbol 'xi'$"):
+        pres.vector(L - X, 1)
+
+
+def test_symbols_are_read_once():
+    pres = GradedPresentation(iter(["xi", "l"]), [])
+    assert pres.symbols == ("l", "xi")
+    with pytest.raises(PresentationError, match="^duplicate symbol names$"):
+        GradedPresentation(iter(["l", "l"]), [])
 
 
 # -- basis enumeration --------------------------------------------------------
@@ -70,13 +86,13 @@ def test_free_ring_basis_counts():
 
 def test_basis_canonical_order():
     pres = free_ring("l", "xi")
-    names = [IntPolynomial.monomial(m).text() for m in pres.basis(2)]
+    names = [IntPolynomial({m: 1}).text() for m in pres.basis(2)]
     assert names == ["l^2", "l*xi", "xi^2"]
 
 
 def test_squarefree_kill_prunes_basis():
     pres = GradedPresentation(sym("l", "xi"), (L * X,))
-    texts = [IntPolynomial.monomial(m).text() for m in pres.basis(2)]
+    texts = [IntPolynomial({m: 1}).text() for m in pres.basis(2)]
     assert texts == ["l^2", "xi^2"]
 
 
@@ -129,7 +145,9 @@ def test_basis_and_kill_test_match_brute_force(ring):
             any(kill <= {nm for nm, _ in mono} for kill in kills) for mono in monos
         ]
         basis = [m for m, k in zip(monos, killed) if not k]
-        assert pres.basis(d) == basis
+        assert [IntPolynomial({m: 1}) for m in pres.basis(d)] == [
+            IntPolynomial.monomial(m) for m in basis
+        ]
         # a monomial is killed exactly when it has no column
         for mono, k in zip(monos, killed):
             column = [] if k else [basis.index(mono), 1]
@@ -187,7 +205,7 @@ def test_normal_form_splits_on_a_free_symbol_after_the_first(symbols, relations)
     for d in range(6):
         for _ in range(5):
             f = sum(
-                (rng.randint(-60, 60) * IntPolynomial.monomial(m)
+                (rng.randint(-60, 60) * IntPolynomial({m: 1})
                  for m in pres.basis(d)),
                 IntPolynomial.zero(),
             )
@@ -240,12 +258,12 @@ def test_unit_monomials_with_repeated_factors_are_lattice_rows():
 
 
 def test_vector_maps_a_non_canonical_monomial_to_its_column():
-    # a monomial's packed key does not depend on the order of its symbols
+    # a monomial's key does not depend on the order of its symbols
     pres = GradedPresentation(sym("l", "xi"), (L**2,))
-    assert pres.vector(IntPolynomial({(("xi", 1), ("l", 1)): 1}), 2) == (
+    assert pres.vector(IntPolynomial.monomial((("xi", 1), ("l", 1))), 2) == (
         pres.vector(L * X, 2)
     )
-    assert pres.vector(IntPolynomial({(("l", 1), ("l", 1)): 1}), 2) == (
+    assert pres.vector(IntPolynomial.monomial((("l", 1), ("l", 1))), 2) == (
         pres.vector(L**2, 2)
     )
 
@@ -261,12 +279,12 @@ def test_vector_maps_a_non_canonical_monomial_to_its_column():
     ids=["hand-built", "keel5"],
 )
 def test_packed_column_index_is_injective(build):
-    # degrees 1, 2, 4 and 8 are where the field width steps up; one bit
-    # less would merge l^2 with nu, or every degree-1 symbol
+    # every basis monomial has its own key, nu's included, whose degree
+    # field reads 2 for one exponent
     pres = build()
     for d in range(9):
         for i, mono in enumerate(pres.basis(d)):
-            assert pres.vector(IntPolynomial.monomial(mono), d) == [i, 1], (d, mono)
+            assert pres.vector(IntPolynomial({mono: 1}), d) == [i, 1], (d, mono)
 
 
 def test_vector_drops_killed_monomials():
@@ -321,9 +339,12 @@ def test_smith_invariants_of_staircase_match_raw_product_rows(build, top):
 
 
 def divides(a, b):
-    """Whether the monomial ``a`` divides ``b``, exponent by exponent."""
-    exps = dict(b)
-    return all(exps.get(nm, 0) >= e for nm, e in a)
+    """Whether the monomial of key ``a`` divides that of key ``b``,
+    exponent by exponent."""
+    [(mono_a, _)] = IntPolynomial({a: 1}).sorted_terms()
+    [(mono_b, _)] = IntPolynomial({b: 1}).sorted_terms()
+    exps = dict(mono_b)
+    return all(exps.get(nm, 0) >= e for nm, e in mono_a)
 
 
 def reference_product_rows(pres, d, criterion=True):
@@ -346,7 +367,7 @@ def reference_product_rows(pres, d, criterion=True):
                     for _, lead, coeff, _ in rels[:j]
                 ):
                     continue
-                row = pres.vector(IntPolynomial.monomial(mono) * rel, d)
+                row = pres.vector(IntPolynomial({mono: 1}) * rel, d)
                 if row:
                     rows.append(row)
     return rows
@@ -404,11 +425,16 @@ def test_packed_product_rows_equal_polynomial_products(pres):
 
 
 def test_packed_product_rows_at_the_edge_of_the_field_width():
-    # l^d times a multiplier fills l's field with d, the largest exponent a
-    # degree-d monomial has; one bit less would carry it into xi's field
+    # In degree MAX_DEGREE, l^MAX_DEGREE fills l's field and field 0 up to
+    # their spare top bits, which the product criterion's guard reads; one
+    # degree more has no keys
     pres = GradedPresentation(sym("l", "xi"), (2 * L - 3 * X, 5 * L**2))
     assert_rows_match_products(pres)
-    assert pres.vector(5 * L**4, 4) in list(pres._product_rows(4))
+    rows = list(pres._product_rows(MAX_DEGREE))
+    assert rows == reference_product_rows(pres, MAX_DEGREE)
+    assert pres.vector(5 * L**MAX_DEGREE, MAX_DEGREE) in rows
+    with pytest.raises(ValueError, match=f"exceeds {MAX_DEGREE}"):
+        pres.basis(MAX_DEGREE + 1)
 
 
 def staircase_shape(ech):
@@ -442,6 +468,57 @@ def test_product_criterion_row_counts_on_the_six_marking_genus_zero_ring():
     pres = keel_presentation(range(1, 7)).presentation
     counts = [sum(1 for _ in pres._product_rows(d)) for d in (3, 4)]
     assert counts == [4586, 16106]
+
+
+SHARED_REDUCTION = """
+import sys
+from ellchow.exactring import Echelon, GradedPresentation, IntPolynomial
+
+inserted = 0
+insert = Echelon.insert
+
+
+def counting(self, row):
+    global inserted
+    inserted += 1
+    return insert(self, row)
+
+
+Echelon.insert = counting
+P = IntPolynomial.parse
+
+
+def ring(a, b):
+    # l is free, and the l-free rings are equal up to renaming
+    return GradedPresentation(["l", a, b], [P(f"2*{a} + 3*{b}"), P(f"{a}^2 - 5*{b}^2")])
+
+
+first, second = ring("t{1,2}", "t{1,3}"), ring("d{1,2}", "d{1,3}")
+queries = [
+    (first, P("t{1,2}^2 + l*t{1,2}*t{1,3}")),
+    (first, P("t{1,2}^3")),
+    (second, P("d{1,3}^3 + l^2*d{1,2}")),
+]
+if sys.argv[1] == "second first":
+    queries = queries[2:] + queries[:2]
+forms = sorted(pres.normal_form(f).text() for pres, f in queries)
+print(inserted, forms)
+"""
+
+
+def test_renamed_rings_insert_the_same_rows_in_either_order():
+    # The second ring to reach a shared staircase reuses the first one's
+    # reduced relations as well, so the row count does not depend on the
+    # order in which the rings are built
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", SHARED_REDUCTION, order],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120, check=True,
+        ).stdout
+        for order in ("first first", "second first")
+    }
+    assert len(outputs) == 1, outputs
 
 
 # -- division in the quotient --------------------------------------------------
