@@ -119,7 +119,7 @@ def _overflow(degree: int) -> ValueError:
     return ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
 
 
-def monomial_key(pairs: Iterable[tuple[str, int]]) -> int:
+def _monomial_key(pairs: Iterable[tuple[str, int]]) -> int:
     """The key of the monomial of ``(name, exponent)`` pairs; repeated
     names multiply and zero exponents drop out."""
     key = degree = 0
@@ -186,7 +186,7 @@ class IntPolynomial:
 
     @classmethod
     def monomial(cls, mono: Iterable[tuple[str, int]], coeff: int = 1) -> "IntPolynomial":
-        return cls({monomial_key(mono): coeff})
+        return cls({_monomial_key(mono): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -248,7 +248,7 @@ class IntPolynomial:
         ``name^e`` times ``parts[e]``, each part free of ``name``."""
         terms: dict[int, int] = {}
         for e, part in parts.items():
-            terms.update(_terms_product(part._terms, {monomial_key(((name, e),)): 1}))
+            terms.update(_terms_product(part._terms, {_monomial_key(((name, e),)): 1}))
         return _poly(terms)
 
     # -- arithmetic --------------------------------------------------------
@@ -363,13 +363,15 @@ class IntPolynomial:
 
     def rename_symbols(self, mapping: Mapping[str, str]) -> "IntPolynomial":
         """Pure symbol renaming (a degree-preserving bijection on names)."""
-        unit_at = {f: unit_key(mapping.get(_NAMES[f], _NAMES[f]))
-                   for f, _ in key_fields(reduce(or_, self._terms, 0))}
+        unit_at: dict[int, int] = {}  # the key of each field's new name
         out: dict[int, int] = {}
         for m, c in self._terms.items():
-            # no exponent sum exceeds the degree, nor a name's degree 2, so
-            # no field carries, and field 0 shows an overflow
-            key = sum(e * unit_at[f] for f, e in key_fields(m))
+            key = 0
+            for f, e in key_fields(m):
+                if f not in unit_at:
+                    unit_at[f] = unit_key(mapping.get(_NAMES[f], _NAMES[f]))
+                key += e * unit_at[f]
+            # no field carries: no exponent sum exceeds the degree, nor a name's degree 2
             if key & DEGREE > MAX_DEGREE:
                 raise _overflow(key & DEGREE)
             out[key] = out.get(key, 0) + c
@@ -422,7 +424,7 @@ class IntPolynomial:
                 if e < 0:
                     raise ValueError(f"negative exponent {e} of {name} in {text!r}")
                 mono.append((name, e))
-            key = monomial_key(mono)
+            key = _monomial_key(mono)
             total[key] = total.get(key, 0) + coeff
         return cls(total)
 
@@ -436,7 +438,7 @@ class IntPolynomial:
     def from_json_obj(cls, obj: list[dict]) -> "IntPolynomial":
         total: dict[int, int] = {}
         for entry in obj:
-            mono = monomial_key(
+            mono = _monomial_key(
                 (str(name), int(e)) for name, e in entry["exponents"]
             )
             total[mono] = total.get(mono, 0) + int(entry["coeff"])

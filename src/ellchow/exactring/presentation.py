@@ -200,9 +200,8 @@ class GradedPresentation:
         return self._basis_cache.setdefault(degree, out)
 
     def _columns(self, degree: int) -> dict[int, int]:
-        """The column of each basis monomial of one degree, by its key
-        (cached).  A ring monomial of this degree is killed exactly when its
-        key is missing."""
+        """The column of each basis key of one degree (cached); a monomial of
+        the ring and this degree is killed exactly when its key is missing."""
         if degree not in self._column_cache:
             self._column_cache[degree] = {key: i for i, key in enumerate(self.basis(degree))}
         return self._column_cache[degree]
