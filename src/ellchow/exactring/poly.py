@@ -371,7 +371,8 @@ class IntPolynomial:
                 if f not in unit_at:
                     unit_at[f] = unit_key(mapping.get(_NAMES[f], _NAMES[f]))
                 key += e * unit_at[f]
-            # no field carries: no exponent sum exceeds the degree, nor a name's degree 2
+            # a new field sums at most the degree's worth of exponents and field 0 at
+            # most twice the degree: nothing carries, and field 0 shows an overflow
             if key & DEGREE > MAX_DEGREE:
                 raise _overflow(key & DEGREE)
             out[key] = out.get(key, 0) + c

@@ -353,7 +353,7 @@ class GradedPresentation:
             self.defining_relations(),
             name=f"{self.name} without {self._free}",
         )
-        slots = ring._slot_at  # a relation's terms written with slots, sorted
+        slots = ring._slot_at  # to write each relation term with slots
         relations = tuple(tuple(sorted(
             (sum(e << FIELD_BITS * slots[f] for f, e in key_fields(key)), coeff)
             for key, coeff in rel.items())) for rel in ring.relations)
