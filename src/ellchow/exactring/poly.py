@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 import threading
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator, Mapping
 
@@ -226,7 +227,9 @@ class IntPolynomial:
         return {d: _poly(t) for d, t in sorted(buckets.items())}
 
     def symbols_used(self) -> set[str]:
-        return {_NAMES[f] for f, _ in key_fields(reduce(or_, self._terms, 0))}
+        support = reduce(or_, self._terms, 0)
+        raw = support.to_bytes((support.bit_length() + 7) >> 3, "little")
+        return set(compress(_NAMES, raw)) - {""}  # "" names field 0, the degree
 
     def constant(self) -> int:
         return self._terms.get(0, 0)
@@ -401,8 +404,6 @@ class IntPolynomial:
         compact = re.sub(r"\s+", "", text)
         if not compact:
             raise ValueError("empty polynomial text")
-        if compact == "0":
-            return cls.zero()
         total: dict[int, int] = {}
         # A sign right after "^" belongs to an exponent, not to a new term.
         chunks = re.findall(r"[+-]?[^+-]+(?:(?<=\^)[+-][^+-]*)*", compact)

@@ -210,7 +210,6 @@ class GradedPresentation:
         """Flat coordinate row of a homogeneous polynomial in the pruned
         basis; killed monomials project to zero."""
         index = self._columns(degree)
-        mask = self._mask
         pairs: list[tuple[int, int]] = []
         for key, coeff in f.items():
             col = index.get(key)
@@ -218,7 +217,7 @@ class GradedPresentation:
                 pairs.append((col, coeff))
                 continue
             term = IntPolynomial({key: coeff})
-            if key | mask != mask:
+            if key | self._mask != self._mask:
                 unknown = min(term.symbols_used() - set(self.symbols), key=symbol_key)
                 raise PresentationError(f"unknown symbol {unknown!r}")
             if key & DEGREE != degree:
