@@ -153,7 +153,7 @@ def _terms_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]
 
 
 def _poly(terms: dict[int, int]) -> "IntPolynomial":
-    """The polynomial of ``terms``: a new dict without zero coefficients."""
+    """The polynomial of ``terms``, a dict of its own with no zero coefficient."""
     res = IntPolynomial.__new__(IntPolynomial)
     res._terms = terms
     return res
