@@ -30,6 +30,7 @@ from typing import Sequence
 
 from .corering import ClassTableError
 from .exactring import IntPolynomial, PresentationError
+from .exactring.poly import MAX_DEGREE
 from .keel import keel_presentation, mzero_point_poly
 from .modular import getzler_check, qstable_presentation, torsion_report
 from .partitions import (
@@ -256,6 +257,8 @@ def _cmd_hilbert(args) -> tuple[dict, list[str]]:
     q = _parse_space(args.n, args.space)
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"degree {args.degree} is negative")
+    if args.degree is not None and args.degree > MAX_DEGREE:
+        raise ValueError(f"degree {args.degree} exceeds {MAX_DEGREE}, the largest monomial degree")
     pres = qstable_presentation(args.n, q)
     ranks = pres.hilbert_function(args.n if args.degree is None else args.degree)
     payload = {"space": pres.name, "ranks": ranks}

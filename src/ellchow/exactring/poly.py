@@ -38,7 +38,7 @@ import threading
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 # A field is one byte, so ``int.to_bytes`` reads a key field by field.
 FIELD_BITS = 8
@@ -165,6 +165,10 @@ class IntPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
+        """The polynomial of the given coefficient of each monomial key."""
+        for m in terms or ():
+            if type(m) is not int or m < 0:
+                raise TypeError(f"monomial key {m!r} is not a non-negative int")
         self._terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
@@ -284,8 +288,8 @@ class IntPolynomial:
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            return self if other == 1 else IntPolynomial(
-                {m: c * other for m, c in self._terms.items()})
+            return self if other == 1 else _poly(
+                {m: c * other for m, c in self._terms.items()} if other else {})
         return _poly(_terms_product(self._terms, other._terms))
 
     __rmul__ = __mul__
@@ -317,9 +321,10 @@ class IntPolynomial:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, images: Mapping[str, "IntPolynomial"]) -> "IntPolynomial":
+    def substitute(self, images: Mapping[str, "IntPolynomial"] | Callable) -> "IntPolynomial":
         """Ring-homomorphic substitution; names absent from ``images`` map to
-        themselves.
+        themselves.  ``images`` may instead be a function giving the image of
+        every name the polynomial uses, each asked for once.
 
         A term with a factor whose image is zero meets the mask ``zero`` of
         those fields and is skipped.  Every other term walks its fields: a
@@ -327,8 +332,9 @@ class IntPolynomial:
         coefficient, and only images with several terms are multiplied."""
         image_at: dict[int, dict[int, int]] = {}  # the nonzero images by field
         zero = 0
+        image_of = images if callable(images) else images.get
         for f, _ in key_fields(reduce(or_, self._terms, 0)):
-            image = images.get(_NAMES[f])
+            image = image_of(_NAMES[f])
             if image is None:
                 image_at[f] = {_UNITS[_NAMES[f]]: 1}
             elif image:
@@ -362,24 +368,27 @@ class IntPolynomial:
                 term = _terms_product(term, power)
             for k, v in term.items():
                 total[k] = total.get(k, 0) + v
-        return IntPolynomial(total)
+        return _poly({k: v for k, v in total.items() if v})
 
-    def rename_symbols(self, mapping: Mapping[str, str]) -> "IntPolynomial":
-        """Pure symbol renaming (a degree-preserving bijection on names)."""
+    def rename_symbols(self, mapping: Mapping[str, str] | Callable) -> "IntPolynomial":
+        """Pure symbol renaming (a degree-preserving bijection on names);
+        names absent from ``mapping`` keep theirs.  ``mapping`` may instead be
+        a function giving the new name of every name, each asked for once."""
+        rename = mapping if callable(mapping) else lambda nm: mapping.get(nm, nm)
         unit_at: dict[int, int] = {}  # the key of each field's new name
         out: dict[int, int] = {}
         for m, c in self._terms.items():
             key = 0
             for f, e in key_fields(m):
                 if f not in unit_at:
-                    unit_at[f] = unit_key(mapping.get(_NAMES[f], _NAMES[f]))
+                    unit_at[f] = unit_key(rename(_NAMES[f]))
                 key += e * unit_at[f]
             # a new field sums at most the degree's worth of exponents and field 0 at
             # most twice the degree: nothing carries, and field 0 shows an overflow
             if key & DEGREE > MAX_DEGREE:
                 raise _overflow(key & DEGREE)
             out[key] = out.get(key, 0) + c
-        return IntPolynomial(out)
+        return _poly({k: v for k, v in out.items() if v})
 
     # -- canonical text / JSON forms ----------------------------------------
 

@@ -52,6 +52,22 @@ so these and ``lattice(d)`` are built once; each ring enumerates its own
 basis.  A block's boundary ring depends only on how many markings it has,
 so stratum models relabelled in symbol order, e.g. ``1 2 3 4|5`` and
 ``1|2 3 4 5``, have such rings.
+
+A *degree map* of the ring without its free symbol (the ring itself if it
+has none) is a monomial ``m*`` of degree ``t`` and a map ``∫`` on monomials
+such that the degree-``t`` lattice is ``ker ∫``, ``∫(m*) = ±1`` (checked
+when first used) and ``∫`` vanishes on every lex-smaller monomial.  There
+``e_j - ∫(e_j) ∫(m*) m*`` leads at any column ``j`` left of ``m*``, and
+``e_j`` at any to its right, so every column but ``m*``'s is a pivot with
+leading coefficient 1, and no vector of ``ker ∫`` leads at ``m*``.  The
+canonical residue of ``f`` is therefore ``∫(f) ∫(m*) m*``: no staircase is
+built in degree ``t``.  For a stratum model without ``l`` or ``xi``, a
+tensor product of Keel rings, ``∫`` is the product of the blocks' degree
+maps: Keel's ring is free with top piece ``Z`` carried by ``∫``, and so is a
+tensor product of such rings.  ``m*`` is the product of each block's last
+divisor to the block's dimension: a monomial of nonzero integral has that
+degree in each block, whose last divisor follows its others in symbol
+order, so where it first differs from ``m*`` its exponent is the larger.
 """
 
 from __future__ import annotations
@@ -59,7 +75,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lattice import Echelon, flat_from_pairs, smith_invariants_of_rows
 from .poly import (
@@ -67,6 +83,7 @@ from .poly import (
     FIELD_BITS,
     MAX_DEGREE,
     IntPolynomial,
+    _poly,
     key_fields,
     symbol_key,
     unit_key,
@@ -100,7 +117,8 @@ class GradedPresentation:
     """Z[symbols] / (relations), graded by total symbol degree."""
 
     def __init__(self, symbols: Sequence[str], relations: Iterable[IntPolynomial],
-                 name: str = "") -> None:
+                 name: str = "", degree_map: tuple[IntPolynomial, Callable] | None = None
+                 ) -> None:
         given = list(symbols)
         ordered = sorted(set(given), key=symbol_key)
         if len(ordered) != len(given):
@@ -150,6 +168,10 @@ class GradedPresentation:
         self._column_cache: dict[int, dict[int, int]] = {}
         self._lattice_cache: dict[int, Echelon] = {}
         self._reduced_rels: dict[int, list[list]] = {}
+        # The degree map of the ring without its free symbol, its values by
+        # key, and the key of its m* (see the module docstring).
+        self._degree_map, self._integrals = degree_map, {}
+        self._star = next(degree_map[0].items())[0] if degree_map else None
 
         # The first symbol in no relation and no kill, if any; relations are
         # fixed from here on, so it is too.
@@ -226,7 +248,7 @@ class GradedPresentation:
 
     def from_vector(self, flat: list, degree: int) -> IntPolynomial:
         basis = self.basis(degree)
-        return IntPolynomial({basis[col]: c for col, c in zip(flat[::2], flat[1::2])})
+        return _poly({basis[col]: c for col, c in zip(flat[::2], flat[1::2])})
 
     # -- the relation lattice -------------------------------------------------
 
@@ -316,7 +338,8 @@ class GradedPresentation:
     def normal_form(self, f: IntPolynomial) -> IntPolynomial:
         """The canonical staircase residue of ``f``; with a free symbol, the
         residue taken one coefficient at a time in the ring without the
-        free one (see the module docstring)."""
+        free one, and in a degree map's degree, read from the map (see the
+        module docstring)."""
         if not f:
             return f
         x = self._free
@@ -325,9 +348,34 @@ class GradedPresentation:
             return IntPolynomial.from_coefficients_in(
                 x, {i: core.normal_form(part) for i, part in f.coefficients_in(x).items()}
             )
-        parts = [self.from_vector(self.lattice(d).residue(self.vector(comp, d)), d)
+        top = -1 if self._star is None else self._star & DEGREE
+        parts = [self._top_form(comp) if d == top else
+                 self.from_vector(self.lattice(d).residue(self.vector(comp, d)), d)
                  for d, comp in f.homogeneous_components().items()]
         return parts[0] if len(parts) == 1 else sum(parts, IntPolynomial.zero())
+
+    def _top_form(self, f: IntPolynomial) -> IntPolynomial:
+        """The normal form ``∫(f) * ∫(m*) * m*`` of ``f`` of the degree of
+        ``m*``, the staircase's one non-pivot column (see the module
+        docstring)."""
+        star = self._star
+        unit = self._integral(star)
+        if unit not in (1, -1):
+            raise PresentationError(
+                f"the degree map of {self.name} is {unit} on "
+                f"{self._degree_map[0].text()}, not +1 or -1")
+        total = sum(c * self._integral(key) for key, c in f.items())
+        return _poly({star: unit * total} if total else {})
+
+    def _integral(self, key: int) -> int:
+        """The degree map on one monomial (cached by key)."""
+        value = self._integrals.get(key)
+        if value is None:
+            if key | self._mask != self._mask:  # a foreign symbol: vector raises
+                self.vector(IntPolynomial({key: 1}), key & DEGREE)
+            names = [(self.symbols[self._slot_at[f]], e) for f, e in key_fields(key)]
+            value = self._integrals[key] = self._degree_map[1](names)
+        return value
 
     def smith_invariants(self, degree: int) -> InvariantFactors:
         diag = smith_invariants_of_rows(self.lattice(degree).rows)
@@ -351,6 +399,7 @@ class GradedPresentation:
             [nm for nm in self.symbols if nm != self._free],
             self.defining_relations(),
             name=f"{self.name} without {self._free}",
+            degree_map=self._degree_map,
         )
         slots = ring._slot_at  # to write each relation term with slots
         relations = tuple(tuple(sorted(

@@ -15,6 +15,11 @@ whole-block pullbacks of :mod:`ellchow.strata`.
 divisors avoiding two chosen markings; the class is independent of the
 choice modulo the relations.
 
+``keel_integral`` is the degree map: the integral of a divisor monomial
+over the space.  Keel's ring is free in each degree and the degree map
+carries its top piece, of degree ``len(markings) - 2``, onto the integers
+(Keel, Trans. AMS 1992), so the top-degree relations are its kernel.
+
 The point counts of these spaces over a finite field are recovered
 independently by enumerating stable trees (``mzero_point_count``), giving
 an oracle for the Hilbert function of the presentation.
@@ -23,12 +28,12 @@ an oracle for the Hilbert function of the presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
-from .exactring import GradedPresentation, IntPolynomial, subset_name
+from .exactring import GradedPresentation, IntPolynomial, name_elements, subset_name
 from .partitions import incomparable, set_partitions
 
 
@@ -147,6 +152,50 @@ def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntP
     return divisor_sum(ring.markings, "d", pair, ())
 
 
+def keel_integral(markings: Sequence[int], mono: Iterable[tuple[str, int]]) -> int:
+    """The integral of the monomial ``prod D_T^{a_T}`` of ``(d{T}, a_T)``
+    pairs, each ``T`` within the sorted ``markings``, over the genus-zero
+    space on the markings and the implicit point.
+
+    It is zero unless the degree is the dimension ``len(markings) - 2`` and
+    the sets ``T`` are pairwise nested or disjoint.  Then they are the edges
+    of a stable tree: the vertex below edge ``T`` carries the markings of
+    ``T`` outside the largest sets strictly inside it, one half-edge to each
+    of those, and one up; the root carries ``*``.  The monomial is the
+    stratum of the tree times ``D_T^{a_T - 1}`` restricted to it, and Keel's
+    ``D_T|_{D_T} = -psi_h - psi_h'`` at the edge's two half-edges turns this
+    into a sum over splittings of each ``a_T - 1`` between ``h`` and ``h'``
+    of products of vertex integrals ``<tau_{b_1}...tau_{b_k}> =
+    (k-3)!/prod b_i!`` (zero unless the ``b_i`` sum to ``k - 3``).
+    """
+    power = {name_elements(name): a for name, a in mono if a}
+    sets = sorted(power, key=len)
+    if sum(power.values()) != len(markings) - 2 or any(
+        incomparable(a, b) for a, b in combinations(sets, 2)
+    ):
+        return 0
+    # the parent of a set is the smallest set strictly containing it, or the
+    # root (None); the sets containing one set form a chain
+    parent = {t: next((u for u in sets if len(u) > len(t) and set(t) < set(u)), None)
+              for t in sets}
+    children = {v: [t for t in sets if parent[t] == v] for v in [None, *sets]}
+    # a vertex's half-edges: one up (or *), its loose markings, its children
+    excess = {v: len(v or markings) - sum(len(t) - 1 for t in kids) - 2
+              for v, kids in children.items()}
+    total = 0
+    for split in product(*(range(power[t]) for t in sets)):
+        below = dict(zip(sets, split))  # the psi power at the lower half-edge
+        term = prod(comb(power[t] - 1, below[t]) for t in sets)
+        for v, kids in children.items():
+            exps = [power[t] - 1 - below[t] for t in kids] + ([below[v]] if v else [])
+            if sum(exps) != excess[v]:
+                break
+            term *= factorial(excess[v]) // prod(map(factorial, exps))
+        else:
+            total += term
+    return (-1) ** (len(markings) - 2 - len(sets)) * total
+
+
 # -- stable trees and point counts ------------------------------------------
 
 
@@ -209,30 +258,8 @@ def mzero_point_count(n: int, q):
 
 def mzero_point_poly(n: int) -> list[int]:
     """The point count as a polynomial in the field size, coefficients
-    ascending; recovered by interpolation at ``n - 2`` sample points."""
-    deg = n - 3
-    xs = list(range(2, 2 + deg + 1))
-    ys = [Fraction(mzero_point_count(n, x)) for x in xs]
-    coeffs = [Fraction(0)] * (deg + 1)
-    for i, xi in enumerate(xs):
-        # Lagrange basis polynomial for node xi, accumulated coefficient-wise.
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k, xk in enumerate(xs):
-            if k == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for p, cp in enumerate(basis):
-                new[p] -= cp * xk
-                new[p + 1] += cp
-            basis = new
-            denom *= xi - xk
-        scale = ys[i] / denom
-        for p, cp in enumerate(basis):
-            coeffs[p] += cp * scale
-    out: list[int] = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("point-count interpolation not integral")
-        out.append(int(c))
-    return out
+    ascending: the same sum over stable trees with the field size a formal
+    variable (written ``l``), multiplied out."""
+    count = mzero_point_count(n, IntPolynomial.symbol("l"))  # an int for n = 3
+    parts = (IntPolynomial.one() * count).coefficients_in("l")
+    return [parts[e].constant() if e in parts else 0 for e in range(n - 2)]

@@ -20,6 +20,10 @@ gerbe class ``xi`` instead.  Pullback of the ambient generators:
   four-two split, and to zero otherwise; it has no defined pullback to
   an elliptic model.
 
+Without ``l`` or ``xi``, an elliptic model or a tail model of at most five
+blocks is the tensor product of its blocks' Keel rings; it carries the
+product of their degree maps, which reduces its top degree.
+
 Lifting renames block divisors back to ambient ones; restriction after
 lift is the identity on a tail model.  The product of the pullbacks of
 the whole-block divisors is the excess class ``ctop`` used to divide
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 from .corering import min_presentation, stratum_value
 from .exactring import (
@@ -39,7 +44,7 @@ from .exactring import (
     name_elements,
     subset_name,
 )
-from .keel import divisor_sum, keel_presentation
+from .keel import divisor_sum, keel_integral, keel_presentation
 from .partitions import SetPartition, disc_completion, s_max
 
 
@@ -69,7 +74,13 @@ class StratumModel:
     )
 
     def image_of(self, name: str) -> IntPolynomial:
-        """Pullback of one ambient generator."""
+        """Pullback of one ambient generator (kept per model)."""
+        image = self._images.get(name)
+        if image is None:
+            image = self._images[name] = self._pullback(name)
+        return image
+
+    def _pullback(self, name: str) -> IntPolynomial:
         if name == "l":
             if self.elliptic:
                 return -IntPolynomial.symbol("xi")
@@ -105,10 +116,8 @@ class StratumModel:
         return -IntPolynomial.symbol("l") - psi
 
     def restrict(self, f: IntPolynomial) -> IntPolynomial:
-        """Pullback of an ambient class; generator images are kept per model."""
-        for name in f.symbols_used() - self._images.keys():
-            self._images[name] = self.image_of(name)
-        return f.substitute(self._images)
+        """Pullback of an ambient class."""
+        return f.substitute(self.image_of)
 
 
 def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
@@ -119,15 +128,24 @@ def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
     else:
         core = min_presentation(partition.length)
         symbols, relations = list(core.symbols), list(core.relations)
-    for block in partition.nonsingleton_blocks():
-        if len(block) == 2:
-            continue  # a two-marking block carries no divisor generators
+    # a two-marking block carries no divisor generators
+    blocks = [block for block in partition.blocks if len(block) > 2]
+    for block in blocks:
         ring = keel_presentation(block).presentation
         symbols.extend(ring.symbols)
         relations.extend(ring.defining_relations())
+    degree_map = None
+    if elliptic or partition.length <= 5:
+        star = IntPolynomial.monomial((subset_name("d", b[1:]), len(b) - 2) for b in blocks)
+
+        def integral(mono: list[tuple[str, int]]) -> int:
+            return prod(keel_integral(b, [(nm, e) for nm, e in mono if name_elements(nm)[0] in b])
+                        for b in blocks)
+
+        degree_map = (star, integral)
     kind = "ell" if elliptic else "tail"
     pres = GradedPresentation(
-        symbols, relations, name=f"{kind}({partition.text()})"
+        symbols, relations, name=f"{kind}({partition.text()})", degree_map=degree_map
     )
     return StratumModel(n, partition, pres, elliptic)
 
@@ -156,15 +174,18 @@ def restrict_to_tail(
 def lift_from_tail(g: IntPolynomial) -> IntPolynomial:
     """Rename block divisors to ambient boundary divisors; a section of the
     restriction map (restricting the lift returns ``g`` exactly)."""
-    mapping: dict[str, str] = {}
-    for name in g.symbols_used():
-        if name in ("l", "nu"):
-            continue
-        elems = name_elements(name)
-        if elems is None or not name.startswith("d"):
-            raise PresentationError(f"not a tail-model generator: {name!r}")
-        mapping[name] = subset_name("t", elems)
-    return g.rename_symbols(mapping)
+    return g.rename_symbols(_ambient_name)
+
+
+@lru_cache(maxsize=None)
+def _ambient_name(name: str) -> str:
+    """The ambient name of a tail-model generator: ``d{B}`` becomes ``t{B}``."""
+    if name in ("l", "nu"):
+        return name
+    elems = name_elements(name)
+    if elems is None or not name.startswith("d"):
+        raise PresentationError(f"not a tail-model generator: {name!r}")
+    return subset_name("t", elems)
 
 
 @lru_cache(maxsize=None)

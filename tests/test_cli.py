@@ -47,6 +47,27 @@ def test_hilbert_negative_degree(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: degree -1 is negative\n"
 
 
+@pytest.mark.parametrize("n, degree", [(3, 128), (4, 200)])
+def test_hilbert_degree_past_the_largest_monomial_degree(monkeypatch, capsys, n, degree):
+    # rejected before the presentation is built, not after the lower degrees
+    def build(*args):
+        raise AssertionError("presentation built")
+
+    monkeypatch.setattr("ellchow.cli.qstable_presentation", build)
+    code, text = invoke("hilbert", "--n", str(n), "--degree", str(degree))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"error: degree {degree} exceeds 127, the largest monomial degree\n"
+    )
+
+
+def test_hilbert_at_the_largest_monomial_degree():
+    code, text = invoke("hilbert", "--n", "1", "--space", "lp", "--degree", "127")
+    assert code == 0
+    assert text == "1 1" + " 0" * 126 + "\n"
+
+
 def test_hilbert_json():
     code, text = invoke("hilbert", "--n", "2", "--format", "json")
     assert code == 0

@@ -1,6 +1,7 @@
 """Genus-zero boundary presentations, cotangent classes, and point counts."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,9 @@ from ellchow.keel import (
     enumerate_stable_trees,
     four_point_relations,
     incompatible_products,
+    keel_integral,
 )
+from ellchow.partitions import incomparable
 
 
 # -- presentation shape --------------------------------------------------------
@@ -128,6 +131,68 @@ def test_psi_star_is_not_a_zero_divisor_in_top_degrees():
     # degree-2 rank is 1 and psi*d is nonzero for some divisor d
     d12 = ring.divisor([1, 2])
     assert not ring.presentation.reduces_to_zero(psi * d12)
+
+
+# -- the degree map ---------------------------------------------------------------
+
+
+def integral(markings, f):
+    return sum(c * keel_integral(markings, mono) for mono, c in f.sorted_terms())
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6])
+def test_psi_star_to_the_dimension_has_degree_one(size):
+    ring = keel_presentation(range(1, size + 1))
+    assert integral(ring.markings, psi_star(ring) ** (size - 2)) == 1
+    assert integral(ring.markings, psi_star(ring, size - 1, size) ** (size - 2)) == 1
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6])
+def test_every_maximal_compatible_product_has_degree_one(size):
+    # Distinct pairwise compatible divisors, as many as the dimension, meet
+    # transversally in one point: a trivalent tree on size + 1 leaves, of
+    # which there are (2*size - 3)!!.
+    ms = tuple(range(1, size + 1))
+    subsets = [t for k in range(2, size) for t in itertools.combinations(ms, k)]
+    points = []
+
+    def grow(chosen, start):
+        if len(chosen) == size - 2:
+            points.append(chosen)
+            return
+        for i in range(start, len(subsets)):
+            if not any(incomparable(subsets[i], t) for t in chosen):
+                grow(chosen + [subsets[i]], i + 1)
+
+    grow([], 0)
+    assert len(points) == math.prod(range(1, 2 * size - 2, 2))
+    ring = keel_presentation(ms)
+    for chosen in points:
+        product = IntPolynomial.one()
+        for t in chosen:
+            product = product * ring.divisor(t)
+        assert integral(ms, product) == 1, chosen
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6])
+def test_degree_map_vanishes_on_every_top_degree_product_row(size):
+    ring = keel_presentation(range(1, size + 1))
+    pres, top = ring.presentation, size - 2
+    degrees = [keel_integral(ring.markings, IntPolynomial({key: 1}).sorted_terms()[0][0])
+               for key in pres.basis(top)]
+    rows = list(pres._product_rows(top))
+    assert len(rows) >= len(degrees) - 1
+    for row in rows:
+        assert sum(degrees[col] * c for col, c in zip(row[::2], row[1::2])) == 0
+
+
+def test_degree_map_needs_the_dimension_and_compatible_divisors():
+    ms = (1, 2, 3, 4, 5)
+    assert keel_integral(ms, [("d{1,2}", 1), ("d{3,4}", 1)]) == 0  # degree 2, not 3
+    assert keel_integral(ms, [("d{1,2}", 2), ("d{2,3}", 1)]) == 0  # incompatible
+    assert keel_integral(ms, [("d{1,2}", 1), ("d{3,4}", 1), ("d{1,2,5}", 1)]) == 1
+    # D_T^2 on the four-marking space: -psi - psi' at the node, integral -1
+    assert keel_integral((1, 2, 3, 4), [("d{1,2}", 2)]) == -1
 
 
 # -- stable trees and point counts ----------------------------------------------

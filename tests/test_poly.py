@@ -290,6 +290,28 @@ def test_a_degree_past_the_field_raises(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "terms, key",
+    [
+        ({(("l", 1),): 1}, r"\(\('l', 1\),\)"),
+        ({"l": 1}, "'l'"),
+        ({True: 1}, "True"),
+        ({1.0: 1}, "1.0"),
+        ({-1: 1}, "-1"),
+        ({0: 1, -257: 0}, "-257"),
+    ],
+)
+def test_the_raw_constructor_refuses_a_key_that_is_no_natural_number(terms, key):
+    # refused at construction, not later in text() or arithmetic
+    with pytest.raises(TypeError, match=rf"^monomial key {key} is not a non-negative int$"):
+        IntPolynomial(terms)
+
+
+def test_the_raw_constructor_keeps_int_keys():
+    key = next(L.items())[0]
+    assert IntPolynomial({key: 3, 0: -1, 2 * key: 0}) == 3 * L - 1
+
+
 INTERNING_ORDER = """
 import json, sys
 from ellchow import SetPartition, ell_class, gorenstein_presentation

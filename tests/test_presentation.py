@@ -66,6 +66,26 @@ def test_vector_rejects_foreign_symbols():
         pres.vector(L - X, 1)
 
 
+def test_top_degree_normal_form_rejects_foreign_symbols():
+    # the top degree reads the degree map, not a staircase, and refuses a
+    # foreign symbol as vector does
+    d12, d13 = IntPolynomial.symbol("d{1,2}"), IntPolynomial.symbol("d{1,3}")
+    pres = GradedPresentation(["d{1,2}", "d{1,3}"], [d12 - d13],
+                              degree_map=(d13, lambda mono: 1))
+    assert pres.normal_form(3 * d12 - d13) == 2 * d13
+    with pytest.raises(PresentationError, match=r"^unknown symbol 'xi'$"):
+        pres.normal_form(d12 + X)
+
+
+def test_a_degree_map_must_be_one_on_its_top_monomial():
+    d12, d13 = IntPolynomial.symbol("d{1,2}"), IntPolynomial.symbol("d{1,3}")
+    pres = GradedPresentation(["d{1,2}", "d{1,3}"], [d12 - d13],
+                              degree_map=(d13, lambda mono: 2))
+    assert pres.normal_form(d12 * d13) == d13**2  # other degrees: staircases
+    with pytest.raises(PresentationError, match=r"is 2 on d\{1,3\}, not \+1 or -1$"):
+        pres.normal_form(d12)
+
+
 def test_symbols_are_read_once():
     pres = GradedPresentation(iter(["xi", "l"]), [])
     assert pres.symbols == ("l", "xi")

@@ -177,6 +177,23 @@ def test_restrict_after_lift_keeps_core_generators():
     assert restrict_to_tail(6, top, lift_from_tail(g)) == g
 
 
+def test_restriction_and_lift_read_the_support_once(monkeypatch):
+    # substitution and renaming find the names a polynomial uses themselves
+    model = tail_model(5, SetPartition.parse("1 2 3|4 5", 5))
+    f = P("l*t{1,2} + t{1,2,3}^2 - 3*t{4,5}*t{1,3}")
+    expected = model.restrict(f)
+    lifted = lift_from_tail(expected)
+
+    def read(self):
+        raise AssertionError("support read apart")
+
+    monkeypatch.setattr(IntPolynomial, "symbols_used", read)
+    model = tail_model(5, SetPartition.parse("1 2 3|4 5", 5))
+    assert model.restrict(f) == expected
+    assert expected == P("l^2 + 3*l*d{1,2} + 3*l*d{1,3} + d{1,2}^2")
+    assert lift_from_tail(expected) == lifted == P("l^2 + 3*l*t{1,2} + 3*l*t{1,3} + t{1,2}^2")
+
+
 def test_lift_rejects_foreign_symbols():
     from ellchow.exactring import PresentationError
 
@@ -363,6 +380,82 @@ def test_division_by_ctop_returns_the_reduced_quotient(text, n):
     h = pres.divide_in_quotient(g, c)
     assert h == pres.normal_form(h0)
     assert pres.normal_form(h) == h
+
+
+# -- the top degree from the degree map --------------------------------------------
+
+
+def stratum_models(n):
+    """Every tail and elliptic model on ``n`` markings that has a degree map:
+    all but the six-marking all-singleton tail model."""
+    for part in enumerate_partitions(n):
+        if part != s_max(n):
+            yield ell_model(n, part)
+        if (n, part) != (6, s_max(6)):
+            yield tail_model(n, part)
+
+
+def top_degree_certificate(model):
+    """Check that the normal form of every top-degree basis monomial of the
+    ring without the free symbol is its staircase residue."""
+    ring = model.presentation._x_free
+    top = ring._star & 255  # field 0 of a key holds its degree
+    staircase = ring.lattice(top)
+    for key in ring.basis(top):
+        f = IntPolynomial({key: 1})
+        expected = ring.from_vector(staircase.residue(ring.vector(f, top)), top)
+        assert ring.normal_form(f) == expected, (ring.name, f.text())
+
+
+def test_top_degree_normal_forms_are_staircase_residues():
+    models = [m for n in range(1, 6) for m in stratum_models(n)]
+    models += [
+        maker(6, SetPartition.parse(text, 6))
+        for text in ("1 2 3 4 5 6", "1|2 3 4 5 6")
+        for maker in (tail_model, ell_model)
+    ]
+    for model in models:
+        top_degree_certificate(model)
+
+
+@pytest.mark.n6
+def test_six_marking_top_degree_normal_forms_are_staircase_residues():
+    for model in stratum_models(6):
+        top_degree_certificate(model)
+
+
+def test_the_six_marking_all_singleton_model_has_no_degree_map():
+    pres = tail_model(6, s_max(6)).presentation
+    assert pres._degree_map is None
+    assert pres.reduces_to_zero(P("l^4 - l^2*nu - nu^2"))
+
+
+TOP_MODELS = [
+    (maker, text, n)
+    for text, n in [("1 2 3 4", 4), ("1 2|3 4 5", 5), ("1 2 3|4 5", 5), ("1 2 3 4 5", 5)]
+    for maker in (tail_model, ell_model)
+]
+
+
+@given(st.sampled_from(TOP_MODELS), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_top_degree_normal_form_of_random_polynomials(case, rng):
+    # random top-degree combinations of basis monomials, killed monomials and
+    # multiples of relations, compared with the staircase residue
+    maker, text, n = case
+    ring = maker(n, SetPartition.parse(text, n)).presentation._x_free
+    top = ring._star & 255
+    f = sum(
+        (rng.randint(-9, 9) * IntPolynomial({m: 1}) for m in ring.basis(top)),
+        IntPolynomial.zero(),
+    )
+    rels = [rel for rel in ring.defining_relations() if rel.degree() <= top]
+    for rel in rng.sample(rels, min(3, len(rels))):
+        multipliers = ring.basis(top - rel.degree())
+        f = f + rng.randint(-9, 9) * IntPolynomial({rng.choice(multipliers): 1}) * rel
+    expected = staircase_normal_form(ring, f)
+    assert ring.normal_form(f) == expected
+    assert ring.reduces_to_zero(f - expected)
 
 
 def test_ctop_factors():
