@@ -300,6 +300,7 @@ def test_a_degree_past_the_field_raises(build):
         ({-1: 1}, "-1"),
         ({0: 1, -257: 0}, "-257"),
     ],
+    ids=["tuple", "name", "bool", "float", "negative", "negative-with-zero-coefficient"],
 )
 def test_the_raw_constructor_refuses_a_key_that_is_no_natural_number(terms, key):
     # refused at construction, not later in text() or arithmetic
