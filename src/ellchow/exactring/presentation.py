@@ -29,52 +29,45 @@ product (a killed multiplier gives zero rows on both sides).  This is
 Buchberger's product criterion, the Koszul syzygies Faugere's F5 drops
 (ISSAC 2002); over the integers it needs the unit coefficient.
 
-A symbol ``x`` in no relation and no kill, such as ``l`` on a stratum
-model, is *free*, and the ring on the other symbols with the same
-relations and kills is the *``x``-free ring*.  Every product row
-``mono * rel`` lies in the power of ``x`` that ``mono`` carries, so each
-degree's lattice is a direct sum of one block per power of ``x``, and the
-block of ``x^i`` is the ``x``-free lattice ``i * deg(x)`` degrees down,
-with its columns in the same relative order (interleaved with the other
-blocks' when ``x`` is not the first symbol, but disjoint from them).  Its
-canonical residue (see the ``lattice`` module) is the sum of the blocks'
-residues: the normal form of ``f`` is the sum over ``i`` of ``x^i`` times
-the ``x``-free normal form of the ``x^i``-coefficient of ``f``.  A ring
-with a free symbol records the first one in symbol order as ``x`` and
-caches its ``x``-free ring; it reduces, tests for zero and divides there.
+A *tensor product* of rings on disjoint symbols (``tensor_product``)
+reduces one factor at a time: the terms are grouped by their monomial
+outside a factor and each group's coefficient is reduced in the factor, a
+polynomial within one factor in it alone.  A symbol ``x`` in no relation
+and no kill, such as ``l`` on a stratum model, is *free*: the ring is
+``Z[x]`` tensor the ring on the others.  This gives the canonical residue
+``r`` when at most one factor ``k`` leads with more than 1 in the
+staircases read, and ``k`` is reduced last; two such factors raise.  Every
+relation lies in one factor, so a lattice and ``r`` (see the ``lattice``
+module) split by the factors' degrees, on disjoint columns.  Where a factor
+``i != k`` has a pivot at a monomial's part ``m_i``, its row there times the
+rest leads at the monomial with 1 (a monomial order keeps leading terms; a
+kill lies in one factor), so ``r`` has no term there; where ``k`` has a
+pivot with leader ``a`` at ``m_k``, the rest times its row leads there with
+``a``, so ``r``'s coefficient lies in ``[0, a)``.  So ``r`` reduces to
+itself.  Reduction in a unit-led factor is Z-linear with the factor's ideal
+as kernel, in ``k`` it depends only on the class of its input, and each
+changes only its factor's parts: the result depends only on the class of
+``f``, which is ``r``'s.  This is Buchberger's first criterion: Groebner
+bases in disjoint variables join to one.  Factor rings equal up to an
+order-preserving renaming of their symbols (symbol degrees, relations
+written with symbol slots, kill masks) have the same basis positions and
+product rows, so they share their reduced relations and staircases.
 
-The ``x``-free rings share staircases, not bases: two of them that are
-equal up to an order-preserving renaming of their symbols (same symbol
-degrees in symbol order, same relations in the same order written with
-symbol slots, same kill masks) enumerate the same basis positions, each
-monomial renamed, and have the same reduced relations and product rows,
-so these and ``lattice(d)`` are built once; each ring enumerates its own
-basis.  A block's boundary ring depends only on how many markings it has,
-so stratum models relabelled in symbol order, e.g. ``1 2 3 4|5`` and
-``1|2 3 4 5``, have such rings.
-
-A *degree map* of the ring without its free symbol (the ring itself if it
-has none) is a monomial ``m*`` of degree ``t`` and a map ``∫`` on monomials
-such that the degree-``t`` lattice is ``ker ∫``, ``∫(m*) = ±1`` (checked
-when first used) and ``∫`` vanishes on every lex-smaller monomial.  There
-``e_j - ∫(e_j) ∫(m*) m*`` leads at any column ``j`` left of ``m*``, and
-``e_j`` at any to its right, so every column but ``m*``'s is a pivot with
-leading coefficient 1, and no vector of ``ker ∫`` leads at ``m*``.  The
-canonical residue of ``f`` is therefore ``∫(f) ∫(m*) m*``: no staircase is
-built in degree ``t``.  For a stratum model without ``l`` or ``xi``, a
-tensor product of Keel rings, ``∫`` is the product of the blocks' degree
-maps: Keel's ring is free with top piece ``Z`` carried by ``∫``, and so is a
-tensor product of such rings.  ``m*`` is the product of each block's last
-divisor to the block's dimension: a monomial of nonzero integral has that
-degree in each block, whose last divisor follows its others in symbol
-order, so where it first differs from ``m*`` its exponent is the larger.
+A *degree map* is a monomial ``m*`` of degree ``t`` and a map ``∫`` on
+monomials such that the degree-``t`` lattice is ``ker ∫``, ``∫(m*) = ±1``
+(checked when first used), ``∫`` vanishes on every lex-smaller monomial,
+and the ring is zero above degree ``t``.  There ``e_j - ∫(e_j) ∫(m*) m*``
+leads at any column ``j`` left of ``m*``, and ``e_j`` at any to its right,
+so the canonical residue of ``f`` is ``∫(f) ∫(m*) m*``, and 0 above ``t``:
+no staircase is built there.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .lattice import Echelon, flat_from_pairs, smith_invariants_of_rows
@@ -90,7 +83,7 @@ from .poly import (
 )
 
 
-# The staircases and reduced relation rows of the x-free rings, by signature
+# The staircases and reduced relation rows of the factor rings, by signature
 # up to an order-preserving renaming of symbols (see the module docstring).
 _STAIRCASES: dict[tuple, tuple[dict[int, Echelon], dict[int, list[list]]]] = {}
 
@@ -168,15 +161,42 @@ class GradedPresentation:
         self._column_cache: dict[int, dict[int, int]] = {}
         self._lattice_cache: dict[int, Echelon] = {}
         self._reduced_rels: dict[int, list[list]] = {}
-        # The degree map of the ring without its free symbol, its values by
-        # key, and the key of its m* (see the module docstring).
+        self._factors: tuple[GradedPresentation, ...] = ()  # of a tensor product
+        # No relation or kill is below ``_low``; the degree map, its values,
+        # its m* and the degree ``_top`` of m* (see the module docstring).
+        self._low = min([*self._rels_by_degree, *(k & DEGREE for k in self._kill_keys)],
+                        default=MAX_DEGREE + 1)
         self._degree_map, self._integrals = degree_map, {}
         self._star = next(degree_map[0].items())[0] if degree_map else None
+        self._top = MAX_DEGREE + 1 if self._star is None else self._star & DEGREE
 
         # The first symbol in no relation and no kill, if any; relations are
         # fixed from here on, so it is too.
         self._free: str | None = next((nm for i, nm in enumerate(ordered) if not (
             used >> shifts[i] & DEGREE or covered >> i & 1)), None)
+
+    @classmethod
+    def tensor_product(cls, factors: Sequence[GradedPresentation],
+                       name: str) -> GradedPresentation:
+        """The tensor product of rings on disjoint symbols; the factors with a
+        relation or a kill share staircases (see the module docstring)."""
+        ring = cls([nm for r in factors for nm in r.symbols],
+                   [rel for r in factors for rel in r.defining_relations()], name=name)
+        ring._factors = tuple(r for r in factors if r._low <= MAX_DEGREE)
+        for r in ring._factors:
+            r._lattice_cache, r._reduced_rels = _STAIRCASES.setdefault(
+                r._signature, (r._lattice_cache, r._reduced_rels))
+        return ring
+
+    @cached_property
+    def _signature(self) -> tuple:
+        """The ring up to an order-preserving renaming of its symbols: symbol
+        degrees, relation terms written with symbol slots, and kill masks."""
+        relations = tuple(tuple(sorted(
+            (sum(e << FIELD_BITS * self._slot_at[f] for f, e in key_fields(key)), coeff)
+            for key, coeff in rel.items())) for rel in self.relations)
+        kills = tuple(sorted(kill for at in self._kills_at for kill in at))
+        return tuple(u & DEGREE for u in self._units), relations, kills
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -238,11 +258,10 @@ class GradedPresentation:
             if col is not None:
                 pairs.append((col, coeff))
                 continue
-            term = IntPolynomial({key: coeff})
             if key | self._mask != self._mask:
-                unknown = min(term.symbols_used() - set(self.symbols), key=symbol_key)
-                raise PresentationError(f"unknown symbol {unknown!r}")
+                self._refuse(key)
             if key & DEGREE != degree:
+                term = IntPolynomial({key: coeff})
                 raise PresentationError(f"term {term.text()} is not of degree {degree}")
         return flat_from_pairs(pairs)
 
@@ -336,46 +355,74 @@ class GradedPresentation:
         return self.normal_form(f).is_zero()
 
     def normal_form(self, f: IntPolynomial) -> IntPolynomial:
-        """The canonical staircase residue of ``f``; with a free symbol, the
-        residue taken one coefficient at a time in the ring without the
-        free one, and in a degree map's degree, read from the map (see the
-        module docstring)."""
+        """The canonical staircase residue of ``f``; one factor at a time in a
+        tensor product, ``f`` below every relation and kill, and from the
+        degree map in its degree and above (see the module docstring)."""
         if not f:
             return f
-        x = self._free
-        if x is not None:
-            core = self._x_free
-            return IntPolynomial.from_coefficients_in(
-                x, {i: core.normal_form(part) for i, part in f.coefficients_in(x).items()}
-            )
-        top = -1 if self._star is None else self._star & DEGREE
-        parts = [self._top_form(comp) if d == top else
+        support = reduce(or_, (key for key, _ in f.items()))
+        if support | self._mask != self._mask:
+            self._refuse(support)
+        if self._factors:
+            return self._factor_form(f, support)
+        parts = [comp if d < self._low else
+                 self._top_form(comp) if d == self._top else
+                 IntPolynomial.zero() if d > self._top else
                  self.from_vector(self.lattice(d).residue(self.vector(comp, d)), d)
                  for d, comp in f.homogeneous_components().items()]
         return parts[0] if len(parts) == 1 else sum(parts, IntPolynomial.zero())
+
+    def _factor_form(self, f: IntPolynomial, support: int) -> IntPolynomial:
+        """The normal form of ``f`` one factor at a time (module docstring)."""
+        touched = [r for r in self._factors if support & r._mask & ~DEGREE or not r._low]
+        if len(touched) == 1 and support | touched[0]._mask == touched[0]._mask:
+            return touched[0].normal_form(f)
+        odd = None  # the factor whose staircases read lead with more than 1
+        for ring in touched:
+            f, degrees = ring._reduce_parts(f)
+            if len(touched) > 1 and any(row[1] != 1 for d in degrees if ring._low <= d < ring._top
+                                        for row in ring.lattice(d).rows):
+                if odd:
+                    raise PresentationError(f"{odd.name} and {ring.name} both lead with more "
+                                            f"than 1 in {self.name}: no factor-wise residue")
+                odd = ring
+        return f if odd is None or odd is touched[-1] else odd._reduce_parts(f)[0]
+
+    def _reduce_parts(self, f: IntPolynomial) -> tuple[IntPolynomial, set[int]]:
+        """``f`` with the coefficient of each monomial outside this factor
+        reduced here, and the degrees of those coefficients."""
+        fields, groups = self._mask & ~DEGREE, {}
+        for key, c in f.items():
+            bits = key & fields  # the part's fields, and then its degree
+            part = bits + sum(e * (self._units[self._slot_at[i]] & DEGREE)
+                              for i, e in key_fields(bits))
+            groups.setdefault(key - part, {})[part] = c
+        terms = {rest + key: c for rest, part in groups.items()
+                 for key, c in self.normal_form(_poly(part)).items()}
+        return _poly(terms), {key & DEGREE for part in groups.values() for key in part}
+
+    def _refuse(self, support: int) -> None:
+        """Raise for the first symbol outside the ring in a support."""
+        unknown = IntPolynomial({support & ~self._mask: 1}).symbols_used()
+        raise PresentationError(f"unknown symbol {min(unknown, key=symbol_key)!r}")
 
     def _top_form(self, f: IntPolynomial) -> IntPolynomial:
         """The normal form ``∫(f) * ∫(m*) * m*`` of ``f`` of the degree of
         ``m*``, the staircase's one non-pivot column (see the module
         docstring)."""
-        star = self._star
-        unit = self._integral(star)
+        unit = self._integral(self._star)
         if unit not in (1, -1):
-            raise PresentationError(
-                f"the degree map of {self.name} is {unit} on "
-                f"{self._degree_map[0].text()}, not +1 or -1")
+            raise PresentationError(f"the degree map of {self.name} is {unit} on "
+                                    f"{self._degree_map[0].text()}, not +1 or -1")
         total = sum(c * self._integral(key) for key, c in f.items())
-        return _poly({star: unit * total} if total else {})
+        return _poly({self._star: unit * total} if total else {})
 
     def _integral(self, key: int) -> int:
         """The degree map on one monomial (cached by key)."""
-        value = self._integrals.get(key)
-        if value is None:
-            if key | self._mask != self._mask:  # a foreign symbol: vector raises
-                self.vector(IntPolynomial({key: 1}), key & DEGREE)
-            names = [(self.symbols[self._slot_at[f]], e) for f, e in key_fields(key)]
-            value = self._integrals[key] = self._degree_map[1](names)
-        return value
+        if key not in self._integrals:
+            self._integrals[key] = self._degree_map[1](
+                [(self.symbols[self._slot_at[f]], e) for f, e in key_fields(key)])
+        return self._integrals[key]
 
     def smith_invariants(self, degree: int) -> InvariantFactors:
         diag = smith_invariants_of_rows(self.lattice(degree).rows)
@@ -390,44 +437,20 @@ class GradedPresentation:
 
     # -- division ----------------------------------------------------------------
 
-    @cached_property
-    def _x_free(self) -> GradedPresentation:
-        """The ring on every symbol but the free one, with the same relations
-        and kills, sharing its staircases with every such ring equal to it up
-        to an order-preserving renaming of symbols."""
-        ring = GradedPresentation(
-            [nm for nm in self.symbols if nm != self._free],
-            self.defining_relations(),
-            name=f"{self.name} without {self._free}",
-            degree_map=self._degree_map,
-        )
-        slots = ring._slot_at  # to write each relation term with slots
-        relations = tuple(tuple(sorted(
-            (sum(e << FIELD_BITS * slots[f] for f, e in key_fields(key)), coeff)
-            for key, coeff in rel.items())) for rel in ring.relations)
-        kills = tuple(sorted(kill for at in ring._kills_at for kill in at))
-        signature = (tuple(u & DEGREE for u in ring._units), relations, kills)
-        ring._lattice_cache, ring._reduced_rels = _STAIRCASES.setdefault(
-            signature, (ring._lattice_cache, ring._reduced_rels))
-        return ring
-
-    def divide_in_quotient(
-        self, g: IntPolynomial, c: IntPolynomial
-    ) -> IntPolynomial:
+    def divide_in_quotient(self, g: IntPolynomial, c: IntPolynomial) -> IntPolynomial:
         """Some ``h`` with ``h*c = g`` in the quotient ring, returned in
         normal form; raises :class:`NotDivisibleError` when none exists.
 
         The divisor must have leading coefficient ``+1`` or ``-1`` in the
-        ring's free symbol ``x``, the first symbol in symbol order that
-        occurs in no relation and no kill monomial, such as ``l`` in
-        ``ctop_tail``.  The division then runs in the ``x``-free ring alone
-        (see the module docstring): long division in ``x`` reduces each
-        quotient coefficient (the remainder's leading ``x``-coefficient
-        times the sign) to its ``x``-free normal form before it meets the
-        divisor, so the quotient is reduced as built, and ``g`` is a
-        multiple exactly when every ``x``-coefficient of the remainder
-        reduces to zero there.  Any other divisor, or a ring with no free
-        symbol, is outside the contract: it raises :class:`PresentationError`.
+        ring's first free symbol ``x``, such as ``l`` in ``ctop_tail``; the
+        ring is then free over the ring on its other symbols, on the powers
+        of ``x`` (see the module docstring).  Long division in ``x`` takes
+        each quotient coefficient (the remainder's leading ``x``-coefficient
+        times the sign) to its :meth:`normal_form` before it meets the
+        divisor, so the quotient is reduced as built, and ``g`` is a multiple
+        exactly when every ``x``-coefficient of the remainder reduces to
+        zero.  Any other divisor, or a ring with no free symbol, is outside
+        the contract: it raises :class:`PresentationError`.
         """
         if c.is_zero():
             raise PresentationError("division by the zero class")
@@ -443,14 +466,13 @@ class GradedPresentation:
                 f"divisor {c.text()} has no leading coefficient +1 or -1 in "
                 f"the first symbol free of the relations"
             )
-        core = self._x_free
         rem = defaultdict(IntPolynomial, g.coefficients_in(x))
         quotient: dict[int, IntPolynomial] = {}
         for k in range(max(rem, default=-1), top - 1, -1):
-            part = quotient[k - top] = core.normal_form(rem[k] * lead.constant())
+            part = quotient[k - top] = self.normal_form(rem[k] * lead.constant())
             for j, cj in divisor.items() if part else ():
                 rem[k - top + j] -= part * cj
-        rest = {j: core.normal_form(rem[j]) for j in range(top)}
+        rest = {j: self.normal_form(rem[j]) for j in range(top)}
         if any(rest.values()):
             text = IntPolynomial.from_coefficients_in(x, rest).text()
             raise NotDivisibleError(f"remainder {text} does not vanish")

@@ -18,7 +18,9 @@ choice modulo the relations.
 ``keel_integral`` is the degree map: the integral of a divisor monomial
 over the space.  Keel's ring is free in each degree and the degree map
 carries its top piece, of degree ``len(markings) - 2``, onto the integers
-(Keel, Trans. AMS 1992), so the top-degree relations are its kernel.
+(Keel, Trans. AMS 1992), so the top-degree relations are its kernel, and
+zero above.  Each ring carries it as its degree map, with ``m*`` the last
+divisor ``d{B - min B}`` to that degree, the lex-smallest monomial there.
 
 The point counts of these spaces over a finite field are recovered
 independently by enumerating stable trees (``mzero_point_count``), giving
@@ -127,27 +129,25 @@ def keel_presentation(markings: Sequence[int]) -> KeelRing:
 
 @lru_cache(maxsize=None)
 def _keel_ring(ms: tuple[int, ...]) -> KeelRing:
-    subsets = [
-        t for size in range(2, len(ms)) for t in combinations(ms, size)
-    ]
-    relations = four_point_relations(ms, "d", ms) + incompatible_products(
-        subsets, "d"
-    )
+    subsets = [t for size in range(2, len(ms)) for t in combinations(ms, size)]
+    relations = four_point_relations(ms, "d", ms) + incompatible_products(subsets, "d")
     pres = GradedPresentation(
         [subset_name("d", t) for t in subsets],
         relations,
         name=f"keel({','.join(map(str, ms))})",
+        degree_map=(IntPolynomial.symbol(subset_name("d", ms[1:]), len(ms) - 2),
+                    lambda mono: keel_integral(ms, mono)),
     )
     return KeelRing(markings=ms, presentation=pres)
 
 
 def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntPolynomial:
     """The cotangent class at the implicit point: the sum of all divisors
-    containing two chosen markings (by default the two smallest)."""
-    if i is None or j is None:
-        i, j = ring.markings[0], ring.markings[1]
+    containing markings ``i`` and ``j``, given both or neither (the two smallest)."""
+    if i is None and j is None:
+        i, j = ring.markings[:2]
     if i == j or i not in ring.markings or j not in ring.markings:
-        raise ValueError(f"invalid marking pair ({i}, {j})")
+        raise ValueError(f"invalid marking pair ({i}, {j}): give two markings or neither")
     pair = tuple(sorted((i, j)))
     return divisor_sum(ring.markings, "d", pair, ())
 

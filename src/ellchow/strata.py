@@ -2,11 +2,12 @@
 restriction maps onto them.
 
 Over a partition ``S`` of the markings, a :class:`StratumModel` is the
-product of a base ring with one genus-zero boundary ring per block of at
-least three markings (markings of the block plus the implicit attaching
-point).  The *tail model* takes the core ring on ``S``'s blocks as its
-base; the *elliptic model* of the elliptic-singularity locus takes the
-gerbe class ``xi`` instead.  Pullback of the ambient generators:
+tensor product of a base ring with the genus-zero boundary ring
+``keel_presentation`` returns for each block of at least three markings
+(markings of the block plus the implicit attaching point), and reduces one
+factor at a time.  The *tail model* takes the core ring on ``S``'s blocks
+as its base; the *elliptic model* of the elliptic-singularity locus takes
+``Z[xi]``, on the gerbe class.  Pullback of the ambient generators:
 
 * the Hodge class ``l`` maps to the core Hodge class on a tail model and
   to ``-xi`` on an elliptic model;
@@ -20,10 +21,6 @@ gerbe class ``xi`` instead.  Pullback of the ambient generators:
   four-two split, and to zero otherwise; it has no defined pullback to
   an elliptic model.
 
-Without ``l`` or ``xi``, an elliptic model or a tail model of at most five
-blocks is the tensor product of its blocks' Keel rings; it carries the
-product of their degree maps, which reduces its top degree.
-
 Lifting renames block divisors back to ambient ones; restriction after
 lift is the identity on a tail model.  The product of the pullbacks of
 the whole-block divisors is the excess class ``ctop`` used to divide
@@ -34,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
 
 from .corering import min_presentation, stratum_value
 from .exactring import (
@@ -44,7 +40,7 @@ from .exactring import (
     name_elements,
     subset_name,
 )
-from .keel import divisor_sum, keel_integral, keel_presentation
+from .keel import divisor_sum, keel_presentation
 from .partitions import SetPartition, disc_completion, s_max
 
 
@@ -123,30 +119,11 @@ class StratumModel:
 def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
     if partition.n != n:
         raise ValueError("partition is not on the marking set")
-    if elliptic:
-        symbols, relations = ["xi"], []
-    else:
-        core = min_presentation(partition.length)
-        symbols, relations = list(core.symbols), list(core.relations)
+    base = GradedPresentation(["xi"], []) if elliptic else min_presentation(partition.length)
     # a two-marking block carries no divisor generators
-    blocks = [block for block in partition.blocks if len(block) > 2]
-    for block in blocks:
-        ring = keel_presentation(block).presentation
-        symbols.extend(ring.symbols)
-        relations.extend(ring.defining_relations())
-    degree_map = None
-    if elliptic or partition.length <= 5:
-        star = IntPolynomial.monomial((subset_name("d", b[1:]), len(b) - 2) for b in blocks)
-
-        def integral(mono: list[tuple[str, int]]) -> int:
-            return prod(keel_integral(b, [(nm, e) for nm, e in mono if name_elements(nm)[0] in b])
-                        for b in blocks)
-
-        degree_map = (star, integral)
+    blocks = [keel_presentation(b).presentation for b in partition.blocks if len(b) > 2]
     kind = "ell" if elliptic else "tail"
-    pres = GradedPresentation(
-        symbols, relations, name=f"{kind}({partition.text()})", degree_map=degree_map
-    )
+    pres = GradedPresentation.tensor_product([base, *blocks], f"{kind}({partition.text()})")
     return StratumModel(n, partition, pres, elliptic)
 
 

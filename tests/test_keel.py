@@ -114,6 +114,15 @@ def test_psi_star_rejects_bad_pairs():
         psi_star(ring, 1, 9)
 
 
+def test_psi_star_needs_both_markings_or_neither():
+    # half a pair is refused, not read as the default pair 1, 2
+    ring = keel_presentation((1, 2, 3, 4))
+    for i, j in [(3, None), (None, 3)]:
+        with pytest.raises(ValueError, match="give two markings or neither"):
+            psi_star(ring, i, j)
+    assert psi_star(ring) == psi_star(ring, 1, 2)
+
+
 def test_psi_star_class_is_choice_independent():
     ring = keel_presentation([1, 2, 3, 4])
     reference = psi_star(ring, 1, 2)
@@ -184,6 +193,30 @@ def test_degree_map_vanishes_on_every_top_degree_product_row(size):
     assert len(rows) >= len(degrees) - 1
     for row in rows:
         assert sum(degrees[col] * c for col, c in zip(row[::2], row[1::2])) == 0
+
+
+def zero_above_the_dimension_certificate(size):
+    """Check that every basis monomial one degree above the dimension has
+    staircase residue zero, which is the normal form the degree map gives."""
+    pres = keel_presentation(range(1, size + 1)).presentation
+    top = size - 2
+    assert pres._top == top
+    for key in pres.basis(top + 1):
+        assert pres.normal_form(IntPolynomial({key: 1})).is_zero()
+    staircase = pres.lattice(top + 1)
+    assert staircase.rank == len(pres.basis(top + 1))
+    for key in pres.basis(top + 1):
+        assert not staircase.residue(pres.vector(IntPolynomial({key: 1}), top + 1))
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_keel_rings_are_zero_above_their_dimension(size):
+    zero_above_the_dimension_certificate(size)
+
+
+@pytest.mark.n6
+def test_six_marking_keel_ring_is_zero_above_its_dimension():
+    zero_above_the_dimension_certificate(6)
 
 
 def test_degree_map_needs_the_dimension_and_compatible_divisors():

@@ -148,9 +148,9 @@ def test_relation_combinations_vanish_everywhere(coeffs):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blockwise_zero_test_matches_the_tail_models(n):
-    # reduces_to_zero tests each l-coefficient in the l-free ring; on every
-    # stratum its verdict must be membership in the full tail model's
-    # lattices, for classes that vanish there and classes that do not.
+    # reduces_to_zero reduces each l-coefficient in the genus-zero factors;
+    # on every stratum its verdict must be membership in the full tail
+    # model's lattices, for classes that vanish there and classes that do not.
     rng = random.Random(f"blockwise {n}")
     gens = [IntPolynomial.symbol(nm) for nm in ambient_symbols(n)]
     rels = [rel for rels in relation_families(n).values() for rel in rels]

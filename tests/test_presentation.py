@@ -68,20 +68,25 @@ def test_vector_rejects_foreign_symbols():
 
 def test_top_degree_normal_form_rejects_foreign_symbols():
     # the top degree reads the degree map, not a staircase, and refuses a
-    # foreign symbol as vector does
+    # foreign symbol as vector does; Z[d12, d13] / (d12 - d13, d13^2) is Z in
+    # degree 1 and zero above
     d12, d13 = IntPolynomial.symbol("d{1,2}"), IntPolynomial.symbol("d{1,3}")
-    pres = GradedPresentation(["d{1,2}", "d{1,3}"], [d12 - d13],
+    pres = GradedPresentation(["d{1,2}", "d{1,3}"], [d12 - d13, d13**2],
                               degree_map=(d13, lambda mono: 1))
     assert pres.normal_form(3 * d12 - d13) == 2 * d13
     with pytest.raises(PresentationError, match=r"^unknown symbol 'xi'$"):
         pres.normal_form(d12 + X)
+    with pytest.raises(PresentationError, match=r"^unknown symbol 'xi'$"):
+        pres.normal_form(d12**3 * X)  # above the top degree too
 
 
 def test_a_degree_map_must_be_one_on_its_top_monomial():
     d12, d13 = IntPolynomial.symbol("d{1,2}"), IntPolynomial.symbol("d{1,3}")
-    pres = GradedPresentation(["d{1,2}", "d{1,3}"], [d12 - d13],
+    pres = GradedPresentation(["d{1,2}", "d{1,3}"], [d12 - d13, d13**2],
                               degree_map=(d13, lambda mono: 2))
-    assert pres.normal_form(d12 * d13) == d13**2  # other degrees: staircases
+    # below the relations and above the map's degree no staircase is built
+    assert pres.normal_form(5 + d12 * d13 - d12**3).text() == "5"
+    assert not pres._lattice_cache
     with pytest.raises(PresentationError, match=r"is 2 on d\{1,3\}, not \+1 or -1$"):
         pres.normal_form(d12)
 
@@ -509,8 +514,9 @@ P = IntPolynomial.parse
 
 
 def ring(a, b):
-    # l is free, and the l-free rings are equal up to renaming
-    return GradedPresentation(["l", a, b], [P(f"2*{a} + 3*{b}"), P(f"{a}^2 - 5*{b}^2")])
+    # Z[l] tensor a ring on a and b; the second factors are equal up to renaming
+    factor = GradedPresentation([a, b], [P(f"2*{a} + 3*{b}"), P(f"{a}^2 - 5*{b}^2")])
+    return GradedPresentation.tensor_product([GradedPresentation(["l"], []), factor], "")
 
 
 first, second = ring("t{1,2}", "t{1,3}"), ring("d{1,2}", "d{1,3}")
@@ -606,15 +612,17 @@ def test_divide_not_divisible():
 
 
 def test_division_rings_share_staircases_only_up_to_order_preserving_renaming():
-    # xi is free in each ring below; dividing by xi builds the xi-free ring
+    # each ring below is a factor of Z[xi] tensor it; dividing by xi there
+    # reduces in the factor
     d12, d13, d23, d24 = (
         IntPolynomial.symbol(nm) for nm in ("d{1,2}", "d{1,3}", "d{2,3}", "d{2,4}")
     )
 
     def division_ring(symbols, relation):
-        pres = GradedPresentation(("xi",) + symbols, (relation,))
+        ring = GradedPresentation(symbols, (relation,))
+        pres = GradedPresentation.tensor_product([free_ring("xi"), ring], "")
         assert pres.divide_in_quotient(X * relation, X).is_zero()
-        return pres._x_free
+        return ring
 
     base = division_ring(("d{1,2}", "d{1,3}"), 2 * d12)
     renamed = division_ring(("d{2,3}", "d{2,4}"), 2 * d23)
@@ -626,6 +634,43 @@ def test_division_rings_share_staircases_only_up_to_order_preserving_renaming():
         assert other_index.lattice(d) is not base.lattice(d)
     assert renamed.normal_form(3 * d23 + d24).text() == "d{2,3} + d{2,4}"
     assert other_coefficient.normal_form(3 * d12 + d13).text() == "d{1,3}"
+
+
+D12, D13, D45, D46 = (
+    IntPolynomial.symbol(nm) for nm in ("d{1,2}", "d{1,3}", "d{4,5}", "d{4,6}")
+)
+
+
+def test_a_factor_leading_with_more_than_one_is_reduced_last():
+    # a leads with 2 at d12 in degree 1, c with 1 at d45.  Reducing a, then
+    # c, turns d12*d45 + d12*d46 into 2*d12*d46, which (2*d12 + d13)*d46
+    # reduces further: in either order the product reduces a last, and gets
+    # its own staircase residue.
+    a = GradedPresentation(["d{1,2}", "d{1,3}"], [2 * D12 + D13])
+    c = GradedPresentation(["d{4,5}", "d{4,6}"], [D45 - D46])
+    rng = random.Random(7)
+    for factors in ([a, c], [c, a]):
+        pres = GradedPresentation.tensor_product(factors, "")
+        assert pres.normal_form(D12 * D45 + D12 * D46) == -D13 * D46
+        for d in range(4):
+            for _ in range(10):
+                f = sum((rng.randint(-5, 5) * IntPolynomial({m: 1}) for m in pres.basis(d)),
+                        IntPolynomial.zero())
+                assert pres.normal_form(f) == staircase_normal_form(pres, f)
+
+
+def test_two_factors_leading_with_more_than_one_are_refused():
+    # d12*d46 is its own residue in each factor, but d45*(2*d12 + d13) -
+    # d12*(2*d45 + d46) leads at it with 1 in the product: one factor at a
+    # time cannot give the canonical residue, so the product refuses
+    a = GradedPresentation(["d{1,2}", "d{1,3}"], [2 * D12 + D13], name="a")
+    b = GradedPresentation(["d{4,5}", "d{4,6}"], [2 * D45 + D46], name="b")
+    pres = GradedPresentation.tensor_product([a, b], "a*b")
+    assert staircase_normal_form(pres, D12 * D46) != D12 * D46
+    with pytest.raises(PresentationError, match=r"^a and b both lead with more than 1 in a\*b"):
+        pres.normal_form(D12 * D46)
+    # a polynomial within one factor is reduced there alone
+    assert pres.normal_form(3 * D12) == staircase_normal_form(pres, 3 * D12) == D12 - D13
 
 
 def test_divide_requires_homogeneous():

@@ -13,12 +13,14 @@ from ellchow import (
     ctop_tail,
     ell_model,
     enumerate_partitions,
+    keel_presentation,
     lift_from_tail,
     restrict_to_tail,
     s_max,
     s_min,
     tail_model,
 )
+from ellchow.corering import min_presentation
 from ellchow.exactring import subset_name
 from ellchow.strata import banana_partition
 
@@ -270,25 +272,29 @@ def staircase_normal_form(pres, f):
     )
 
 
+def without_l(keys):
+    return [m for m in keys if "l" not in IntPolynomial({m: 1}).symbols_used()]
+
+
 @pytest.mark.parametrize("text,n", DIVISION_STRATA)
 def test_division_ring_normal_form_matches_the_tail_model(text, n):
-    # normal_form reduces each l-coefficient in the l-free ring; the result
-    # must be the tail model's own staircase residue.  The inputs are sums
-    # of l^i times random combinations of basis monomials and of multiples
-    # of relations and kills.
+    # normal_form reduces each l-coefficient in the genus-zero factors, where
+    # division reduces too; the result must be the tail model's own
+    # staircase residue.  The inputs are sums of l^i times random
+    # combinations of l-free basis monomials and of multiples of relations
+    # and kills.
     rng = random.Random(f"l-free {text}/{n}")
     pres = tail_model(n, SetPartition.parse(text, n)).presentation
-    core = pres._x_free
-    assert core.symbols == tuple(nm for nm in pres.symbols if nm != "l")
-    rels = core.defining_relations()
+    assert all("l" not in ring.symbols for ring in pres._factors)
+    rels = pres.defining_relations()
 
     def l_free(d):
         f = sum(
-            (rng.randint(-9, 9) * IntPolynomial({m: 1}) for m in core.basis(d)),
+            (rng.randint(-9, 9) * IntPolynomial({m: 1}) for m in without_l(pres.basis(d))),
             IntPolynomial.zero(),
         )
         for rel in rng.sample(rels, min(3, len(rels))):
-            multipliers = core.basis(d - rel.degree())
+            multipliers = without_l(pres.basis(d - rel.degree()))
             if multipliers:
                 f = f + rng.randint(-9, 9) * IntPolynomial(
                     {rng.choice(multipliers): 1}
@@ -305,13 +311,14 @@ def test_division_ring_normal_form_matches_the_tail_model(text, n):
 
 def test_relabelled_division_rings_share_staircases():
     # 1 2 3 4 -> 2 3 4 5 renames the one block in symbol order, so the two
-    # l-free rings have the same basis positions and product rows, and the
-    # second reads the staircases the first built
+    # genus-zero factors have the same basis positions and product rows, and
+    # the second reads the staircases the first built
     rings = [
-        tail_model(5, SetPartition.parse(text, 5)).presentation._x_free
+        tail_model(5, SetPartition.parse(text, 5)).presentation._factors[-1]
         for text in ("1 2 3 4|5", "1|2 3 4 5")
     ]
-    assert rings[0].symbols != rings[1].symbols
+    assert rings[0] is keel_presentation((1, 2, 3, 4)).presentation
+    assert rings[1] is keel_presentation((2, 3, 4, 5)).presentation
     # a ring built on its own has the basis the sharing ring enumerates
     alone = GradedPresentation(rings[1].symbols, rings[1].defining_relations())
     for d in range(5):
@@ -320,43 +327,61 @@ def test_relabelled_division_rings_share_staircases():
 
 
 def test_division_rings_sharing_staircases_have_renamed_bases():
-    # Rings that share staircases must enumerate the same basis positions:
-    # the later ring's basis is the first one's, renamed in symbol order.
+    # Factor rings that share staircases must enumerate the same basis
+    # positions: the later ring's basis is the first one's, renamed in
+    # symbol order.
     first = {}
     shared = 0
     for n in range(2, 6):
         for part in enumerate_partitions(n):
-            ring = tail_model(n, part).presentation._x_free
-            other = first.setdefault(id(ring._lattice_cache), ring)
-            if other is ring:
-                continue
-            shared += 1
-            rename = dict(zip(other.symbols, ring.symbols))
-            assert len(rename) == len(ring.symbols)
-            for d in range(4):
-                assert [IntPolynomial({m: 1}) for m in ring.basis(d)] == [
-                    IntPolynomial({m: 1}).rename_symbols(rename)
-                    for m in other.basis(d)
-                ], (part.text(), d)
+            for ring in tail_model(n, part).presentation._factors:
+                other = first.setdefault(id(ring._lattice_cache), ring)
+                if other is ring:
+                    continue
+                shared += 1
+                rename = dict(zip(other.symbols, ring.symbols))
+                assert len(rename) == len(ring.symbols)
+                for d in range(4):
+                    assert [IntPolynomial({m: 1}) for m in ring.basis(d)] == [
+                        IntPolynomial({m: 1}).rename_symbols(rename)
+                        for m in other.basis(d)
+                    ], (part.text(), d)
     assert shared > 0
 
 
-def test_division_rings_up_to_six_markings_share_eight_staircase_classes():
-    # The l-free rings of the tail models, up to the six-marking all-singleton
-    # one, fall into 8 classes of rings equal up to an order-preserving
-    # renaming of symbols.  A signature that shares too little gives more
-    # classes, one that merges unequal rings fewer.
+def test_factor_rings_up_to_six_markings_share_five_staircase_classes():
+    # The factors that the tail models up to six markings reduce in are the
+    # genus-zero rings on 3, 4, 5 and 6 markings, one class each up to an
+    # order-preserving renaming of symbols, and the six-marking core ring of
+    # the all-singleton model.  Z[l] has no relation and is no such factor.
+    # A signature that shares too little gives more classes, one that merges
+    # unequal rings fewer.
     staircases = set()
     counts = []
     for n in range(1, 7):
         for part in enumerate_partitions(n):
-            if (n, part) != (6, s_max(6)):
-                ring = tail_model(n, part).presentation._x_free
+            for ring in tail_model(n, part).presentation._factors:
                 staircases.add(id(ring._lattice_cache))
         counts.append(len(staircases))
-    assert counts == [1, 1, 2, 3, 4, 8]
+    assert counts == [0, 0, 1, 2, 3, 5]
 
 
+def test_the_one_block_model_reduces_in_the_genus_zero_ring_itself():
+    # the seven-point genus-zero ring is built once: tail(1 2 3 4 5 6)
+    # reduces in the very ring keel_presentation returns
+    ring = keel_presentation(range(1, 7)).presentation
+    pres = tail_model(6, s_min(6)).presentation
+    assert pres._factors == (ring,)
+    f = P("d{1,2} + 2*d{1,2,3,4,5} + l*d{3,4}")
+    assert pres.normal_form(f) == ring.normal_form(f - P("l*d{3,4}")) + P("l") * ring.normal_form(
+        P("d{3,4}"))
+
+
+def test_the_two_genus_zero_factors_of_a_three_three_model_share_staircases():
+    first, second = tail_model(6, SetPartition.parse("1 2 3|4 5 6", 6)).presentation._factors
+    assert first.symbols != second.symbols
+    for d in range(3):
+        assert first.lattice(d) is second.lattice(d)
 @pytest.mark.parametrize("text,n", DIVISION_STRATA)
 def test_division_by_ctop_returns_the_reduced_quotient(text, n):
     # g = h0*ctop + (basis monomial)*(relation).  ctop is +1 or -1 times a
@@ -386,25 +411,26 @@ def test_division_by_ctop_returns_the_reduced_quotient(text, n):
 
 
 def stratum_models(n):
-    """Every tail and elliptic model on ``n`` markings that has a degree map:
-    all but the six-marking all-singleton tail model."""
+    """Every tail and elliptic model on ``n`` markings."""
     for part in enumerate_partitions(n):
         if part != s_max(n):
             yield ell_model(n, part)
-        if (n, part) != (6, s_max(6)):
-            yield tail_model(n, part)
+        yield tail_model(n, part)
 
 
-def top_degree_certificate(model):
-    """Check that the normal form of every top-degree basis monomial of the
-    ring without the free symbol is its staircase residue."""
-    ring = model.presentation._x_free
-    top = ring._star & 255  # field 0 of a key holds its degree
-    staircase = ring.lattice(top)
-    for key in ring.basis(top):
-        f = IntPolynomial({key: 1})
-        expected = ring.from_vector(staircase.residue(ring.vector(f, top)), top)
-        assert ring.normal_form(f) == expected, (ring.name, f.text())
+def top_degree_certificate(models):
+    """Check that the normal form of every top-degree basis monomial of each
+    genus-zero factor of the models is its staircase residue."""
+    rings = {id(ring): ring for model in models for ring in model.presentation._factors}
+    for ring in rings.values():
+        if ring._degree_map is None:  # the six-marking core ring
+            continue
+        top = ring._top
+        staircase = ring.lattice(top)
+        for key in ring.basis(top):
+            f = IntPolynomial({key: 1})
+            expected = ring.from_vector(staircase.residue(ring.vector(f, top)), top)
+            assert ring.normal_form(f) == expected, (ring.name, f.text())
 
 
 def test_top_degree_normal_forms_are_staircase_residues():
@@ -414,19 +440,21 @@ def test_top_degree_normal_forms_are_staircase_residues():
         for text in ("1 2 3 4 5 6", "1|2 3 4 5 6")
         for maker in (tail_model, ell_model)
     ]
-    for model in models:
-        top_degree_certificate(model)
+    top_degree_certificate(models)
 
 
 @pytest.mark.n6
 def test_six_marking_top_degree_normal_forms_are_staircase_residues():
-    for model in stratum_models(6):
-        top_degree_certificate(model)
+    top_degree_certificate(list(stratum_models(6)))
 
 
 def test_the_six_marking_all_singleton_model_has_no_degree_map():
+    # its one factor with relations is the six-marking core ring, which has
+    # no degree map: Z[l, nu] / (two core relations) is not zero above any
+    # degree
     pres = tail_model(6, s_max(6)).presentation
-    assert pres._degree_map is None
+    assert pres._factors == (min_presentation(6),)
+    assert pres._degree_map is None and min_presentation(6)._degree_map is None
     assert pres.reduces_to_zero(P("l^4 - l^2*nu - nu^2"))
 
 
@@ -441,10 +469,11 @@ TOP_MODELS = [
 @settings(max_examples=40, deadline=None)
 def test_top_degree_normal_form_of_random_polynomials(case, rng):
     # random top-degree combinations of basis monomials, killed monomials and
-    # multiples of relations, compared with the staircase residue
+    # multiples of relations of a model's genus-zero factor, compared with
+    # the staircase residue
     maker, text, n = case
-    ring = maker(n, SetPartition.parse(text, n)).presentation._x_free
-    top = ring._star & 255
+    (ring,) = maker(n, SetPartition.parse(text, n)).presentation._factors
+    top = ring._top
     f = sum(
         (rng.randint(-9, 9) * IntPolynomial({m: 1}) for m in ring.basis(top)),
         IntPolynomial.zero(),
@@ -456,6 +485,59 @@ def test_top_degree_normal_form_of_random_polynomials(case, rng):
     expected = staircase_normal_form(ring, f)
     assert ring.normal_form(f) == expected
     assert ring.reduces_to_zero(f - expected)
+
+
+# -- one factor at a time against the model's own staircase -----------------------
+
+
+EQUIVALENCE_MODELS = [
+    (maker, part.text(), n)
+    for n in range(1, 6)
+    for part in enumerate_partitions(n)
+    for maker in (tail_model, ell_model)
+    if maker is tail_model or part != s_max(n)
+] + [
+    (maker, text, 6)
+    for text in ("1 2 3|4 5 6", "1 2 3 4 5 6")
+    for maker in (tail_model, ell_model)
+]
+
+
+def random_class(pres, d, rng):
+    """A random degree-``d`` combination of basis monomials, killed monomials
+    (multiples of kills) and multiples of the other relations."""
+    basis = pres.basis(d)
+    f = sum(
+        (rng.randint(-9, 9) * IntPolynomial({m: 1}) for m in rng.sample(basis, min(8, len(basis)))),
+        IntPolynomial.zero(),
+    )
+    rels = [rel for rel in pres.defining_relations() if rel.degree() <= d]
+    kills = [rel for rel in rels if len(rel) == 1]
+    others = [rel for rel in rels if len(rel) > 1]
+    for rel in rng.sample(kills, min(2, len(kills))) + rng.sample(others, min(3, len(others))):
+        multiplier = IntPolynomial({rng.choice(pres.basis(d - rel.degree())): 1})
+        f = f + rng.randint(-9, 9) * multiplier * rel
+    return f
+
+
+@given(st.integers(0, 2**64))
+@settings(max_examples=5, deadline=None)
+def test_factor_wise_normal_form_is_the_models_own_staircase_residue(seed):
+    # Every tail and elliptic model up to five markings and two six-marking
+    # ones, in every degree from 0 to one above the genus-zero factors' top:
+    # reducing one factor at a time gives the residue in the model's own
+    # staircase, degree by degree and for the sum of the degrees.  The draws
+    # are too many for a Hypothesis random, so it draws their seed.
+    rng = random.Random(seed)
+    for maker, text, n in EQUIVALENCE_MODELS:
+        pres = maker(n, SetPartition.parse(text, n)).presentation
+        top = sum(ring._top for ring in pres._factors)
+        parts = [random_class(pres, d, rng) for d in range(top + 2)]
+        for d, f in enumerate(parts):
+            expected = pres.from_vector(pres.lattice(d).residue(pres.vector(f, d)), d)
+            assert pres.normal_form(f) == expected, (pres.name, f.text())
+        total = sum(parts, IntPolynomial.zero())
+        assert pres.normal_form(total) == staircase_normal_form(pres, total)
 
 
 def test_ctop_factors():

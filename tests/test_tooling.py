@@ -112,24 +112,24 @@ for text in ("1 2 3 4", "1 2|3 4"):
     ell_class(4, SetPartition.parse(text, 4))
 patched = len(rings)
 assert patched
-# Zero tests and normal forms on a tail model split off l as well.
-restriction_offenders(4, IntPolynomial.parse("l^3 + l*t{1,2}^2 + t{1,2,3}^3"))
+# Zero tests and normal forms on a tail model reduce in the factors too.
+restriction_offenders(4, IntPolynomial.parse("l^2*t{1,2} + l*t{1,2}^2 + t{1,2,3}^3"))
 tail_model(4, SetPartition.parse("1 2 3 4", 4)).presentation.normal_form(
-    IntPolynomial.parse("l^3 + l*d{1,2}^2")
+    IntPolynomial.parse("l^2*d{1,2} + l*d{1,2}^2")
 )
 assert len(rings) > patched
 tails = [tail_model(4, s).presentation for s in enumerate_partitions(4)]
-division = {id(pres._x_free) for pres in tails}
+factors = {id(ring) for pres in tails for ring in pres._factors}
 full = {id(pres) for pres in tails}
 assert not [pres.name for pres in rings if id(pres) in full]
-assert not [pres.name for pres in rings if id(pres) not in division]
+assert not [pres.name for pres in rings if id(pres) not in factors]
 """
 
 
 def test_patching_builds_lattices_of_division_rings_only():
-    # Division by the excess class, zero tests and normal forms run in the
-    # l-free ring; a tail model's own lattice is never needed to patch a
-    # class or to check its restrictions.
+    # Division by the excess class, zero tests and normal forms reduce in a
+    # tail model's genus-zero factors; its own lattice is never needed to
+    # patch a class or to check its restrictions.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
