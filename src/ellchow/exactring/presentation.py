@@ -182,7 +182,7 @@ class GradedPresentation:
         relation or a kill share staircases (see the module docstring)."""
         ring = cls([nm for r in factors for nm in r.symbols],
                    [rel for r in factors for rel in r.defining_relations()], name=name)
-        ring._factors = tuple(r for r in factors if r._low <= MAX_DEGREE)
+        ring._factors = tuple(r for r in factors if r.relations or r._kill_keys)
         for r in ring._factors:
             r._lattice_cache, r._reduced_rels = _STAIRCASES.setdefault(
                 r._signature, (r._lattice_cache, r._reduced_rels))
