@@ -23,8 +23,8 @@ point or a product that would overflow raises ``ValueError``.
 A key's value depends on the order in which names were interned, so no
 output may depend on it.  Names enter through ``symbol``, ``monomial``,
 ``parse`` and ``from_json_obj``, and leave through ``sorted_terms`` (hence
-``text`` and JSON), ``symbols_used`` and ``rename_symbols``, in the
-canonical symbol order ``l < nu < xi < braced names by (size, elements,
+``text`` and JSON), ``symbols_used`` and the image lookup of ``substitute``,
+in the canonical symbol order ``l < nu < xi < braced names by (size, elements,
 prefix letter)``.  The canonical text form sorts terms by (degree, exponent vector
 descending-lexicographic), e.g. ``24*l^3 + 24*l^2*t{1,2}``, and round-trips
 through :meth:`IntPolynomial.parse`.  The JSON form is a list of
@@ -324,7 +324,8 @@ class IntPolynomial:
     def substitute(self, images: Mapping[str, "IntPolynomial"] | Callable) -> "IntPolynomial":
         """Ring-homomorphic substitution; names absent from ``images`` map to
         themselves.  ``images`` may instead be a function giving the image of
-        every name the polynomial uses, each asked for once.
+        every name the polynomial uses, or None to keep it, each asked for
+        once.  Symbol images rename.
 
         A term with a factor whose image is zero meets the mask ``zero`` of
         those fields and is skipped.  Every other term walks its fields: a
@@ -369,26 +370,6 @@ class IntPolynomial:
             for k, v in term.items():
                 total[k] = total.get(k, 0) + v
         return _poly({k: v for k, v in total.items() if v})
-
-    def rename_symbols(self, mapping: Mapping[str, str] | Callable) -> "IntPolynomial":
-        """Pure symbol renaming (a degree-preserving bijection on names);
-        names absent from ``mapping`` keep theirs.  ``mapping`` may instead be
-        a function giving the new name of every name, each asked for once."""
-        rename = mapping if callable(mapping) else lambda nm: mapping.get(nm, nm)
-        unit_at: dict[int, int] = {}  # the key of each field's new name
-        out: dict[int, int] = {}
-        for m, c in self._terms.items():
-            key = 0
-            for f, e in key_fields(m):
-                if f not in unit_at:
-                    unit_at[f] = unit_key(rename(_NAMES[f]))
-                key += e * unit_at[f]
-            # a new field sums at most the degree's worth of exponents and field 0 at
-            # most twice the degree: nothing carries, and field 0 shows an overflow
-            if key & DEGREE > MAX_DEGREE:
-                raise _overflow(key & DEGREE)
-            out[key] = out.get(key, 0) + c
-        return _poly({k: v for k, v in out.items() if v})
 
     # -- canonical text / JSON forms ----------------------------------------
 

@@ -48,10 +48,10 @@ itself.  Reduction in a unit-led factor is Z-linear with the factor's ideal
 as kernel, in ``k`` it depends only on the class of its input, and each
 changes only its factor's parts: the result depends only on the class of
 ``f``, which is ``r``'s.  This is Buchberger's first criterion: Groebner
-bases in disjoint variables join to one.  Factor rings equal up to an
-order-preserving renaming of their symbols (symbol degrees, relations
-written with symbol slots, kill masks) have the same basis positions and
-product rows, so they share their reduced relations and staircases.
+bases in disjoint variables join to one.  A ring ``renamed`` from another
+keeping the symbol order and degrees keeps every slot: basis positions,
+product rows and kill masks are the other's, so it holds the other's very
+reduced relations and staircases, and its degree map renamed.
 
 A *degree map* is a monomial ``m*`` of degree ``t`` and a map ``∫`` on
 monomials such that the degree-``t`` lattice is ``ker ∫``, ``∫(m*) = ±1``
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
@@ -82,10 +82,6 @@ from .poly import (
     unit_key,
 )
 
-
-# The staircases and reduced relation rows of the factor rings, by signature
-# up to an order-preserving renaming of symbols (see the module docstring).
-_STAIRCASES: dict[tuple, tuple[dict[int, Echelon], dict[int, list[list]]]] = {}
 
 
 class PresentationError(Exception):
@@ -178,25 +174,31 @@ class GradedPresentation:
     @classmethod
     def tensor_product(cls, factors: Sequence[GradedPresentation],
                        name: str) -> GradedPresentation:
-        """The tensor product of rings on disjoint symbols; the factors with a
-        relation or a kill share staircases (see the module docstring)."""
+        """The tensor product of rings on disjoint symbols, reduced one factor
+        with a relation or a kill at a time (see the module docstring)."""
         ring = cls([nm for r in factors for nm in r.symbols],
                    [rel for r in factors for rel in r.defining_relations()], name=name)
         ring._factors = tuple(r for r in factors if r.relations or r._kill_keys)
-        for r in ring._factors:
-            r._lattice_cache, r._reduced_rels = _STAIRCASES.setdefault(
-                r._signature, (r._lattice_cache, r._reduced_rels))
         return ring
 
-    @cached_property
-    def _signature(self) -> tuple:
-        """The ring up to an order-preserving renaming of its symbols: symbol
-        degrees, relation terms written with symbol slots, and kill masks."""
-        relations = tuple(tuple(sorted(
-            (sum(e << FIELD_BITS * self._slot_at[f] for f, e in key_fields(key)), coeff)
-            for key, coeff in rel.items())) for rel in self.relations)
-        kills = tuple(sorted(kill for at in self._kills_at for kill in at))
-        return tuple(u & DEGREE for u in self._units), relations, kills
+    def renamed(self, names: Sequence[str], name: str) -> GradedPresentation:
+        """This ring with its ``i``-th symbol named ``names[i]``, holding this
+        ring's staircases; a renaming that changes the symbol order or a
+        symbol's degree is refused (see the module docstring)."""
+        names = tuple(names)
+        if (tuple(sorted(set(names), key=symbol_key)) != names or
+                [unit_key(nm) & DEGREE for nm in names] != [u & DEGREE for u in self._units]):
+            raise PresentationError(f"renaming {', '.join(self.symbols)} to {', '.join(names)} "
+                                    "changes the symbol order or a degree")
+        images = {old: IntPolynomial.symbol(new) for old, new in zip(self.symbols, names)}
+        back = dict(zip(names, self.symbols))
+        degree_map = self._degree_map and (self._degree_map[0].substitute(images),
+                                           lambda mono: self._degree_map[1](
+                                               [(back[nm], e) for nm, e in mono]))
+        ring = GradedPresentation(names, [rel.substitute(images) for rel in
+                                          self.defining_relations()], name, degree_map)
+        ring._lattice_cache, ring._reduced_rels = self._lattice_cache, self._reduced_rels
+        return ring
 
     # -- monomial bookkeeping ------------------------------------------------
 

@@ -22,6 +22,10 @@ carries its top piece, of degree ``len(markings) - 2``, onto the integers
 zero above.  Each ring carries it as its degree map, with ``m*`` the last
 divisor ``d{B - min B}`` to that degree, the lex-smallest monomial there.
 
+The ring on ``k`` markings other than ``1..k`` is the ring on ``1..k`` with
+the markings renamed in order, which keeps the symbol order: it is
+``renamed`` from that ring and holds its staircases.
+
 The point counts of these spaces over a finite field are recovered
 independently by enumerating stable trees (``mzero_point_count``), giving
 an oracle for the Hilbert function of the presentation.
@@ -130,14 +134,14 @@ def keel_presentation(markings: Sequence[int]) -> KeelRing:
 @lru_cache(maxsize=None)
 def _keel_ring(ms: tuple[int, ...]) -> KeelRing:
     subsets = [t for size in range(2, len(ms)) for t in combinations(ms, size)]
+    names, name = [subset_name("d", t) for t in subsets], f"keel({','.join(map(str, ms))})"
+    canonical = tuple(range(1, len(ms) + 1))
+    if ms != canonical:
+        return KeelRing(ms, _keel_ring(canonical).presentation.renamed(names, name))
     relations = four_point_relations(ms, "d", ms) + incompatible_products(subsets, "d")
-    pres = GradedPresentation(
-        [subset_name("d", t) for t in subsets],
-        relations,
-        name=f"keel({','.join(map(str, ms))})",
-        degree_map=(IntPolynomial.symbol(subset_name("d", ms[1:]), len(ms) - 2),
-                    lambda mono: keel_integral(ms, mono)),
-    )
+    pres = GradedPresentation(names, relations, name, (
+        IntPolynomial.symbol(subset_name("d", ms[1:]), len(ms) - 2),
+        lambda mono: keel_integral(ms, mono)))
     return KeelRing(markings=ms, presentation=pres)
 
 

@@ -151,18 +151,18 @@ def restrict_to_tail(
 def lift_from_tail(g: IntPolynomial) -> IntPolynomial:
     """Rename block divisors to ambient boundary divisors; a section of the
     restriction map (restricting the lift returns ``g`` exactly)."""
-    return g.rename_symbols(_ambient_name)
+    return g.substitute(_ambient_image)
 
 
 @lru_cache(maxsize=None)
-def _ambient_name(name: str) -> str:
-    """The ambient name of a tail-model generator: ``d{B}`` becomes ``t{B}``."""
+def _ambient_image(name: str) -> IntPolynomial:
+    """The ambient symbol of a tail-model generator: ``d{B}`` becomes ``t{B}``."""
     if name in ("l", "nu"):
-        return name
+        return IntPolynomial.symbol(name)
     elems = name_elements(name)
     if elems is None or not name.startswith("d"):
         raise PresentationError(f"not a tail-model generator: {name!r}")
-    return subset_name("t", elems)
+    return IntPolynomial.symbol(subset_name("t", elems))
 
 
 @lru_cache(maxsize=None)

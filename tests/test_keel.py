@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellchow import (
+    GradedPresentation,
     IntPolynomial,
     keel_presentation,
     mzero_point_count,
@@ -19,6 +20,7 @@ from ellchow.keel import (
     incompatible_products,
     keel_integral,
 )
+from ellchow.exactring import subset_name
 from ellchow.partitions import incomparable
 
 
@@ -56,6 +58,31 @@ def test_keel_ring_is_built_once_per_marking_set():
     assert keel_presentation([1, 2, 4]) is not ring
     with pytest.raises(ValueError, match="^repeated markings$"):
         keel_presentation(iter((1, 2, 2)))
+
+
+@pytest.mark.parametrize("block", [(2, 4, 5), (2, 4, 5, 7)])
+def test_a_block_ring_is_the_ring_on_one_to_k_renamed(block):
+    # the ring on a block holds the very staircase dicts of the ring on 1..k,
+    # and it is the ring built on the block: the same symbols and relations,
+    # and the same normal forms through the degree above its dimension, where
+    # its degree map is read on the block's own divisors
+    canonical = keel_presentation(range(1, len(block) + 1)).presentation
+    pres = keel_presentation(block).presentation
+    assert pres._lattice_cache is canonical._lattice_cache
+    assert pres._reduced_rels is canonical._reduced_rels
+    subsets = [t for k in range(2, len(block)) for t in itertools.combinations(block, k)]
+    built = GradedPresentation(
+        [subset_name("d", t) for t in subsets],
+        four_point_relations(block, "d", block) + incompatible_products(subsets, "d"),
+        degree_map=(IntPolynomial.symbol(subset_name("d", block[1:]), len(block) - 2),
+                    lambda mono: keel_integral(block, mono)),
+    )
+    assert pres.symbols == built.symbols
+    assert pres.defining_relations() == built.defining_relations()
+    for d in range(len(block)):
+        for key in pres.basis(d):
+            f = IntPolynomial({key: 1})
+            assert pres.normal_form(f) == built.normal_form(f)
 
 
 def test_divisor_lookup():

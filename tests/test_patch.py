@@ -109,6 +109,19 @@ def test_presentation_relations_restrict_to_zero(n):
         assert restricts_to_zero_everywhere(n, rel), rel.text()
 
 
+def test_six_marking_ambient_ranks_are_the_strata_sum():
+    # the nodal identity of every stratum but the all-singleton one is a
+    # relation; lifting it only on the strata refining the four-two split
+    # left ranks 875 and 1108 in degrees 3 and 4
+    ambient = gorenstein_presentation(6).hilbert_function(4)
+    total = [0] * 5
+    for s in enumerate_partitions(6):
+        tail = tail_model(6, s).presentation.hilbert_function(4 - s.codim())
+        for d, rank in enumerate(tail, start=s.codim()):
+            total[d] += rank
+    assert ambient == total == [1, 58, 422, 830, 903]
+
+
 # -- faithfulness: the ideal is exactly the everywhere-vanishing classes -----------
 
 

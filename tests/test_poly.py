@@ -171,12 +171,14 @@ def test_substitute_is_ring_hom():
     assert g == 2 * x**2 - 3 * x * y + y * y
 
 
-def test_rename_symbols():
+def test_substitute_renames_by_symbol_images():
     f = L * t(1, 2) + t(1, 2, 3)
-    g = f.rename_symbols({"t{1,2}": "d{1,2}", "t{1,2,3}": "d{1,2,3}"})
     d12 = IntPolynomial.symbol("d{1,2}")
     d123 = IntPolynomial.symbol("d{1,2,3}")
+    g = f.substitute({"t{1,2}": d12, "t{1,2,3}": d123})
     assert g == L * d12 + d123
+    # a function may keep a name by giving None
+    assert f.substitute(lambda nm: None if nm == "l" else d12) == L * d12 + d12
 
 
 # -- canonical text ---------------------------------------------------------
@@ -236,7 +238,7 @@ def test_repeated_names_multiply():
     obj = [{"coeff": 1, "exponents": [["l", 1], ["l", 1]]}]
     assert IntPolynomial.from_json_obj(obj) == L**2
     assert IntPolynomial.monomial((("l", 1), ("l", 1))) == L**2
-    assert (L * XI).rename_symbols({"xi": "l"}) == L**2
+    assert (L * XI).substitute({"xi": L}) == L**2
 
 
 def test_negative_and_malformed_exponents_rejected():
@@ -279,8 +281,8 @@ def test_degree_at_the_top_of_a_field_fits():
         lambda: IntPolynomial.from_coefficients_in("l", {100: L**28}),
         lambda: (L**101 * XI).substitute({"xi": L**27 + XI**27}),
         lambda: (L**101 * XI).substitute({"xi": L**27}),
-        lambda: (L**100 * XI).rename_symbols({"xi": "nu"}) * L**27,
-        lambda: (L**64 * XI**63).rename_symbols({"xi": "nu"}),
+        lambda: (L**100 * XI).substitute({"xi": NU}) * L**27,
+        lambda: (L**64 * XI**63).substitute({"xi": NU}),
     ],
 )
 def test_a_degree_past_the_field_raises(build):

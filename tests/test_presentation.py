@@ -513,13 +513,14 @@ Echelon.insert = counting
 P = IntPolynomial.parse
 
 
-def ring(a, b):
-    # Z[l] tensor a ring on a and b; the second factors are equal up to renaming
-    factor = GradedPresentation([a, b], [P(f"2*{a} + 3*{b}"), P(f"{a}^2 - 5*{b}^2")])
+def ring(factor):
+    # Z[l] tensor the factor
     return GradedPresentation.tensor_product([GradedPresentation(["l"], []), factor], "")
 
 
-first, second = ring("t{1,2}", "t{1,3}"), ring("d{1,2}", "d{1,3}")
+factor = GradedPresentation(["t{1,2}", "t{1,3}"], [P("2*t{1,2} + 3*t{1,3}"),
+                                                   P("t{1,2}^2 - 5*t{1,3}^2")])
+first, second = ring(factor), ring(factor.renamed(["d{1,2}", "d{1,3}"], ""))
 queries = [
     (first, P("t{1,2}^2 + l*t{1,2}*t{1,3}")),
     (first, P("t{1,2}^3")),
@@ -533,9 +534,9 @@ print(inserted, forms)
 
 
 def test_renamed_rings_insert_the_same_rows_in_either_order():
-    # The second ring to reach a shared staircase reuses the first one's
-    # reduced relations as well, so the row count does not depend on the
-    # order in which the rings are built
+    # A renamed ring holds its source's reduced relations as well as its
+    # staircases, so the row count does not depend on which of the two
+    # reaches them first
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
     outputs = {
         subprocess.run(
@@ -613,27 +614,48 @@ def test_divide_not_divisible():
 
 def test_division_rings_share_staircases_only_up_to_order_preserving_renaming():
     # each ring below is a factor of Z[xi] tensor it; dividing by xi there
-    # reduces in the factor
+    # reduces in the factor.  Only the ring renamed from the base holds its
+    # staircases, not even the equal ring built on its own.
     d12, d13, d23, d24 = (
         IntPolynomial.symbol(nm) for nm in ("d{1,2}", "d{1,3}", "d{2,3}", "d{2,4}")
     )
 
-    def division_ring(symbols, relation):
-        ring = GradedPresentation(symbols, (relation,))
+    def division_ring(ring):
         pres = GradedPresentation.tensor_product([free_ring("xi"), ring], "")
-        assert pres.divide_in_quotient(X * relation, X).is_zero()
+        assert pres.divide_in_quotient(X * ring.relations[0], X).is_zero()
         return ring
 
-    base = division_ring(("d{1,2}", "d{1,3}"), 2 * d12)
-    renamed = division_ring(("d{2,3}", "d{2,4}"), 2 * d23)
-    other_coefficient = division_ring(("d{1,2}", "d{1,3}"), 3 * d12)
-    other_index = division_ring(("d{1,2}", "d{1,3}"), 2 * d13)
+    base = division_ring(GradedPresentation(("d{1,2}", "d{1,3}"), (2 * d12,)))
+    renamed = division_ring(base.renamed(("d{2,3}", "d{2,4}"), ""))
+    alone = division_ring(GradedPresentation(("d{2,3}", "d{2,4}"), (2 * d23,)))
+    other_coefficient = division_ring(GradedPresentation(("d{1,2}", "d{1,3}"), (3 * d12,)))
+    other_index = division_ring(GradedPresentation(("d{1,2}", "d{1,3}"), (2 * d13,)))
+    assert renamed.defining_relations() == alone.defining_relations() == [2 * d23]
     for d in range(4):
         assert renamed.lattice(d) is base.lattice(d)
-        assert other_coefficient.lattice(d) is not base.lattice(d)
-        assert other_index.lattice(d) is not base.lattice(d)
-    assert renamed.normal_form(3 * d23 + d24).text() == "d{2,3} + d{2,4}"
+        for ring in (alone, other_coefficient, other_index):
+            assert ring.lattice(d) is not base.lattice(d)
+    for ring in (renamed, alone):
+        assert ring.normal_form(3 * d23 + d24).text() == "d{2,3} + d{2,4}"
     assert other_coefficient.normal_form(3 * d12 + d13).text() == "d{1,3}"
+
+
+def test_renamed_refuses_a_change_of_symbol_order_or_degree():
+    P = IntPolynomial.parse
+    ring = GradedPresentation(("l", "d{1,2}", "d{1,3}"), (P("l*d{1,2} - 2*d{1,3}^2"),))
+    for names in [
+        ("l", "d{1,3}", "d{1,2}"),  # the divisors swap places
+        ("t{1,2}", "d{1,2}", "d{1,3}"),  # l's image sorts after d{1,2}
+        ("nu", "d{1,2}", "d{1,3}"),  # a degree changes
+        ("l", "d{1,2}"),
+        ("l", "d{1,2}", "d{1,2}"),
+    ]:
+        with pytest.raises(PresentationError, match="changes the symbol order or a degree"):
+            ring.renamed(names, "")
+    # the divisors keep their order and degree, and xi stays first
+    renamed = ring.renamed(("xi", "t{1,2}", "d{1,3}"), "")
+    assert renamed.relations == [P("xi*t{1,2} - 2*d{1,3}^2")]
+    assert renamed.lattice(2) is ring.lattice(2)
 
 
 D12, D13, D45, D46 = (

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from ellchow import cli, exactring
@@ -185,20 +186,22 @@ def defined_helpers():
 
 def test_every_helper_is_named_outside_its_definition():
     # A function or method whose name appears only where it is defined is
-    # dead; an override of a base class method is called by that base.
+    # dead; an override of a base class method is called by that base.  A
+    # name appears as a whole word token, so one pass counts every name.
     text = "\n".join(
         path.read_text(encoding="utf-8")
         for folder in ("src", "tests", "perfbench")
         for path in (ROOT / folder).rglob("*.py")
     )
+    uses = Counter(re.findall(r"\w+", text))
+    definitions = Counter(re.findall(r"\bdef (\w+)", text))
     dead = []
     for module, owner, name in defined_helpers():
         if owner is not None:
             cls = getattr(importlib.import_module(module), owner)
             if any(hasattr(base, name) for base in cls.__mro__[1:]):
                 continue
-        uses = len(re.findall(rf"\b{name}\b", text))
-        if uses <= len(re.findall(rf"\bdef {name}\b", text)):
+        if uses[name] <= definitions[name]:
             dead.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert dead == []
 
