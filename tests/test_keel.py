@@ -79,6 +79,7 @@ def test_a_block_ring_is_the_ring_on_one_to_k_renamed(block):
     )
     assert pres.symbols == built.symbols
     assert pres.defining_relations() == built.defining_relations()
+    assert pres._degree_map[0] == built._degree_map[0]
     for d in range(len(block)):
         for key in pres.basis(d):
             f = IntPolynomial({key: 1})

@@ -355,8 +355,8 @@ def test_factor_rings_up_to_six_markings_share_five_staircase_classes():
     # genus-zero rings on 3, 4, 5 and 6 markings, one class each up to an
     # order-preserving renaming of symbols, and the six-marking core ring of
     # the all-singleton model.  Z[l] has no relation and is no such factor.
-    # A signature that shares too little gives more classes, one that merges
-    # unequal rings fewer.
+    # A block ring built instead of renamed gives more classes, a cache
+    # shared between unequal rings fewer.
     staircases = set()
     counts = []
     for n in range(1, 7):
