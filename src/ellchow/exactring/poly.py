@@ -328,39 +328,39 @@ class IntPolynomial:
         once.  Symbol images rename.
 
         A term with a factor whose image is zero meets the mask ``zero`` of
-        those fields and is skipped.  Every other term walks its fields: a
-        power whose image has one term is folded into the key and the
-        coefficient, and only images with several terms are multiplied."""
-        image_at: dict[int, dict[int, int]] = {}  # the nonzero images by field
+        those fields and is skipped.  Every other term walks its fields: the
+        power of a one-term image ``(k, v)`` is folded into the key as ``e*k``
+        and into the coefficient, and only images with several terms are
+        multiplied.  A term of degree at most ``MAX_DEGREE`` summed no field
+        past its spare bit, and a larger one raises."""
+        single: dict[int, tuple[int, int]] = {}  # the one-term images by field
+        several_at: dict[int, dict[int, int]] = {}  # the other nonzero images
         zero = 0
         image_of = images if callable(images) else images.get
         for f, _ in key_fields(reduce(or_, self._terms, 0)):
             image = image_of(_NAMES[f])
-            if image is None:
-                image_at[f] = {_UNITS[_NAMES[f]]: 1}
-            elif image:
-                image_at[f] = image._terms
+            terms = {_UNITS[_NAMES[f]]: 1} if image is None else image._terms
+            if len(terms) == 1:
+                [single[f]] = terms.items()
+            elif terms:
+                several_at[f] = terms
             else:
                 zero |= DEGREE << FIELD_BITS * f
-        powers: dict[tuple[int, int], dict[int, int]] = {}
         total: dict[int, int] = {}
         for m, c in self._terms.items():
             if m & zero:
                 continue
-            key, coeff, several = 0, c, []
+            key, coeff, degree, several = 0, c, 0, []
             for f, e in key_fields(m):
-                power = image_at[f] if e == 1 else powers.get((f, e))
-                if power is None:
-                    power = powers[f, e] = (IntPolynomial(image_at[f]) ** e)._terms
-                if len(power) > 1:
-                    several.append(power)
+                if f in several_at:
+                    several.append((_poly(several_at[f]) ** e)._terms)
                     continue
-                for k, v in power.items():
-                    key += k
-                    coeff *= v
-                # both summands fit, so a sum that does not is caught here
-                if key & DEGREE > MAX_DEGREE:
-                    raise _overflow(key & DEGREE)
+                k, v = single[f]
+                key += e * k
+                coeff *= v**e
+                degree += e * (k & DEGREE)
+            if degree > MAX_DEGREE:
+                raise _overflow(degree)
             if not several:
                 total[key] = total.get(key, 0) + coeff
                 continue

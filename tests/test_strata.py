@@ -180,7 +180,8 @@ def test_restrict_after_lift_keeps_core_generators():
 
 
 def test_restriction_and_lift_read_the_support_once(monkeypatch):
-    # substitution and renaming find the names a polynomial uses themselves
+    # substitution finds the names a polynomial uses itself, for restriction
+    # and for lifting alike
     model = tail_model(5, SetPartition.parse("1 2 3|4 5", 5))
     f = P("l*t{1,2} + t{1,2,3}^2 - 3*t{4,5}*t{1,3}")
     expected = model.restrict(f)
