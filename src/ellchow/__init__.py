@@ -26,7 +26,6 @@ from .exactring import (
 )
 from .keel import KeelRing, keel_presentation, mzero_point_count, mzero_point_poly, psi_star
 from .modular import (
-    GetzlerCycles,
     GetzlerReport,
     getzler_check,
     qstable_presentation,
@@ -48,7 +47,6 @@ from .partitions import (
     validate_qspec,
 )
 from .patch import (
-    RestrictionData,
     classes_equal,
     ell_class,
     fundamental_class,
@@ -87,7 +85,6 @@ __all__ = [
     "mzero_point_count",
     "mzero_point_poly",
     "psi_star",
-    "GetzlerCycles",
     "GetzlerReport",
     "getzler_check",
     "qstable_presentation",
@@ -105,7 +102,6 @@ __all__ = [
     "s_min",
     "smyth",
     "validate_qspec",
-    "RestrictionData",
     "classes_equal",
     "ell_class",
     "fundamental_class",

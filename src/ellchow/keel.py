@@ -8,12 +8,12 @@ from ``*``), linear four-point relations, and vanishing products of
 incompatible divisors.  Its three builders, ``divisor_sum``,
 ``four_point_relations`` and ``incompatible_products``, take the prefix
 letter of the divisor names, so they also write the ambient ``t{...}``
-relations of :mod:`ellchow.patch`; ``divisor_sum`` also writes the
-whole-block pullbacks of :mod:`ellchow.strata`.
+relations of :mod:`ellchow.patch`.
 
 ``psi_star`` writes the cotangent class at ``*`` as a sum of boundary
 divisors avoiding two chosen markings; the class is independent of the
-choice modulo the relations.
+choice modulo the relations.  It also writes the attaching cotangent class
+in the whole-block pullbacks of :mod:`ellchow.strata`.
 
 ``keel_integral`` is the degree map: the integral of a divisor monomial
 over the space.  Keel's ring is free in each degree and the degree map
@@ -27,8 +27,10 @@ the markings renamed in order, which keeps the symbol order: it is
 ``renamed`` from that ring and holds its staircases.
 
 The point counts of these spaces over a finite field are recovered
-independently by enumerating stable trees (``mzero_point_count``), giving
-an oracle for the Hilbert function of the presentation.
+independently by one recursion over stable trees (``mzero_point_count``):
+the leaves below a vertex are split among its attachments, and each vertex
+counts its open configurations.  This gives an oracle for the Hilbert
+function of the presentation.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exactring import GradedPresentation, IntPolynomial, name_elements, subset_name
 from .partitions import incomparable, set_partitions
@@ -145,15 +147,16 @@ def _keel_ring(ms: tuple[int, ...]) -> KeelRing:
     return KeelRing(markings=ms, presentation=pres)
 
 
-def psi_star(ring: KeelRing, i: int | None = None, j: int | None = None) -> IntPolynomial:
-    """The cotangent class at the implicit point: the sum of all divisors
-    containing markings ``i`` and ``j``, given both or neither (the two smallest)."""
+def psi_star(markings: Sequence[int], i: int | None = None, j: int | None = None) -> IntPolynomial:
+    """The cotangent class at the implicit point of the ring on the sorted
+    ``markings``: the sum of all divisors containing markings ``i`` and
+    ``j``, given both or neither (the two smallest)."""
     if i is None and j is None:
-        i, j = ring.markings[:2]
-    if i == j or i not in ring.markings or j not in ring.markings:
+        i, j = markings[:2]
+    if i == j or i not in markings or j not in markings:
         raise ValueError(f"invalid marking pair ({i}, {j}): give two markings or neither")
     pair = tuple(sorted((i, j)))
-    return divisor_sum(ring.markings, "d", pair, ())
+    return divisor_sum(markings, "d", pair, ())
 
 
 def keel_integral(markings: Sequence[int], mono: Iterable[tuple[str, int]]) -> int:
@@ -200,41 +203,7 @@ def keel_integral(markings: Sequence[int], mono: Iterable[tuple[str, int]]) -> i
     return (-1) ** (len(markings) - 2 - len(sets)) * total
 
 
-# -- stable trees and point counts ------------------------------------------
-
-
-@dataclass(frozen=True)
-class StableTree:
-    """A rooted stable tree: every vertex carries its attachments, each a
-    leaf label or a further subtree; valence is attachments plus one (the
-    leaf or edge connecting upward)."""
-
-    children: tuple["StableTree | int", ...]
-
-
-def _hanging_trees(block: tuple[int, ...]) -> Iterator[StableTree]:
-    """All stable subtrees on the given leaves, hanging from a parent edge."""
-    for part in set_partitions(block):
-        if len(part) < 2:
-            continue
-        choice_lists = []
-        for sub in part:
-            if len(sub) == 1:
-                choice_lists.append([sub[0]])
-            else:
-                choice_lists.append(list(_hanging_trees(tuple(sub))))
-        for combo in product(*choice_lists):
-            yield StableTree(children=tuple(combo))
-
-
-@lru_cache(maxsize=None)
-def enumerate_stable_trees(n: int) -> tuple[StableTree, ...]:
-    """All stable trees on leaves ``1..n``, rooted at the vertex carrying
-    leaf 1."""
-    if n < 3:
-        raise ValueError("stability needs at least three leaves")
-    rest = tuple(range(2, n + 1))
-    return tuple(_hanging_trees(rest))
+# -- point counts -------------------------------------------------------------
 
 
 def _vertex_factor(valence: int, q):
@@ -246,18 +215,26 @@ def _vertex_factor(valence: int, q):
     return total
 
 
-def _tree_count(tree: StableTree, q):
-    total = _vertex_factor(len(tree.children) + 1, q)
-    for child in tree.children:
-        if isinstance(child, StableTree):
-            total *= _tree_count(child, q)
-    return total
+def _hanging_count(leaves: tuple[int, ...], q):
+    """The summed count of the stable subtrees on ``leaves`` hanging from a
+    parent edge: the top vertex splits the leaves into two or more
+    attachments, each a single leaf or a further subtree."""
+    if len(leaves) == 1:
+        return 1
+    return sum(
+        _vertex_factor(len(part) + 1, q) * prod(_hanging_count(tuple(b), q) for b in part)
+        for part in set_partitions(leaves)
+        if len(part) > 1
+    )
 
 
 def mzero_point_count(n: int, q):
     """Point count of the stable genus-zero space with ``n`` markings over
-    a field with ``q`` elements, by summing over strata."""
-    return sum(_tree_count(t, q) for t in enumerate_stable_trees(n))
+    a field with ``q`` elements, by summing over strata: the stable trees
+    on leaves ``1..n``, rooted at the vertex carrying leaf 1."""
+    if n < 3:
+        raise ValueError("stability needs at least three leaves")
+    return _hanging_count(tuple(range(2, n + 1)), q)
 
 
 def mzero_point_poly(n: int) -> list[int]:

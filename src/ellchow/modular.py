@@ -14,13 +14,15 @@ named by a singularity specification is obtained by:
 ``torsion_report`` gives the Smith invariants of one graded piece.
 ``getzler_check`` verifies the classical degree-two cycle identity on four
 markings against the patched nodal classes, entirely inside the ambient
-ring.
+ring.  Given a target map for the opaque degree-one cycle, it also patches
+that cycle and checks the full combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .corering import core_relation_seeds
 from .exactring import (
@@ -40,7 +42,6 @@ from .partitions import (
     validate_qspec,
 )
 from .patch import (
-    RestrictionData,
     ambient_symbols,
     base_relations,
     boundary_subsets,
@@ -134,18 +135,6 @@ def torsion_report(pres: GradedPresentation, degree: int) -> InvariantFactors:
 
 
 @dataclass(frozen=True)
-class GetzlerCycles:
-    """The degree-one and degree-two symmetric boundary cycles on four
-    markings, plus the patched sum of pairing nodal classes."""
-
-    tau2: IntPolynomial
-    tau3: IntPolynomial
-    tau4: IntPolynomial
-    tau22: IntPolynomial
-    nod22: IntPolynomial
-
-
-@dataclass(frozen=True)
 class GetzlerReport:
     """Outcome of the four-marking cycle-identity verification.
 
@@ -173,39 +162,8 @@ class GetzlerReport:
         )
 
 
-def getzler_cycles() -> GetzlerCycles:
-    n = 4
-    tau_by_size = {
-        i: sum(
-            (tau(b) for b in combinations(range(1, 5), i)),
-            IntPolynomial.zero(),
-        )
-        for i in (2, 3, 4)
-    }
-    tau22 = (
-        tau((1, 2)) * tau((3, 4))
-        + tau((1, 3)) * tau((2, 4))
-        + tau((1, 4)) * tau((2, 3))
-    )
-    pairings = [
-        disc_completion([[1, 2], [3, 4]], n),
-        disc_completion([[1, 3], [2, 4]], n),
-        disc_completion([[1, 4], [2, 3]], n),
-    ]
-    nod22 = sum(
-        (nod_class(n, t) for t in pairings), IntPolynomial.zero()
-    )
-    return GetzlerCycles(
-        tau2=tau_by_size[2],
-        tau3=tau_by_size[3],
-        tau4=tau_by_size[4],
-        tau22=tau22,
-        nod22=nod22,
-    )
-
-
 def getzler_check(
-    delta_data: RestrictionData | None = None,
+    delta: Callable[[SetPartition], IntPolynomial] | None = None,
 ) -> GetzlerReport:
     """Verify the four-marking cycle identity.
 
@@ -215,33 +173,43 @@ def getzler_check(
     expected stratum values; and the closed elliptic class of the
     one-block partition is exactly twenty-four times the Hodge square.
 
-    When restriction data for the opaque degree-one cycle is supplied, the
-    full cycle combination is additionally checked to collapse onto the
-    Hodge square and the elliptic class (reported separately, under the
-    keys ``"cycle-hodge"`` and ``"cycle-ell"``)."""
+    When a target map for the opaque degree-one cycle is supplied (its value
+    on each four-marking stratum), the full cycle combination is
+    additionally checked to collapse onto the Hodge square and the elliptic
+    class (reported separately, under the keys ``"cycle-hodge"`` and
+    ``"cycle-ell"``)."""
     n = 4
-    if delta_data is not None and delta_data.n != n:
-        raise ValueError("restriction data is for a different marking count")
     lam = IntPolynomial.symbol("l")
-    cyc = getzler_cycles()
+    # the symmetric boundary cycles of degree one and two
+    tau2, tau3, tau4 = (
+        sum((tau(b) for b in combinations(range(1, 5), i)), IntPolynomial.zero())
+        for i in (2, 3, 4)
+    )
+    tau22 = (
+        tau((1, 2)) * tau((3, 4))
+        + tau((1, 3)) * tau((2, 4))
+        + tau((1, 4)) * tau((2, 3))
+    )
+    # the patched sum of the pairing nodal classes
+    pairings = ([[1, 2], [3, 4]], [[1, 3], [2, 4]], [[1, 4], [2, 3]])
+    nod22 = sum(
+        (nod_class(n, disc_completion(p, n)) for p in pairings),
+        IntPolynomial.zero(),
+    )
     base = (
         6 * lam**2
-        + 6 * lam * cyc.tau3
-        - 2 * cyc.tau2 * cyc.tau3
-        + 6 * cyc.tau22
-        + 6 * lam * cyc.tau4
-        + 3 * cyc.tau3 * cyc.tau4
+        + 6 * lam * tau3
+        - 2 * tau2 * tau3
+        + 6 * tau22
+        + 6 * lam * tau4
+        + 3 * tau3 * tau4
     )
-    display_ok = classes_equal(
-        n, cyc.nod22, base - 2 * cyc.tau2 * cyc.tau4
-    )
-    corrected_ok = classes_equal(
-        n, cyc.nod22, base - cyc.tau2 * cyc.tau4
-    )
+    display_ok = classes_equal(n, nod22, base - 2 * tau2 * tau4)
+    corrected_ok = classes_equal(n, nod22, base - tau2 * tau4)
 
     def tail_matches(partition: SetPartition, value: IntPolynomial) -> bool:
         model = tail_model(n, partition)
-        r = restrict_to_tail(n, partition, cyc.nod22) - value
+        r = restrict_to_tail(n, partition, nod22) - value
         return model.presentation.reduces_to_zero(r)
 
     lam2 = 6 * lam**2
@@ -265,16 +233,16 @@ def getzler_check(
     ell_ok = classes_equal(n, ell_class(n, s_min_4), 24 * lam**2)
 
     conditional = None
-    if delta_data is not None:
-        t0 = fundamental_class(delta_data)
+    if delta is not None:
+        t0 = fundamental_class(n, delta)
         cycle = (
-            t0 * cyc.tau3
-            - 4 * cyc.tau2 * cyc.tau3
-            + 12 * cyc.tau22
-            - 2 * cyc.tau2 * cyc.tau4
-            + 6 * cyc.tau3 * cyc.tau4
-            + t0 * cyc.tau4
-            - 2 * cyc.nod22
+            t0 * tau3
+            - 4 * tau2 * tau3
+            + 12 * tau22
+            - 2 * tau2 * tau4
+            + 6 * tau3 * tau4
+            + t0 * tau4
+            - 2 * nod22
         )
         conditional = {
             "cycle-hodge": classes_equal(

@@ -17,22 +17,21 @@ another, and corrections never disturb the levels already handled, because
 a composite divisor restricts to zero on every other stratum of its own or
 higher level.
 
-``fundamental_class`` runs that loop against prescribed restriction data;
-``lift_relation`` is the special case of target zero, used to propagate
-the six-marking core relations and the nodal-value identities into the
-ambient ring.
+``fundamental_class`` runs that loop against a target map, which gives
+the prescribed value on each stratum; ``lift_relation`` is the special
+case of target zero, used to propagate the six-marking core relations and
+the nodal-value identities into the ambient ring.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .corering import core_relation_seeds, min_class, stratum_value
+from .corering import core_relation_seeds, stratum_value
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -133,17 +132,6 @@ def base_relations(n: int) -> tuple[IntPolynomial, ...]:
 # -- the patching driver -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionData:
-    """Prescribed restrictions of a class: the value on the all-singleton
-    stratum (``seed``, in ambient coordinates) and, for every other
-    partition, the target value in that stratum's own coordinates."""
-
-    n: int
-    seed: IntPolynomial
-    target: Callable[[SetPartition], IntPolynomial]
-
-
 def _patch(
     n: int,
     f: IntPolynomial,
@@ -164,10 +152,14 @@ def _patch(
     return f
 
 
-def fundamental_class(data: RestrictionData) -> IntPolynomial:
-    """The ambient class restricting to the prescribed value on every
-    stratum, built by descending level patching from the seed."""
-    return _patch(data.n, data.seed, data.target, None)
+def fundamental_class(
+    n: int, target: Callable[[SetPartition], IntPolynomial]
+) -> IntPolynomial:
+    """The ambient class restricting to ``target(s)`` on the tail model of
+    every stratum ``s``, built by descending level patching from its value
+    on the all-singleton stratum, whose tail model is the core ring on the
+    ambient generators ``l`` (and ``nu``)."""
+    return _patch(n, target(s_max(n)), target, None)
 
 
 def lift_relation(
@@ -183,24 +175,20 @@ def lift_relation(
 # -- named classes ----------------------------------------------------------------
 
 
-def singular_class_data(kind: str, n: int, t: SetPartition) -> RestrictionData:
-    """Restriction data of the closed ``kind`` (``"ell"`` or ``"nod"``)
-    singularity locus with branch partition ``t``."""
+def _singular_class(kind: str, n: int, t: SetPartition) -> IntPolynomial:
+    """The closed ``kind`` (``"ell"`` or ``"nod"``) singularity locus with
+    branch partition ``t``."""
     if t.n != n:
         raise ValueError("partition is not on the marking set")
-    return RestrictionData(
-        n=n,
-        seed=min_class(kind, n, t.shape()),
-        target=lambda p: stratum_value(kind, t, p),
-    )
+    return fundamental_class(n, lambda p: stratum_value(kind, t, p))
 
 
 def ell_class(n: int, t: SetPartition) -> IntPolynomial:
-    return fundamental_class(singular_class_data("ell", n, t))
+    return _singular_class("ell", n, t)
 
 
 def nod_class(n: int, t: SetPartition) -> IntPolynomial:
-    return fundamental_class(singular_class_data("nod", n, t))
+    return _singular_class("nod", n, t)
 
 
 # -- the ambient presentation -------------------------------------------------------

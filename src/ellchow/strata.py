@@ -40,7 +40,7 @@ from .exactring import (
     name_elements,
     subset_name,
 )
-from .keel import divisor_sum, keel_presentation
+from .keel import keel_presentation, psi_star
 from .partitions import SetPartition, disc_completion, s_max
 
 
@@ -61,7 +61,6 @@ class StratumModel:
     ``xi`` on the elliptic-singularity locus, tensor one genus-zero
     boundary ring per block of at least three markings."""
 
-    n: int
     partition: SetPartition
     presentation: GradedPresentation
     elliptic: bool
@@ -87,7 +86,7 @@ class StratumModel:
                     "the degree-two core generator has no assigned pullback "
                     "to an elliptic-singularity model"
                 )
-            if self.n != 6:
+            if self.partition.n != 6:
                 raise PresentationError("nu only exists with six markings")
             return stratum_value("nod", banana_partition(), self.partition)
         elems = name_elements(name)
@@ -97,8 +96,8 @@ class StratumModel:
         home = self.partition.block_of(elems[0])
         # The first marking is checked; the markings increase, so the rest
         # lie in the ground set exactly when the last one does.
-        if elems[-1] > self.n:
-            outside = next(e for e in elems if e > self.n)
+        if elems[-1] > self.partition.n:
+            outside = next(e for e in elems if e > self.partition.n)
             raise ValueError(f"element {outside} not in ground set")
         if not set(elems) <= set(home):
             return IntPolynomial.zero()
@@ -108,8 +107,7 @@ class StratumModel:
             return IntPolynomial.zero()
         # The attaching cotangent class, written with the block's two
         # smallest markings.
-        psi = divisor_sum(home, "d", home[:2], ())
-        return -IntPolynomial.symbol("l") - psi
+        return -IntPolynomial.symbol("l") - psi_star(home)
 
     def restrict(self, f: IntPolynomial) -> IntPolynomial:
         """Pullback of an ambient class."""
@@ -124,7 +122,7 @@ def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
     blocks = [keel_presentation(b).presentation for b in partition.blocks if len(b) > 2]
     kind = "ell" if elliptic else "tail"
     pres = GradedPresentation.tensor_product([base, *blocks], f"{kind}({partition.text()})")
-    return StratumModel(n, partition, pres, elliptic)
+    return StratumModel(partition, pres, elliptic)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ from ellchow import (
     psi_star,
 )
 from ellchow.keel import (
-    enumerate_stable_trees,
     four_point_relations,
     incompatible_products,
     keel_integral,
@@ -121,15 +120,13 @@ def test_incompatible_divisors_multiply_to_zero():
 
 
 def test_psi_star_small_cases():
-    two = keel_presentation([1, 2])
-    assert psi_star(two) == IntPolynomial.zero()
-    three = keel_presentation([1, 2, 3])
-    assert psi_star(three, 1, 2).text() == "d{1,2}"
+    assert psi_star((1, 2)) == IntPolynomial.zero()
+    assert psi_star((1, 2, 3), 1, 2).text() == "d{1,2}"
 
 
 def test_psi_star_is_sum_over_containing_subsets():
     ring = keel_presentation([1, 2, 3, 4])
-    got = psi_star(ring, 1, 2)
+    got = psi_star(ring.markings, 1, 2)
     expect = ring.divisor([1, 2]) + ring.divisor([1, 2, 3]) + ring.divisor([1, 2, 4])
     assert got == expect
 
@@ -137,9 +134,9 @@ def test_psi_star_is_sum_over_containing_subsets():
 def test_psi_star_rejects_bad_pairs():
     ring = keel_presentation([1, 2, 3])
     with pytest.raises(ValueError):
-        psi_star(ring, 1, 1)
+        psi_star(ring.markings, 1, 1)
     with pytest.raises(ValueError):
-        psi_star(ring, 1, 9)
+        psi_star(ring.markings, 1, 9)
 
 
 def test_psi_star_needs_both_markings_or_neither():
@@ -147,23 +144,23 @@ def test_psi_star_needs_both_markings_or_neither():
     ring = keel_presentation((1, 2, 3, 4))
     for i, j in [(3, None), (None, 3)]:
         with pytest.raises(ValueError, match="give two markings or neither"):
-            psi_star(ring, i, j)
-    assert psi_star(ring) == psi_star(ring, 1, 2)
+            psi_star(ring.markings, i, j)
+    assert psi_star(ring.markings) == psi_star(ring.markings, 1, 2)
 
 
 def test_psi_star_class_is_choice_independent():
     ring = keel_presentation([1, 2, 3, 4])
-    reference = psi_star(ring, 1, 2)
+    reference = psi_star(ring.markings, 1, 2)
     for i, j in itertools.combinations([1, 2, 3, 4], 2):
-        other = psi_star(ring, i, j)
+        other = psi_star(ring.markings, i, j)
         assert ring.presentation.reduces_to_zero(reference - other)
     # ... even though the representatives genuinely differ
-    assert psi_star(ring, 1, 2) != psi_star(ring, 3, 4)
+    assert psi_star(ring.markings, 1, 2) != psi_star(ring.markings, 3, 4)
 
 
 def test_psi_star_is_not_a_zero_divisor_in_top_degrees():
     ring = keel_presentation([1, 2, 3, 4])
-    psi = psi_star(ring)
+    psi = psi_star(ring.markings)
     # multiplication by psi from degree 1 to degree 2 has full rank:
     # degree-2 rank is 1 and psi*d is nonzero for some divisor d
     d12 = ring.divisor([1, 2])
@@ -180,8 +177,8 @@ def integral(markings, f):
 @pytest.mark.parametrize("size", [3, 4, 5, 6])
 def test_psi_star_to_the_dimension_has_degree_one(size):
     ring = keel_presentation(range(1, size + 1))
-    assert integral(ring.markings, psi_star(ring) ** (size - 2)) == 1
-    assert integral(ring.markings, psi_star(ring, size - 1, size) ** (size - 2)) == 1
+    assert integral(ring.markings, psi_star(ring.markings) ** (size - 2)) == 1
+    assert integral(ring.markings, psi_star(ring.markings, size - 1, size) ** (size - 2)) == 1
 
 
 @pytest.mark.parametrize("size", [3, 4, 5, 6])
@@ -256,19 +253,22 @@ def test_degree_map_needs_the_dimension_and_compatible_divisors():
     assert keel_integral((1, 2, 3, 4), [("d{1,2}", 2)]) == -1
 
 
-# -- stable trees and point counts ----------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "n,count", [(3, 1), (4, 4), (5, 26), (6, 236)]
-)
-def test_stable_tree_counts(n, count):
-    assert len(enumerate_stable_trees(n)) == count
+# -- point counts ----------------------------------------------------------------
 
 
 def test_stable_trees_need_three_leaves():
-    with pytest.raises(ValueError):
-        enumerate_stable_trees(2)
+    with pytest.raises(ValueError, match="three leaves"):
+        mzero_point_count(2, 5)
+
+
+def test_point_counts_match_closed_forms():
+    # at q = 1 the count is the Euler characteristic, and the linear
+    # coefficient is the Picard number 2^(n-1) - C(n, 2) - 1 (Keel)
+    euler = [sum(mzero_point_poly(n)) for n in range(3, 9)]
+    assert euler == [1, 2, 7, 34, 213, 1630]
+    for n in range(4, 9):
+        assert mzero_point_poly(n)[1] == 2 ** (n - 1) - math.comb(n, 2) - 1
+    assert mzero_point_poly(8) == [1, 99, 715, 715, 99, 1]
 
 
 def test_point_counts_at_small_q():

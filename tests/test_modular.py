@@ -4,7 +4,6 @@ import pytest
 
 from ellchow import (
     IntPolynomial,
-    RestrictionData,
     dm_space,
     getzler_check,
     lp_minimal,
@@ -12,7 +11,7 @@ from ellchow import (
     smyth,
     torsion_report,
 )
-from ellchow.modular import getzler_cycles, qspec_label
+from ellchow.modular import qspec_label
 from ellchow.patch import ambient_symbols, tau
 
 
@@ -158,15 +157,6 @@ def test_five_marking_duality_and_degree_two_torsion():
 # -- the four-marking cycle identity -----------------------------------------------------
 
 
-def test_getzler_cycle_shapes():
-    cyc = getzler_cycles()
-    assert len(cyc.tau2.sorted_terms()) == 6
-    assert len(cyc.tau3.sorted_terms()) == 4
-    assert len(cyc.tau4.sorted_terms()) == 1
-    assert cyc.tau22.degree() == 2
-    assert cyc.nod22.degree() == 2
-
-
 def test_getzler_report():
     report = getzler_check()
     # the variant ending in -2*t2*t4 fails; -1 is the coefficient that works
@@ -188,14 +178,6 @@ def test_getzler_conditional_checks():
     # when the opaque degree-one cycle restricts to twelve times the Hodge
     # class on every stratum, the full combination collapses as predicted
     lam = IntPolynomial.symbol("l")
-    data = RestrictionData(n=4, seed=12 * lam, target=lambda p: 12 * lam)
-    report = getzler_check(delta_data=data)
+    report = getzler_check(delta=lambda p: 12 * lam)
     assert report.conditional == {"cycle-hodge": True, "cycle-ell": True}
     assert report.passed is True
-
-
-def test_getzler_check_checks_marking_count():
-    lam = IntPolynomial.symbol("l")
-    data = RestrictionData(n=3, seed=12 * lam, target=lambda p: 12 * lam)
-    with pytest.raises(ValueError, match="different marking count"):
-        getzler_check(delta_data=data)

@@ -20,6 +20,9 @@ from ellchow import (
     s_max,
     s_min,
 )
+from ellchow.corering import min_presentation, stratum_value
+from ellchow.exactring import Echelon, flat_from_pairs
+from ellchow.keel import keel_presentation
 from ellchow.patch import (
     LAMBDA,
     ambient_symbols,
@@ -29,7 +32,6 @@ from ellchow.patch import (
     matching_permutation,
     permute_marks,
     relation_families,
-    singular_class_data,
     tau,
     tau_monomial,
 )
@@ -120,6 +122,61 @@ def test_six_marking_ambient_ranks_are_the_strata_sum():
         for d, rank in enumerate(tail, start=s.codim()):
             total[d] += rank
     assert ambient == total == [1, 58, 422, 830, 903]
+
+
+def injective_restriction_ranks(n, d_max):
+    """The ranks of the ambient ring in degrees ``0..d_max``, after checking
+    in each degree that the piece is torsion-free and that its standard
+    monomials (the basis columns that are not pivots) restrict to the tail
+    models of all strata with joint rank the rank of the piece.  Every
+    factor staircase below its top degree leads with 1 (checked here), so a
+    tail model's normal form is linear and the rank of the stacked
+    normal-form rows is the rank of the joint image."""
+
+    def leads_with_one(ring, degrees):
+        return all(row[1] == 1 for d in degrees for row in ring.lattice(d).rows)
+
+    assert all(leads_with_one(min_presentation(m), range(d_max + 1)) for m in range(1, n + 1))
+    assert all(
+        leads_with_one(keel_presentation(range(1, k + 1)).presentation, range(min(d_max, k - 3) + 1))
+        for k in range(3, n + 1)
+    )
+    pres = gorenstein_presentation(n)
+    ranks = []
+    for d in range(d_max + 1):
+        pieces = pres.smith_invariants(d)
+        assert pieces.torsion == (), (d, pieces.torsion)
+        pivots = pres.lattice(d).pivots
+        standard = [pres.from_vector([col, 1], d)
+                    for col in range(len(pres.basis(d))) if col not in pivots]
+        assert len(standard) == pieces.rank
+        columns, rows = {}, [[] for _ in standard]
+        for i, s in enumerate(enumerate_partitions(n)):
+            model = tail_model(n, s)
+            for row, m in zip(rows, standard):
+                image = model.presentation.normal_form(model.restrict(m))
+                row.extend((columns.setdefault((i, key), len(columns)), c)
+                           for key, c in image.items())
+        joint = Echelon()
+        for row in rows:
+            joint.insert(flat_from_pairs(row))
+        assert joint.rank == pieces.rank, d
+        ranks.append(joint.rank)
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "n,ranks",
+    [(1, [1, 1]), (2, [1, 2, 2]), (3, [1, 5, 6, 6]), (4, [1, 12, 24, 25, 25]),
+     (5, [1, 27, 103, 134, 135, 135])],
+)
+def test_joint_restriction_is_injective(n, ranks):
+    assert injective_restriction_ranks(n, n) == ranks
+
+
+@pytest.mark.n6
+def test_six_marking_joint_restriction_is_injective():
+    assert injective_restriction_ranks(6, 3) == [1, 58, 422, 830]
 
 
 # -- faithfulness: the ideal is exactly the everywhere-vanishing classes -----------
@@ -237,8 +294,8 @@ def test_lift_relation_output_vanishes_everywhere():
 
 
 def test_patching_is_deterministic():
-    a = fundamental_class(singular_class_data("ell", 3, s_min(3)))
-    b = fundamental_class(singular_class_data("ell", 3, s_min(3)))
+    a = fundamental_class(3, lambda p: stratum_value("ell", s_min(3), p))
+    b = fundamental_class(3, lambda p: stratum_value("ell", s_min(3), p))
     assert a == b
     assert a.text() == b.text()
 
@@ -248,27 +305,23 @@ def test_patching_is_deterministic():
 
 def test_ell_target_values():
     t = SetPartition.parse("1 2|3 4", 4)
-    data = singular_class_data("ell", 4, t)
-    assert data.seed == P("4*l^3")  # two branches of two markings each
-    # on the open stratum the prescription is the seed shape again
-    assert data.target(s_max(4)) == P("4*l^3")
+    # on the open stratum: two branches of two markings each
+    assert stratum_value("ell", t, s_max(4)) == P("4*l^3")
     # on its own stratum each block becomes a separate branch: shape (1,1)
-    assert data.target(t) == P("24*l^3")
+    assert stratum_value("ell", t, t) == P("24*l^3")
     # strata that do not dominate the locus see zero
-    assert data.target(s_min(4)) == IntPolynomial.zero()
-    assert data.target(SetPartition.parse("1 3|2 4", 4)) == IntPolynomial.zero()
+    assert stratum_value("ell", t, s_min(4)) == IntPolynomial.zero()
+    assert stratum_value("ell", t, SetPartition.parse("1 3|2 4", 4)) == IntPolynomial.zero()
 
 
 def test_nod_target_values():
     t = SetPartition.parse("1 2|3|4", 4)
-    data = singular_class_data("nod", 4, t)
-    assert data.seed == P("4*l^3")  # shape (2,1,1) nodal entry
-    assert data.target(s_max(4)) == P("4*l^3")
+    assert stratum_value("nod", t, s_max(4)) == P("4*l^3")  # shape (2,1,1)
     # on its own stratum the three blocks become three separate branches
-    assert data.target(t) == P("12*l^3")
+    assert stratum_value("nod", t, t) == P("12*l^3")
     # strata not refining the branch partition see zero
-    assert data.target(SetPartition.parse("1 2|3 4", 4)) == IntPolynomial.zero()
-    assert data.target(s_min(4)) == IntPolynomial.zero()
+    assert stratum_value("nod", t, SetPartition.parse("1 2|3 4", 4)) == IntPolynomial.zero()
+    assert stratum_value("nod", t, s_min(4)) == IntPolynomial.zero()
 
 
 @pytest.mark.parametrize("cls", [ell_class, nod_class])
@@ -284,11 +337,10 @@ def test_prescriptions_are_achieved():
     from ellchow import restrict_to_tail, tail_model
 
     t = SetPartition.parse("1 2|3", 3)
-    data = singular_class_data("ell", 3, t)
-    cls = fundamental_class(data)
+    cls = ell_class(3, t)
     for s in enumerate_partitions(3):
         got = restrict_to_tail(3, s, cls)
-        want = data.target(s)
+        want = stratum_value("ell", t, s)
         assert tail_model(3, s).presentation.reduces_to_zero(got - want), s.text()
 
 

@@ -169,12 +169,15 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def defined_helpers():
-    """``(module, class or None, name)`` of every module-level function and
-    class method defined in ``src/ellchow``, dunders aside."""
+    """``(module, class or None, name)`` of every module-level function,
+    module-level class and class method defined in ``src/ellchow``, dunders
+    aside."""
     for path in sorted((ROOT / "src" / "ellchow").rglob("*.py")):
         parts = path.relative_to(ROOT / "src").with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                yield module, None, node.name
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             owner = node.name if isinstance(node, ast.ClassDef) else None
             for fn in members:
@@ -185,16 +188,18 @@ def defined_helpers():
 
 
 def test_every_helper_is_named_outside_its_definition():
-    # A function or method whose name appears only where it is defined is
-    # dead; an override of a base class method is called by that base.  A
-    # name appears as a whole word token, so one pass counts every name.
+    # A function, method or class whose name appears only where it is
+    # defined is dead; an override of a base class method is called by that
+    # base.  A name appears as a whole word token, so one pass counts every
+    # name; a definition starts its line, so prose such as "the class of"
+    # defines nothing.
     text = "\n".join(
         path.read_text(encoding="utf-8")
         for folder in ("src", "tests", "perfbench")
         for path in (ROOT / folder).rglob("*.py")
     )
     uses = Counter(re.findall(r"\w+", text))
-    definitions = Counter(re.findall(r"\bdef (\w+)", text))
+    definitions = Counter(re.findall(r"(?m)^\s*(?:def|class) (\w+)", text))
     dead = []
     for module, owner, name in defined_helpers():
         if owner is not None:
