@@ -55,8 +55,6 @@ from .patch import (
     nod_class,
     restriction_offenders,
     restricts_to_zero_everywhere,
-    tau,
-    tau_monomial,
 )
 from .strata import (
     NuRestrictionError,
@@ -66,6 +64,8 @@ from .strata import (
     lift_from_tail,
     restrict_to_tail,
     tail_model,
+    tau,
+    tau_monomial,
 )
 
 __version__ = "0.1.0"
@@ -110,8 +110,6 @@ __all__ = [
     "nod_class",
     "restriction_offenders",
     "restricts_to_zero_everywhere",
-    "tau",
-    "tau_monomial",
     "NuRestrictionError",
     "StratumModel",
     "ctop_tail",
@@ -119,5 +117,7 @@ __all__ = [
     "lift_from_tail",
     "restrict_to_tail",
     "tail_model",
+    "tau",
+    "tau_monomial",
     "__version__",
 ]

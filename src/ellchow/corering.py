@@ -4,8 +4,8 @@ of singular-locus classes they carry.
 :func:`min_presentation` returns the core ring as a plain graded
 presentation.  For up to five markings it is a free polynomial ring on the
 Hodge class ``l``.  With six markings two relations appear and the ring
-matches the cohomology of the Grassmannian of lines in four-space, with
-``nu`` the degree-two Schubert generator; :func:`schubert_to_ln` converts
+matches H*(G(2,5)), the cohomology of the Grassmannian of lines in
+projective four-space, with ``nu`` the degree-two Schubert generator; :func:`schubert_to_ln` converts
 Schubert classes into the ``l``/``nu`` coordinates.
 
 :func:`min_class` looks up the core-ring value of a closed elliptic- or
@@ -44,8 +44,8 @@ def core_relation_seeds() -> tuple[IntPolynomial, IntPolynomial]:
 @lru_cache(maxsize=None)
 def min_presentation(m: int) -> GradedPresentation:
     """Core ring: free on the Hodge class for ``m <= 5``; for ``m == 6``
-    the two :func:`core_relation_seeds` cut it down to the
-    line-Grassmannian cohomology."""
+    the two :func:`core_relation_seeds` cut it down to H*(G(2,5)), the
+    lines in projective four-space."""
     if not 1 <= m <= 6:
         raise ValueError("marking count must be between 1 and 6")
     if m <= 5:
@@ -68,8 +68,9 @@ def _schubert_single(a: int) -> IntPolynomial:
 
 
 def schubert_to_ln(a1: int, a2: int = 0) -> IntPolynomial:
-    """The Schubert class with index ``(a1, a2)`` of the line Grassmannian
-    in four-space, as a normal-form polynomial in ``l`` and ``nu``."""
+    """The Schubert class with index ``(a1, a2)`` of G(2,5), the lines in
+    projective four-space, as a normal-form polynomial in ``l`` and
+    ``nu``."""
     if not (3 >= a1 >= a2 >= 0):
         raise ValueError("Schubert index must satisfy 3 >= a1 >= a2 >= 0")
     raw = _schubert_single(a1) * _schubert_single(a2) - _schubert_single(
@@ -97,17 +98,13 @@ def _class_table() -> dict:
     return table
 
 
-def min_class(
-    kind: str, m: int, shape: tuple[int, ...] | SetPartition
-) -> IntPolynomial:
+def min_class(kind: str, m: int, shape: tuple[int, ...]) -> IntPolynomial:
     """Core-ring class of the closed singular locus of the given kind
     (``"ell"`` or ``"nod"``) with ``m`` markings and the given branch
     shape; raises :class:`ClassTableError` when the locus carries no such
     class."""
     if kind not in ("ell", "nod"):
         raise ValueError(f"unknown class kind {kind!r}")
-    if isinstance(shape, SetPartition):
-        shape = shape.shape()
     key = (kind, m, tuple(sorted(shape, reverse=True)))
     value = _class_table().get(key)
     if value is None:
@@ -122,5 +119,5 @@ def stratum_value(kind: str, t: SetPartition, p: SetPartition) -> IntPolynomial:
     partition ``t``: the core-ring class of the partition ``t`` induces on
     the blocks of ``p`` when ``t`` coarsens ``p``, and zero otherwise."""
     if refines(t, p):
-        return min_class(kind, p.length, compose(t, p))
+        return min_class(kind, p.length, compose(t, p).shape())
     return IntPolynomial.zero()

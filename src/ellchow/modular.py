@@ -1,15 +1,15 @@
 """Presentations of modular compactifications and their invariants.
 
-Starting from the ambient ring, the presentation of a compactification
-named by a singularity specification is obtained by:
+A compactification named by a singularity specification is excised from
+the ambient ring: its presentation is the ambient relation list with every
+contracted boundary divisor (one whose collision type is an allowed
+singularity) set to zero, plus
 
-* deleting every boundary divisor whose collision type is an allowed
-  singularity (the divisor is contracted there);
-* killing the product of every pairwise-disjoint family of surviving
-  divisors whose joint collision type is allowed;
-* imposing the elliptic-singularity classes of all partitions whose type
-  is *not* allowed (those loci are removed from the space, so their
-  classes vanish).
+* the product of every pairwise-disjoint family of divisors whose joint
+  collision type is allowed;
+* the elliptic-singularity classes of all partitions whose type is *not*
+  allowed (those loci are removed from the space, so their classes
+  vanish).
 
 ``torsion_report`` gives the Smith invariants of one graded piece.
 ``getzler_check`` verifies the classical degree-two cycle identity on four
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .corering import core_relation_seeds
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -42,15 +41,14 @@ from .partitions import (
     validate_qspec,
 )
 from .patch import (
+    ambient_relations,
     ambient_symbols,
-    base_relations,
     boundary_subsets,
     classes_equal,
     ell_class,
     fundamental_class,
     nod_class,
     restrict_to_tail,
-    six_marking_extras,
     tau,
     tau_monomial,
 )
@@ -68,19 +66,16 @@ def qspec_label(q: QSpec) -> str:
     return "custom"
 
 
-def _disjoint_family_kills(
-    q: QSpec, survivors: list[tuple[int, ...]]
-) -> list[IntPolynomial]:
+def _disjoint_family_kills(q: QSpec) -> list[IntPolynomial]:
     """One composite divisor per allowed partition with at least two
-    non-singleton blocks, all of them surviving divisors, ordered by the
-    survivor indices of the blocks."""
-    index = {b: i for i, b in enumerate(survivors)}
-    families = []
-    for s in q.allowed:
-        blocks = s.nonsingleton_blocks()
-        if len(blocks) >= 2 and all(b in index for b in blocks):
-            families.append((sorted(index[b] for b in blocks), s))
-    families.sort()
+    non-singleton blocks, ordered by the indices of its blocks in
+    ``boundary_subsets``."""
+    index = {b: i for i, b in enumerate(boundary_subsets(q.n))}
+    families = sorted(
+        (sorted(index[b] for b in s.nonsingleton_blocks()), s)
+        for s in q.allowed
+        if len(s.nonsingleton_blocks()) >= 2
+    )
     return [tau_monomial(s) for _, s in families]
 
 
@@ -91,39 +86,25 @@ def qstable_presentation(n: int, q: QSpec) -> GradedPresentation:
     if q.n != n:
         raise ValueError("specification is for a different marking count")
     validate_qspec(q)
-    survivors: list[tuple[int, ...]] = []
-    deleted: list[tuple[int, ...]] = []
-    for b in boundary_subsets(n):
-        contracted = disc_completion([b], n) in q.allowed
-        (deleted if contracted else survivors).append(b)
     zero = IntPolynomial.zero()
-    subs = {subset_name("t", b): zero for b in deleted}
+    subs = {
+        subset_name("t", b): zero
+        for b in boundary_subsets(n)
+        if disc_completion([b], n) in q.allowed
+    }
     symbols = [s for s in ambient_symbols(n) if s not in subs]
-
-    relations: list[IntPolynomial] = [
-        rel.substitute(subs) for rel in base_relations(n)
+    relations = [*ambient_relations(n), *_disjoint_family_kills(q)]
+    relations += [
+        ell_class(n, s)
+        for s in enumerate_partitions(n)
+        # the all-singleton class does not exist with six markings
+        if s not in q.allowed and not (n == 6 and s == s_max(n))
     ]
-    if n == 6:
-        if not survivors:
-            # every correction term of the lifted six-marking relations
-            # carries a boundary divisor, so substitution leaves the seeds
-            relations.extend(core_relation_seeds())
-        else:
-            relations.extend(
-                rel.substitute(subs) for rel in six_marking_extras()
-            )
-    relations.extend(_disjoint_family_kills(q, survivors))
-
-    top = s_max(n)
-    for s in enumerate_partitions(n):
-        if s in q.allowed:
-            continue
-        if n == 6 and s == top:
-            continue  # the all-singleton class does not exist there
-        relations.append(ell_class(n, s).substitute(subs))
-
+    # a contracted divisor is zero, so a relation or a family through it drops
     return GradedPresentation(
-        symbols, relations, name=f"qstable({n},{qspec_label(q)})"
+        symbols,
+        [rel.substitute(subs) for rel in relations],
+        name=f"qstable({n},{qspec_label(q)})",
     )
 
 

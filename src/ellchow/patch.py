@@ -1,12 +1,15 @@
 """Patching classes and relations across the core-level stratification.
 
-The ambient ring on ``n`` markings is generated by the Hodge class ``l``,
-a boundary divisor ``t{B}`` for every marking subset of size at least
-two (the full set included), and — with six markings — the degree-two
-core class ``nu``.  Its relations come in three families: four-point
-relations multiplied by a divisor, vanishing products of incompatible
-divisors, and the normal-bundle relations tying a divisor to the Hodge
-class plus its attaching cotangent sum.
+The ambient ring on ``n`` markings is generated by the core ring's
+generators (the Hodge class ``l`` and, with six markings, the degree-two
+core class ``nu``) and a boundary divisor ``t{B}`` for every marking
+subset of size at least two (the full set included).  Its relations,
+``ambient_relations``, come in three families: four-point relations
+multiplied by a divisor, vanishing products of incompatible divisors, and
+the normal-bundle relations tying a divisor to the Hodge class plus its
+attaching cotangent sum; with six markings the lifted core relations and
+nodal identities follow.  Every compactification's ring is this list with
+its contracted divisors set to zero, plus the relations it adds.
 
 A class supported on the strata of small core level is reconstructed by
 descending through levels: at each stratum the current candidate is
@@ -29,9 +32,9 @@ import json
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
-from .corering import core_relation_seeds, stratum_value
+from .corering import core_relation_seeds, min_presentation, stratum_value
 from .exactring import (
     GradedPresentation,
     IntPolynomial,
@@ -47,34 +50,16 @@ from .partitions import (
     s_max,
 )
 from .strata import (
-    banana_partition,
     ctop_tail,
     lift_from_tail,
     restrict_to_tail,
     tail_model,
+    tau,
+    tau_monomial,
 )
 
 LAMBDA = IntPolynomial.symbol("l")
 NU = IntPolynomial.symbol("nu")
-
-
-def tau(subset: Iterable[int]) -> IntPolynomial:
-    """The boundary divisor of one marking subset."""
-    elems = tuple(sorted(subset))
-    if len(elems) < 2:
-        raise ValueError("boundary subsets need at least two markings")
-    return IntPolynomial.symbol(subset_name("t", elems))
-
-
-@lru_cache(maxsize=None)
-def tau_monomial(partition: SetPartition) -> IntPolynomial:
-    """The composite divisor of a partition: the product of the divisors
-    of its non-singleton blocks (one for the all-singleton partition),
-    cached per partition like ``ctop_tail``."""
-    total = IntPolynomial.one()
-    for block in partition.nonsingleton_blocks():
-        total = total * tau(block)
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +74,9 @@ def boundary_subsets(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def ambient_symbols(n: int) -> list[str]:
-    symbols = ["l", "nu"] if n == 6 else ["l"]
-    return symbols + [subset_name("t", b) for b in boundary_subsets(n)]
+    """The core ring's generators, then the boundary divisors."""
+    divisors = [subset_name("t", b) for b in boundary_subsets(n)]
+    return [*min_presentation(n).symbols, *divisors]
 
 
 def relation_families(n: int) -> dict[str, list[IntPolynomial]]:
@@ -127,6 +113,12 @@ def base_relations(n: int) -> tuple[IntPolynomial, ...]:
     extras."""
     fams = relation_families(n)
     return tuple(fams["four-point"] + fams["incompatible"] + fams["normal"])
+
+
+def ambient_relations(n: int) -> tuple[IntPolynomial, ...]:
+    """Every ambient relation: the base relations, then the six-marking
+    extras."""
+    return base_relations(n) + (six_marking_extras() if n == 6 else ())
 
 
 # -- the patching driver -------------------------------------------------------
@@ -206,8 +198,7 @@ def six_marking_extras() -> tuple[IntPolynomial, ...]:
     extras = [lift_relation(6, seed, start_length=5) for seed in core_relation_seeds()]
     for s in enumerate_partitions(6):
         if s != s_max(6):
-            value = stratum_value("nod", banana_partition(), s)
-            seed = tau_monomial(s) * (NU - lift_from_tail(value))
+            seed = tau_monomial(s) * (NU - lift_from_tail(restrict_to_tail(6, s, NU)))
             extras.append(lift_relation(6, seed, start_length=s.length - 1))
     return tuple(extras)
 
@@ -216,13 +207,8 @@ def six_marking_extras() -> tuple[IntPolynomial, ...]:
 def gorenstein_presentation(n: int) -> GradedPresentation:
     """The ambient ring of the moduli of log-canonically polarised
     genus-one curves on ``n`` markings."""
-    if not 1 <= n <= 6:
-        raise ValueError("marking count must be between 1 and 6")
-    relations = base_relations(n)
-    if n == 6:
-        relations = relations + six_marking_extras()
     return GradedPresentation(
-        ambient_symbols(n), relations, name=f"gorenstein({n})"
+        ambient_symbols(n), ambient_relations(n), name=f"gorenstein({n})"
     )
 
 
@@ -288,12 +274,6 @@ def _fixture_table() -> FixtureTable:
         .read_text(encoding="utf-8")
     )
     return _parse_fixture_json(json.loads(data))
-
-
-def fixture_partitions(
-    n: int, table: FixtureTable | None = None
-) -> list[SetPartition]:
-    return sorted((_fixture_table() if table is None else table)[n])
 
 
 def permute_marks(f: IntPolynomial, perm: dict[int, int]) -> IntPolynomial:

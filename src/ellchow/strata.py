@@ -22,8 +22,9 @@ as its base; the *elliptic model* of the elliptic-singularity locus takes
   an elliptic model.
 
 Lifting renames block divisors back to ambient ones; restriction after
-lift is the identity on a tail model.  The product of the pullbacks of
-the whole-block divisors is the excess class ``ctop`` used to divide
+lift is the identity on a tail model.  The restriction of a partition's
+composite divisor ``tau_monomial`` (the product of the pullbacks of its
+whole-block divisors) is the excess class ``ctop`` used to divide
 corrections during patching.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 from .corering import min_presentation, stratum_value
 from .exactring import (
@@ -53,6 +55,25 @@ def banana_partition() -> SetPartition:
     """The six-marking partition into a four-block and a two-block that
     supports the degree-two core generator."""
     return disc_completion([[1, 2, 3, 4], [5, 6]], 6)
+
+
+def tau(subset: Iterable[int]) -> IntPolynomial:
+    """The boundary divisor of one marking subset."""
+    elems = tuple(sorted(subset))
+    if len(elems) < 2:
+        raise ValueError("boundary subsets need at least two markings")
+    return IntPolynomial.symbol(subset_name("t", elems))
+
+
+@lru_cache(maxsize=None)
+def tau_monomial(partition: SetPartition) -> IntPolynomial:
+    """The composite divisor of a partition: the product of the divisors
+    of its non-singleton blocks (one for the all-singleton partition),
+    cached per partition like ``ctop_tail``."""
+    total = IntPolynomial.one()
+    for block in partition.nonsingleton_blocks():
+        total = total * tau(block)
+    return total
 
 
 @dataclass(frozen=True)
@@ -165,16 +186,11 @@ def _ambient_image(name: str) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def ctop_tail(n: int, partition: SetPartition) -> IntPolynomial:
-    """Product of the pullbacks of the whole-block divisors: the excess
-    class dividing corrections during patching (cached per stratum, like
-    its tail model).  Undefined on the all-singleton partition."""
-    blocks = partition.nonsingleton_blocks()
-    if not blocks:
+    """The restriction of the composite divisor: the excess class dividing
+    corrections during patching (cached per stratum, like its tail model).
+    Undefined on the all-singleton partition."""
+    if not partition.nonsingleton_blocks():
         raise ValueError(
             "the all-singleton stratum has no excess class to divide by"
         )
-    model = tail_model(n, partition)
-    total = IntPolynomial.one()
-    for block in blocks:
-        total = total * model.image_of(subset_name("t", block))
-    return total
+    return restrict_to_tail(n, partition, tau_monomial(partition))

@@ -5,7 +5,6 @@ import pytest
 from ellchow import (
     ClassTableError,
     IntPolynomial,
-    SetPartition,
     min_class,
     min_presentation,
     schubert_to_ln,
@@ -120,11 +119,6 @@ def test_spot_values():
 
 def test_shape_argument_is_order_insensitive():
     assert min_class("nod", 3, (1, 2)) == min_class("nod", 3, (2, 1))
-
-
-def test_set_partition_argument():
-    p = SetPartition.parse("1 2 3|4", 4)
-    assert min_class("nod", 4, p) == min_class("nod", 4, (3, 1))
 
 
 def test_kind_validation():

@@ -1,5 +1,8 @@
 """Compactification presentations, torsion, and the four-marking identity."""
 
+import hashlib
+import io
+
 import pytest
 
 from ellchow import (
@@ -11,6 +14,8 @@ from ellchow import (
     smyth,
     torsion_report,
 )
+from ellchow.cli import run
+from ellchow.corering import core_relation_seeds
 from ellchow.modular import qspec_label
 from ellchow.patch import ambient_symbols, tau
 
@@ -98,6 +103,45 @@ def test_six_marking_minimal_space_keeps_both_core_generators():
     qp = qstable_presentation(6, lp_minimal(6))
     assert list(qp.symbols) == ["l", "nu"]
     assert torsion_report(qp, 2).rank == 2
+
+
+# `present` on every named space: JSON for n <= 5, text for n = 6.
+_PRESENTED = {
+    (1, "dm"): "846f86ec0fd110164a9297f71eea13fd20a72325c462177169e0b9f82ae5161a",
+    (1, "lp"): "846f86ec0fd110164a9297f71eea13fd20a72325c462177169e0b9f82ae5161a",
+    (2, "dm"): "168940f32c2e0def0ea9058cff8f05b868cfd6fceb7079005c7a7898a54fccae",
+    (2, "lp"): "4116d97d5e454d0901013131d8e68aafb7f0eb882ac784dbb3a8d3531561137d",
+    (2, "smyth:1"): "4116d97d5e454d0901013131d8e68aafb7f0eb882ac784dbb3a8d3531561137d",
+    (3, "dm"): "c3a445697875481630370ebc764a48f2426f36ecf52a40a95169532740a23f7c",
+    (3, "lp"): "87a48aa38030801497067b9cc8686741f2da37d90d40cdb1105985ec4fe0dd5a",
+    (3, "smyth:1"): "3387f9f68cf0bcf67c3ac1d5622eee400e0b293ef3ca3b154968fdd7a5bb86c4",
+    (3, "smyth:2"): "87a48aa38030801497067b9cc8686741f2da37d90d40cdb1105985ec4fe0dd5a",
+    (4, "dm"): "db0e0e236d33c6e3b48375868a716529b6d5626fbf716b44d1d16bdd559e4962",
+    (4, "lp"): "1bb3e0c05220b4bfba4f6c2590d2176ce7a416eb6a3f4986db3b1c717fc107a0",
+    (4, "smyth:1"): "2afd8bc7646278a2cde3581fdd4e2b6323f69cc2ade018ecac261e0d8c7d37b7",
+    (4, "smyth:2"): "8e7aaf1c6da456b9f45e6397a1e624615c2169f1c64dfcbc58bc7e5cb9b3ffcf",
+    (4, "smyth:3"): "1bb3e0c05220b4bfba4f6c2590d2176ce7a416eb6a3f4986db3b1c717fc107a0",
+    (5, "dm"): "9ea88f43d63cf292b83af7424899d4bdff0836a8bcece99794eada2bebb05db9",
+    (5, "lp"): "8fcccb0c89edac3e86d2a74b8b828507d3c4a38ad49af984725b622ee6b8ada8",
+    (5, "smyth:1"): "8eed164558024d6532117ef1f242630254652cf37ffafb3b383f362730a7c05d",
+    (5, "smyth:2"): "0678b068f73e66f382d8ec56522bbf7e04a530fa65fb2f72e4028077c3333aae",
+    (5, "smyth:3"): "41719975ef7d31ce266e2e66f9382462416a0e41168e2ec2c7cbb0fc19e12e8b",
+    (5, "smyth:4"): "8fcccb0c89edac3e86d2a74b8b828507d3c4a38ad49af984725b622ee6b8ada8",
+    (6, "lp"): "dbe4de250d0b3b44670eb0ca7c91b805ef9a8db9e501bd970d6194712c9366c8",
+    (6, "smyth:5"): "dbe4de250d0b3b44670eb0ca7c91b805ef9a8db9e501bd970d6194712c9366c8",
+}
+
+
+def test_every_named_space_presents_as_pinned():
+    for (n, space), digest in _PRESENTED.items():
+        argv = ["present", "--n", str(n), "--space", space]
+        out = io.StringIO()
+        assert run(argv + ["--format", "json"] * (n < 6), out=out) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+    # both six-marking spaces contract every divisor: the core ring is left
+    for q in (lp_minimal(6), smyth(6, 5)):
+        relations = qstable_presentation(6, q).defining_relations()
+        assert relations == list(core_relation_seeds())
 
 
 # -- deletions and collision kills -----------------------------------------------------

@@ -28,10 +28,10 @@ from ellchow.patch import (
     ambient_symbols,
     base_relations,
     expected_class,
-    fixture_partitions,
     matching_permutation,
     permute_marks,
     relation_families,
+    six_marking_extras,
     tau,
     tau_monomial,
 )
@@ -95,6 +95,15 @@ def test_relation_lists_are_pinned():
         digest.update("".join(line + "\n" for line in lines).encode())
     assert digest.hexdigest() == (
         "814dd16844862351de87cd76a89143e8e4b45ca24abd2184eba0f4800a3a1813"
+    )
+
+
+def test_six_marking_extras_are_pinned():
+    extras = six_marking_extras()
+    assert len(extras) == 204
+    text = "".join(r.text() + "\n" for r in extras)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9667ea980b148e44d4a97eb2241c81f7dd66585e7404a9ad12e89718f5ccf7c5"
     )
 
 
@@ -351,13 +360,14 @@ def test_prescriptions_are_achieved():
 def test_small_fixture_classes(n):
     from ellchow.patch import classes_equal
 
-    for s in fixture_partitions(n):
+    for s in enumerate_partitions(n):
         assert classes_equal(n, ell_class(n, s), expected_class(n, s)), s.text()
 
 
 def test_fixtures_cover_every_shape():
-    shapes = {p.shape() for p in fixture_partitions(4)}
-    assert shapes == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
+    # expected_class raises KeyError on a shape with no stored class
+    classes = {p.shape(): expected_class(4, p) for p in enumerate_partitions(4)}
+    assert set(classes) == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
 
 
 def test_expected_class_handles_any_representative():

@@ -214,7 +214,7 @@ def test_ctop_undefined_on_open_stratum():
             ctop_tail(4, s_max(4))
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_cached_ctop_is_the_product_of_whole_block_images(n):
     for part in enumerate_partitions(n):
         if not part.codim():

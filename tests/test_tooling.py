@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import ellchow
 from ellchow import cli, exactring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,25 +188,37 @@ def defined_helpers():
                     yield module, owner, fn.name
 
 
+def names_and_definitions(folders):
+    """How often each word appears in the ``*.py`` files of ``folders``, and
+    how often a line there defines it."""
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for folder in folders
+        for path in (ROOT / folder).rglob("*.py")
+    )
+    definitions = re.findall(r"(?m)^\s*(?:def|class) (\w+)", text)
+    return Counter(re.findall(r"\w+", text)), Counter(definitions)
+
+
 def test_every_helper_is_named_outside_its_definition():
     # A function, method or class whose name appears only where it is
     # defined is dead; an override of a base class method is called by that
-    # base.  A name appears as a whole word token, so one pass counts every
-    # name; a definition starts its line, so prose such as "the class of"
-    # defines nothing.
-    text = "\n".join(
-        path.read_text(encoding="utf-8")
-        for folder in ("src", "tests", "perfbench")
-        for path in (ROOT / folder).rglob("*.py")
-    )
-    uses = Counter(re.findall(r"\w+", text))
-    definitions = Counter(re.findall(r"(?m)^\s*(?:def|class) (\w+)", text))
+    # base.  A module-level name the package does not export must be named
+    # by the program itself: tests alone do not keep a helper alive.
+    # A name appears as a whole word token, so one pass counts every name; a
+    # definition starts its line, so prose such as "the class of" defines
+    # nothing.
+    everywhere = names_and_definitions(("src", "tests", "perfbench"))
+    program = names_and_definitions(("src", "perfbench"))
+    exported = set(ellchow.__all__) | set(exactring.__all__)
     dead = []
     for module, owner, name in defined_helpers():
         if owner is not None:
             cls = getattr(importlib.import_module(module), owner)
             if any(hasattr(base, name) for base in cls.__mro__[1:]):
                 continue
+        unexported = owner is None and name not in exported
+        uses, definitions = program if unexported else everywhere
         if uses[name] <= definitions[name]:
             dead.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert dead == []
