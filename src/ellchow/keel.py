@@ -10,10 +10,10 @@ incompatible divisors.  Its three builders, ``divisor_sum``,
 letter of the divisor names, so they also write the ambient ``t{...}``
 relations of :mod:`ellchow.patch`.
 
-``psi_star`` writes the cotangent class at ``*`` as a sum of boundary
-divisors avoiding two chosen markings; the class is independent of the
-choice modulo the relations.  It also writes the attaching cotangent class
-in the whole-block pullbacks of :mod:`ellchow.strata`.
+``psi_star`` writes the cotangent class at ``*`` as the sum of the boundary
+divisors containing the two smallest markings; any other pair gives the
+same class modulo the relations.  It also writes the attaching cotangent
+class in the whole-block pullbacks of :mod:`ellchow.strata`.
 
 ``keel_integral`` is the degree map: the integral of a divisor monomial
 over the space.  Keel's ring is free in each degree and the degree map
@@ -52,14 +52,6 @@ class KeelRing:
 
     markings: tuple[int, ...]
     presentation: GradedPresentation
-
-    def divisor(self, subset: Iterable[int]) -> IntPolynomial:
-        t = tuple(sorted(subset))
-        if not (2 <= len(t) < len(self.markings)):
-            raise ValueError(f"no divisor for subset {t}")
-        if not set(t) <= set(self.markings):
-            raise ValueError(f"subset {t} not within the markings")
-        return IntPolynomial.symbol(subset_name("d", t))
 
 
 def divisor_sum(
@@ -147,16 +139,12 @@ def _keel_ring(ms: tuple[int, ...]) -> KeelRing:
     return KeelRing(markings=ms, presentation=pres)
 
 
-def psi_star(markings: Sequence[int], i: int | None = None, j: int | None = None) -> IntPolynomial:
+def psi_star(markings: Sequence[int]) -> IntPolynomial:
     """The cotangent class at the implicit point of the ring on the sorted
-    ``markings``: the sum of all divisors containing markings ``i`` and
-    ``j``, given both or neither (the two smallest)."""
-    if i is None and j is None:
-        i, j = markings[:2]
-    if i == j or i not in markings or j not in markings:
-        raise ValueError(f"invalid marking pair ({i}, {j}): give two markings or neither")
-    pair = tuple(sorted((i, j)))
-    return divisor_sum(markings, "d", pair, ())
+    ``markings``: the sum of all divisors containing the two smallest."""
+    if len(markings) < 2:
+        raise ValueError(f"the cotangent class needs two markings, not {tuple(markings)}")
+    return divisor_sum(markings, "d", tuple(markings[:2]), ())
 
 
 def keel_integral(markings: Sequence[int], mono: Iterable[tuple[str, int]]) -> int:

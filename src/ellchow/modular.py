@@ -37,6 +37,7 @@ from .partitions import (
     enumerate_partitions,
     lp_minimal,
     s_max,
+    s_min,
     smyth,
     validate_qspec,
 )
@@ -74,7 +75,7 @@ def _disjoint_family_kills(q: QSpec) -> list[IntPolynomial]:
     families = sorted(
         (sorted(index[b] for b in s.nonsingleton_blocks()), s)
         for s in q.allowed
-        if len(s.nonsingleton_blocks()) >= 2
+        if s.codim() >= 2
     )
     return [tau_monomial(s) for _, s in families]
 
@@ -124,23 +125,13 @@ class GetzlerReport:
     uses the variant ending in −2·τ₂τ₄, ``corrected_identity`` the variant
     ending in −τ₂τ₄.  Only the latter agrees with the stratum restrictions
     (the −1 coefficient is the unique integer that works); both results are
-    recorded so the discrepancy stays visible.  ``passed`` gates on the
-    checks that hold: the spot restrictions, the closed elliptic-class
-    identity, and the corrected variant."""
+    recorded so the discrepancy stays visible."""
 
     display_identity: bool
     corrected_identity: bool
     spot_values: dict[str, bool]
     ell_identity: bool
     conditional: dict[str, bool] | None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.corrected_identity
-            and self.ell_identity
-            and all(self.spot_values.values())
-        )
 
 
 def getzler_check(
@@ -166,17 +157,12 @@ def getzler_check(
         sum((tau(b) for b in combinations(range(1, 5), i)), IntPolynomial.zero())
         for i in (2, 3, 4)
     )
-    tau22 = (
-        tau((1, 2)) * tau((3, 4))
-        + tau((1, 3)) * tau((2, 4))
-        + tau((1, 4)) * tau((2, 3))
-    )
-    # the patched sum of the pairing nodal classes
-    pairings = ([[1, 2], [3, 4]], [[1, 3], [2, 4]], [[1, 4], [2, 3]])
-    nod22 = sum(
-        (nod_class(n, disc_completion(p, n)) for p in pairings),
-        IntPolynomial.zero(),
-    )
+    # the pairings into two pairs, and the patched sum of their nodal classes
+    pairings = [
+        disc_completion(p, n) for p in ([[1, 2], [3, 4]], [[1, 3], [2, 4]], [[1, 4], [2, 3]])
+    ]
+    tau22 = sum((tau_monomial(s) for s in pairings), IntPolynomial.zero())
+    nod22 = sum((nod_class(n, s) for s in pairings), IntPolynomial.zero())
     base = (
         6 * lam**2
         + 6 * lam * tau3
@@ -205,13 +191,10 @@ def getzler_check(
         "one-triple": tail_matches(
             disc_completion([[1, 2, 3]], n), IntPolynomial.zero()
         ),
-        "one-block": tail_matches(
-            disc_completion([[1, 2, 3, 4]], n), IntPolynomial.zero()
-        ),
+        "one-block": tail_matches(s_min(n), IntPolynomial.zero()),
     }
 
-    s_min_4 = disc_completion([[1, 2, 3, 4]], n)
-    ell_ok = classes_equal(n, ell_class(n, s_min_4), 24 * lam**2)
+    ell_ok = classes_equal(n, ell_class(n, s_min(n)), 24 * lam**2)
 
     conditional = None
     if delta is not None:
@@ -230,7 +213,7 @@ def getzler_check(
                 n, cycle + 12 * lam**2, IntPolynomial.zero()
             ),
             "cycle-ell": classes_equal(
-                n, 2 * cycle + ell_class(n, s_min_4), IntPolynomial.zero()
+                n, 2 * cycle + ell_class(n, s_min(n)), IntPolynomial.zero()
             ),
         }
 

@@ -107,18 +107,11 @@ def relation_families(n: int) -> dict[str, list[IntPolynomial]]:
 
 
 @lru_cache(maxsize=None)
-def base_relations(n: int) -> tuple[IntPolynomial, ...]:
-    """The three relation families concatenated, four-point first, then
-    incompatible, then normal: every ambient relation but the six-marking
-    extras."""
-    fams = relation_families(n)
-    return tuple(fams["four-point"] + fams["incompatible"] + fams["normal"])
-
-
 def ambient_relations(n: int) -> tuple[IntPolynomial, ...]:
-    """Every ambient relation: the base relations, then the six-marking
-    extras."""
-    return base_relations(n) + (six_marking_extras() if n == 6 else ())
+    """Every ambient relation: the three families in the order
+    ``relation_families`` lists them, then with six markings the extras."""
+    relations = [r for family in relation_families(n).values() for r in family]
+    return (*relations, *(six_marking_extras() if n == 6 else ()))
 
 
 # -- the patching driver -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from ellchow import (
     psi_star,
 )
 from ellchow.keel import (
+    divisor_sum,
     four_point_relations,
     incompatible_products,
     keel_integral,
@@ -22,6 +24,9 @@ from ellchow.keel import (
 from ellchow.exactring import subset_name
 from ellchow.partitions import incomparable
 
+
+def d(*t):
+    return IntPolynomial.symbol(subset_name("d", t))
 
 # -- presentation shape --------------------------------------------------------
 
@@ -85,17 +90,6 @@ def test_a_block_ring_is_the_ring_on_one_to_k_renamed(block):
             assert pres.normal_form(f) == built.normal_form(f)
 
 
-def test_divisor_lookup():
-    ring = keel_presentation([2, 4, 7, 9])
-    assert ring.divisor([4, 2]).text() == "d{2,4}"
-    with pytest.raises(ValueError):
-        ring.divisor([2])  # too small
-    with pytest.raises(ValueError):
-        ring.divisor([2, 4, 7, 9])  # the full set is not a boundary divisor
-    with pytest.raises(ValueError):
-        ring.divisor([1, 2])  # 1 is not a marking here
-
-
 def test_hilbert_functions():
     three = keel_presentation([1, 2, 3])
     assert three.presentation.hilbert_function(2) == [1, 1, 0]
@@ -108,12 +102,9 @@ def test_hilbert_functions():
 
 def test_incompatible_divisors_multiply_to_zero():
     ring = keel_presentation([1, 2, 3, 4])
-    d12 = ring.divisor([1, 2])
-    d23 = ring.divisor([2, 3])
-    assert ring.presentation.reduces_to_zero(d12 * d23)
+    assert ring.presentation.reduces_to_zero(d(1, 2) * d(2, 3))
     # nested subsets are compatible: the product survives
-    d123 = ring.divisor([1, 2, 3])
-    assert not ring.presentation.reduces_to_zero(d12 * d123)
+    assert not ring.presentation.reduces_to_zero(d(1, 2) * d(1, 2, 3))
 
 
 # -- psi_star ------------------------------------------------------------------
@@ -121,41 +112,30 @@ def test_incompatible_divisors_multiply_to_zero():
 
 def test_psi_star_small_cases():
     assert psi_star((1, 2)) == IntPolynomial.zero()
-    assert psi_star((1, 2, 3), 1, 2).text() == "d{1,2}"
+    assert psi_star((1, 2, 3)).text() == "d{1,2}"
+    assert psi_star((2, 4, 7)).text() == "d{2,4}"
+
+
+def test_psi_star_needs_two_markings():
+    for markings in [(1,), ()]:
+        with pytest.raises(ValueError, match=rf"not {re.escape(str(markings))}$"):
+            psi_star(markings)
 
 
 def test_psi_star_is_sum_over_containing_subsets():
     ring = keel_presentation([1, 2, 3, 4])
-    got = psi_star(ring.markings, 1, 2)
-    expect = ring.divisor([1, 2]) + ring.divisor([1, 2, 3]) + ring.divisor([1, 2, 4])
-    assert got == expect
-
-
-def test_psi_star_rejects_bad_pairs():
-    ring = keel_presentation([1, 2, 3])
-    with pytest.raises(ValueError):
-        psi_star(ring.markings, 1, 1)
-    with pytest.raises(ValueError):
-        psi_star(ring.markings, 1, 9)
-
-
-def test_psi_star_needs_both_markings_or_neither():
-    # half a pair is refused, not read as the default pair 1, 2
-    ring = keel_presentation((1, 2, 3, 4))
-    for i, j in [(3, None), (None, 3)]:
-        with pytest.raises(ValueError, match="give two markings or neither"):
-            psi_star(ring.markings, i, j)
-    assert psi_star(ring.markings) == psi_star(ring.markings, 1, 2)
+    assert psi_star(ring.markings) == d(1, 2) + d(1, 2, 3) + d(1, 2, 4)
 
 
 def test_psi_star_class_is_choice_independent():
+    # the sum of the divisors containing any other pair is the same class
     ring = keel_presentation([1, 2, 3, 4])
-    reference = psi_star(ring.markings, 1, 2)
-    for i, j in itertools.combinations([1, 2, 3, 4], 2):
-        other = psi_star(ring.markings, i, j)
+    reference = psi_star(ring.markings)
+    for pair in itertools.combinations([1, 2, 3, 4], 2):
+        other = divisor_sum(ring.markings, "d", pair, ())
         assert ring.presentation.reduces_to_zero(reference - other)
     # ... even though the representatives genuinely differ
-    assert psi_star(ring.markings, 1, 2) != psi_star(ring.markings, 3, 4)
+    assert reference != divisor_sum(ring.markings, "d", (3, 4), ())
 
 
 def test_psi_star_is_not_a_zero_divisor_in_top_degrees():
@@ -163,8 +143,7 @@ def test_psi_star_is_not_a_zero_divisor_in_top_degrees():
     psi = psi_star(ring.markings)
     # multiplication by psi from degree 1 to degree 2 has full rank:
     # degree-2 rank is 1 and psi*d is nonzero for some divisor d
-    d12 = ring.divisor([1, 2])
-    assert not ring.presentation.reduces_to_zero(psi * d12)
+    assert not ring.presentation.reduces_to_zero(psi * d(1, 2))
 
 
 # -- the degree map ---------------------------------------------------------------
@@ -178,7 +157,8 @@ def integral(markings, f):
 def test_psi_star_to_the_dimension_has_degree_one(size):
     ring = keel_presentation(range(1, size + 1))
     assert integral(ring.markings, psi_star(ring.markings) ** (size - 2)) == 1
-    assert integral(ring.markings, psi_star(ring.markings, size - 1, size) ** (size - 2)) == 1
+    other = divisor_sum(ring.markings, "d", (size - 1, size), ())
+    assert integral(ring.markings, other ** (size - 2)) == 1
 
 
 @pytest.mark.parametrize("size", [3, 4, 5, 6])
@@ -200,11 +180,10 @@ def test_every_maximal_compatible_product_has_degree_one(size):
 
     grow([], 0)
     assert len(points) == math.prod(range(1, 2 * size - 2, 2))
-    ring = keel_presentation(ms)
     for chosen in points:
         product = IntPolynomial.one()
         for t in chosen:
-            product = product * ring.divisor(t)
+            product = product * d(*t)
         assert integral(ms, product) == 1, chosen
 
 

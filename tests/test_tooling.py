@@ -1,7 +1,8 @@
 """The benchmark's per-layer trace hooks still find what they wrap, the
 exact-algebra package re-exports nothing that goes unused, no module
 imports a name it never uses, no helper goes unnamed outside its
-definition, and README's quick start and command lines run as shown."""
+definition or lives on tests alone, and README's quick start and command
+lines run as shown."""
 
 import ast
 import importlib
@@ -188,28 +189,37 @@ def defined_helpers():
                     yield module, owner, fn.name
 
 
-def names_and_definitions(folders):
-    """How often each word appears in the ``*.py`` files of ``folders``, and
-    how often a line there defines it."""
-    text = "\n".join(
+def source_text(*folders):
+    """The ``*.py`` files of ``folders``, joined."""
+    return "\n".join(
         path.read_text(encoding="utf-8")
         for folder in folders
         for path in (ROOT / folder).rglob("*.py")
     )
+
+
+def names_and_definitions(folders):
+    """How often each word appears in the ``*.py`` files of ``folders``, and
+    how often a line there defines it."""
+    text = source_text(*folders)
     definitions = re.findall(r"(?m)^\s*(?:def|class) (\w+)", text)
     return Counter(re.findall(r"\w+", text)), Counter(definitions)
 
 
 def test_every_helper_is_named_outside_its_definition():
-    # A function, method or class whose name appears only where it is
-    # defined is dead; an override of a base class method is called by that
-    # base.  A module-level name the package does not export must be named
-    # by the program itself: tests alone do not keep a helper alive.
+    # A function or class whose name appears only where it is defined is
+    # dead.  A module-level name the package does not export must be named
+    # by the program itself, and so must a method, as ``.name`` or, since
+    # the benchmark's trace wraps methods by name, as a string there: tests
+    # alone do not keep a helper alive.  An override of a base class method
+    # is called by that base.
     # A name appears as a whole word token, so one pass counts every name; a
     # definition starts its line, so prose such as "the class of" defines
     # nothing.
     everywhere = names_and_definitions(("src", "tests", "perfbench"))
     program = names_and_definitions(("src", "perfbench"))
+    attributes = Counter(re.findall(r"\.(\w+)", source_text("src", "perfbench")))
+    attributes.update(re.findall(r"[\"'](\w+)[\"']", source_text("perfbench")))
     exported = set(ellchow.__all__) | set(exactring.__all__)
     dead = []
     for module, owner, name in defined_helpers():
@@ -217,9 +227,11 @@ def test_every_helper_is_named_outside_its_definition():
             cls = getattr(importlib.import_module(module), owner)
             if any(hasattr(base, name) for base in cls.__mro__[1:]):
                 continue
-        unexported = owner is None and name not in exported
-        uses, definitions = program if unexported else everywhere
-        if uses[name] <= definitions[name]:
+            unused = not attributes[name]
+        else:
+            uses, definitions = everywhere if name in exported else program
+            unused = uses[name] <= definitions[name]
+        if unused:
             dead.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert dead == []
 
