@@ -21,10 +21,10 @@ two monomials add without carry to the key of their product, and an entry
 point or a product that would overflow raises ``ValueError``.
 
 A key's value depends on the order in which names were interned, so no
-output may depend on it.  Names enter through ``symbol``, ``monomial``,
-``parse`` and ``from_json_obj``, and leave through ``sorted_terms`` (hence
-``text`` and JSON), ``symbols_used`` and the image lookup of ``substitute``,
-in the canonical symbol order ``l < nu < xi < braced names by (size, elements,
+output may depend on it.  Names enter through ``symbol``, ``monomial`` and
+``parse``, and leave through ``sorted_terms`` (hence ``text`` and JSON),
+``symbols_used`` and the image lookup of ``substitute``, in the canonical
+symbol order ``l < nu < xi < braced names by (size, elements,
 prefix letter)``.  The canonical text form sorts terms by (degree, exponent vector
 descending-lexicographic), e.g. ``24*l^3 + 24*l^2*t{1,2}``, and round-trips
 through :meth:`IntPolynomial.parse`.  The JSON form is a list of
@@ -190,8 +190,8 @@ class IntPolynomial:
         return cls.monomial(((name, exp),))
 
     @classmethod
-    def monomial(cls, mono: Iterable[tuple[str, int]], coeff: int = 1) -> "IntPolynomial":
-        return cls({_monomial_key(mono): coeff})
+    def monomial(cls, mono: Iterable[tuple[str, int]]) -> "IntPolynomial":
+        return cls({_monomial_key(mono): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -425,13 +425,3 @@ class IntPolynomial:
             {"coeff": c, "exponents": [[name, e] for name, e in mono]}
             for mono, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "IntPolynomial":
-        total: dict[int, int] = {}
-        for entry in obj:
-            mono = _monomial_key(
-                (str(name), int(e)) for name, e in entry["exponents"]
-            )
-            total[mono] = total.get(mono, 0) + int(entry["coeff"])
-        return cls(total)

@@ -97,7 +97,6 @@ class InvariantFactors:
     """Structure of one graded piece: free rank and torsion orders
     (ascending divisibility)."""
 
-    degree: int
     rank: int
     torsion: tuple[int, ...]
 
@@ -429,7 +428,6 @@ class GradedPresentation:
     def smith_invariants(self, degree: int) -> InvariantFactors:
         diag = smith_invariants_of_rows(self.lattice(degree).rows)
         return InvariantFactors(
-            degree=degree,
             rank=len(self.basis(degree)) - len(diag),
             torsion=tuple(d for d in diag if d > 1),
         )

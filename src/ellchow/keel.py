@@ -47,10 +47,8 @@ from .partitions import incomparable, set_partitions
 
 @dataclass(frozen=True)
 class KeelRing:
-    """A boundary presentation together with its marking labels; its
-    divisors are named ``d{...}``."""
+    """A boundary presentation; its divisors are named ``d{...}``."""
 
-    markings: tuple[int, ...]
     presentation: GradedPresentation
 
 
@@ -131,12 +129,12 @@ def _keel_ring(ms: tuple[int, ...]) -> KeelRing:
     names, name = [subset_name("d", t) for t in subsets], f"keel({','.join(map(str, ms))})"
     canonical = tuple(range(1, len(ms) + 1))
     if ms != canonical:
-        return KeelRing(ms, _keel_ring(canonical).presentation.renamed(names, name))
+        return KeelRing(_keel_ring(canonical).presentation.renamed(names, name))
     relations = four_point_relations(ms, "d", ms) + incompatible_products(subsets, "d")
     pres = GradedPresentation(names, relations, name, (
         IntPolynomial.symbol(subset_name("d", ms[1:]), len(ms) - 2),
         lambda mono: keel_integral(ms, mono)))
-    return KeelRing(markings=ms, presentation=pres)
+    return KeelRing(pres)
 
 
 def psi_star(markings: Sequence[int]) -> IntPolynomial:

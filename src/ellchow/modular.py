@@ -14,15 +14,13 @@ singularity) set to zero, plus
 ``torsion_report`` gives the Smith invariants of one graded piece.
 ``getzler_check`` verifies the classical degree-two cycle identity on four
 markings against the patched nodal classes, entirely inside the ambient
-ring.  Given a target map for the opaque degree-one cycle, it also patches
-that cycle and checks the full combination.
+ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 from .exactring import (
     GradedPresentation,
@@ -47,7 +45,6 @@ from .patch import (
     boundary_subsets,
     classes_equal,
     ell_class,
-    fundamental_class,
     nod_class,
     restrict_to_tail,
     tau,
@@ -131,25 +128,15 @@ class GetzlerReport:
     corrected_identity: bool
     spot_values: dict[str, bool]
     ell_identity: bool
-    conditional: dict[str, bool] | None
 
 
-def getzler_check(
-    delta: Callable[[SetPartition], IntPolynomial] | None = None,
-) -> GetzlerReport:
-    """Verify the four-marking cycle identity.
-
-    Always checked: the patched sum of pairing nodal classes agrees, as an
-    ambient class, with its boundary expression (in both coefficient
-    variants — see :class:`GetzlerReport`); its restrictions match the
-    expected stratum values; and the closed elliptic class of the
-    one-block partition is exactly twenty-four times the Hodge square.
-
-    When a target map for the opaque degree-one cycle is supplied (its value
-    on each four-marking stratum), the full cycle combination is
-    additionally checked to collapse onto the Hodge square and the elliptic
-    class (reported separately, under the keys ``"cycle-hodge"`` and
-    ``"cycle-ell"``)."""
+def getzler_check() -> GetzlerReport:
+    """Verify the four-marking cycle identity: the patched sum of pairing
+    nodal classes agrees, as an ambient class, with its boundary expression
+    (in both coefficient variants — see :class:`GetzlerReport`); its
+    restrictions match the expected stratum values; and the closed elliptic
+    class of the one-block partition is exactly twenty-four times the Hodge
+    square."""
     n = 4
     lam = IntPolynomial.symbol("l")
     # the symmetric boundary cycles of degree one and two
@@ -196,31 +183,9 @@ def getzler_check(
 
     ell_ok = classes_equal(n, ell_class(n, s_min(n)), 24 * lam**2)
 
-    conditional = None
-    if delta is not None:
-        t0 = fundamental_class(n, delta)
-        cycle = (
-            t0 * tau3
-            - 4 * tau2 * tau3
-            + 12 * tau22
-            - 2 * tau2 * tau4
-            + 6 * tau3 * tau4
-            + t0 * tau4
-            - 2 * nod22
-        )
-        conditional = {
-            "cycle-hodge": classes_equal(
-                n, cycle + 12 * lam**2, IntPolynomial.zero()
-            ),
-            "cycle-ell": classes_equal(
-                n, 2 * cycle + ell_class(n, s_min(n)), IntPolynomial.zero()
-            ),
-        }
-
     return GetzlerReport(
         display_identity=display_ok,
         corrected_identity=corrected_ok,
         spot_values=spot,
         ell_identity=ell_ok,
-        conditional=conditional,
     )

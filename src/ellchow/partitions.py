@@ -209,16 +209,6 @@ class QSpec:
     n: int
     allowed: frozenset[SetPartition]
 
-    def text_lines(self) -> list[str]:
-        return [p.text() for p in sorted(self.allowed)]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "convention": BKN_CONVENTION,
-            "allowed": self.text_lines(),
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSpec":
         texts = obj.get("allowed", []) if isinstance(obj, dict) else None

@@ -121,11 +121,10 @@ def _patch(
     n: int,
     f: IntPolynomial,
     target: Callable[[SetPartition], IntPolynomial],
-    start_length: int | None,
+    start_length: int,
 ) -> IntPolynomial:
     # Core levels (block counts), from fine to coarse.
-    top = n - 1 if start_length is None else start_length
-    for length in range(top, 0, -1):
+    for length in range(start_length, 0, -1):
         corrections = IntPolynomial.zero()
         for s in partitions_of_length(n, length):
             model = tail_model(n, s)
@@ -144,16 +143,13 @@ def fundamental_class(
     every stratum ``s``, built by descending level patching from its value
     on the all-singleton stratum, whose tail model is the core ring on the
     ambient generators ``l`` (and ``nu``)."""
-    return _patch(n, target(s_max(n)), target, None)
+    return _patch(n, target(s_max(n)), target, n - 1)
 
 
-def lift_relation(
-    n: int, f: IntPolynomial, start_length: int | None = None
-) -> IntPolynomial:
+def lift_relation(n: int, f: IntPolynomial, start_length: int) -> IntPolynomial:
     """Correct ``f`` into a class restricting to zero on every stratum of
-    length at most ``start_length`` (all patchable levels by default);
-    levels above the start must already vanish for the result to be a
-    relation of the ambient ring."""
+    length at most ``start_length``; levels above the start must already
+    vanish for the result to be a relation of the ambient ring."""
     return _patch(n, f, lambda s: IntPolynomial.zero(), start_length)
 
 
@@ -229,7 +225,8 @@ def restricts_to_zero_everywhere(n: int, f: IntPolynomial) -> bool:
 # -- frozen expected classes ---------------------------------------------------------
 
 
-FixtureTable = dict[int, dict[SetPartition, IntPolynomial]]
+# The stored representative of each shape and its class, by marking count.
+FixtureTable = dict[int, dict[tuple[int, ...], tuple[SetPartition, IntPolynomial]]]
 
 
 def _parse_fixture_json(raw: dict) -> FixtureTable:
@@ -247,16 +244,31 @@ def _parse_fixture_json(raw: dict) -> FixtureTable:
         n = marking_count(key, "a fixture file's marking count")
         if n in table:
             raise ValueError(f"a fixture file lists marking count {n} twice")
-        table[n] = {
-            SetPartition.parse(text, n): IntPolynomial.parse(poly)
-            for text, poly in entries.items()
-        }
+        shapes = table[n] = {}
+        for text, poly in entries.items():
+            s = SetPartition.parse(text, n)
+            if s.shape() in shapes:
+                first = shapes[s.shape()][0]
+                what = (f"partition {s} twice" if first == s
+                        else f"partitions {first} and {s} of one shape")
+                raise ValueError(f"a fixture file lists {what} for marking count {n}")
+            shapes[s.shape()] = s, IntPolynomial.parse(poly)
     return table
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One object of a fixture file; ``json`` would keep only the last value
+    of a repeated key, and the others would go unread."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"a fixture file gives the key {json.dumps(key)} twice")
+    return dict(pairs)
 
 
 def load_fixture_file(path: str) -> FixtureTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_fixture_json(json.load(fh))
+        return _parse_fixture_json(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 @lru_cache(maxsize=None)
@@ -296,10 +308,7 @@ def expected_class(
     n: int, s: SetPartition, table: FixtureTable | None = None
 ) -> IntPolynomial:
     """The frozen expected value of the elliptic-singularity class of one
-    partition, obtained by relabelling a stored representative of the same
-    shape."""
-    entries = (_fixture_table() if table is None else table)[n]
-    for stored, poly in entries.items():
-        if stored.shape() == s.shape():
-            return permute_marks(poly, matching_permutation(stored, s))
-    raise KeyError(f"no stored class of shape {s.shape()} for n={n}")
+    partition, obtained by relabelling the stored representative of its
+    shape; a ``KeyError`` when the table has none."""
+    stored, poly = (_fixture_table() if table is None else table)[n][s.shape()]
+    return permute_marks(poly, matching_permutation(stored, s))

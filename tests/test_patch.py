@@ -284,20 +284,20 @@ def test_restriction_offenders_lists_the_failing_strata():
 def test_lift_relation_keeps_relations_unchanged():
     rels = gorenstein_presentation(3).relations
     for rel in rels[:4]:
-        assert lift_relation(3, rel) == rel
+        assert lift_relation(3, rel, start_length=2) == rel
 
 
 def test_lift_relation_recovers_the_normal_relation():
     # correcting the square of the boundary divisor on two markings yields
     # exactly the normal-bundle relation tau*(l + tau)
     t = tau((1, 2))
-    assert lift_relation(2, t * t) == t * (LAM + t)
-    assert lift_relation(2, LAM * t) == IntPolynomial.zero()
+    assert lift_relation(2, t * t, start_length=1) == t * (LAM + t)
+    assert lift_relation(2, LAM * t, start_length=1) == IntPolynomial.zero()
 
 
 def test_lift_relation_output_vanishes_everywhere():
     f = tau((1, 2)) * tau((1, 2)) - 2 * LAM * tau((1, 2, 3))
-    lifted = lift_relation(3, f)
+    lifted = lift_relation(3, f, start_length=2)
     assert restricts_to_zero_everywhere(3, lifted)
 
 

@@ -125,7 +125,7 @@ def test_ring_axioms_spot():
 def test_integer_coefficients_exact():
     big = 10**40
     f = big * L
-    assert f * f == IntPolynomial.monomial((("l", 2),), big * big)
+    assert f * f == big * big * IntPolynomial.monomial((("l", 2),))
 
 
 def test_power():
@@ -228,22 +228,16 @@ def test_zero_exponents_drop_out():
     assert IntPolynomial.parse("l^0") == IntPolynomial.one()
     assert IntPolynomial.parse("l^0").text() == "1"
     assert IntPolynomial.parse("24*l^2*t{1,2}^0") == 24 * L**2
-    obj = [{"coeff": 3, "exponents": [["l", 2], ["xi", 0]]}]
-    assert IntPolynomial.from_json_obj(obj) == 3 * L**2
     assert IntPolynomial.monomial((("nu", 0), ("l", 1))) == L
 
 
 def test_repeated_names_multiply():
     assert IntPolynomial.parse("l*xi*l") == L**2 * XI
-    obj = [{"coeff": 1, "exponents": [["l", 1], ["l", 1]]}]
-    assert IntPolynomial.from_json_obj(obj) == L**2
     assert IntPolynomial.monomial((("l", 1), ("l", 1))) == L**2
     assert (L * XI).substitute({"xi": L}) == L**2
 
 
 def test_negative_and_malformed_exponents_rejected():
-    with pytest.raises(ValueError):
-        IntPolynomial.from_json_obj([{"coeff": 1, "exponents": [["l", -1]]}])
     with pytest.raises(ValueError):
         IntPolynomial.monomial((("l", -2),))
     with pytest.raises(ValueError):
@@ -276,7 +270,7 @@ def test_degree_at_the_top_of_a_field_fits():
         lambda: IntPolynomial.symbol("l", 10**3),
         lambda: IntPolynomial.monomial((("l", 100), ("xi", 28))),
         lambda: IntPolynomial.parse("l^128"),
-        lambda: IntPolynomial.from_json_obj([{"coeff": 1, "exponents": [["nu", 64]]}]),
+        lambda: IntPolynomial.monomial((("nu", 64),)),
         lambda: IntPolynomial.from_coefficients_in("l", {128: IntPolynomial.one()}),
         lambda: IntPolynomial.from_coefficients_in("l", {100: L**28}),
         lambda: (L**101 * XI).substitute({"xi": L**27 + XI**27}),
@@ -420,7 +414,11 @@ def test_text_parse_round_trip(poly):
 @given(polynomials())
 @settings(max_examples=120, deadline=None)
 def test_json_round_trip(poly):
-    assert IntPolynomial.from_json_obj(poly.to_json_obj()) == poly
+    # the JSON form lists the canonical terms, and they sum back to the class
+    obj = json.loads(json.dumps(poly.to_json_obj()))
+    terms = [(tuple(map(tuple, t["exponents"])), t["coeff"]) for t in obj]
+    assert terms == poly.sorted_terms()
+    assert sum((c * IntPolynomial.monomial(m) for m, c in terms), IntPolynomial.zero()) == poly
 
 
 @given(polynomials(), polynomials())

@@ -179,6 +179,27 @@ def test_restrict_after_lift_keeps_core_generators():
     assert restrict_to_tail(6, top, lift_from_tail(g)) == g
 
 
+SECTION_STRATA = [s for n in range(1, 6) for s in enumerate_partitions(n)] + [
+    SetPartition.parse("1 2 3 4|5 6", 6),
+    s_max(6),  # its core ring carries nu
+]
+
+
+@pytest.mark.parametrize("part", SECTION_STRATA, ids=lambda s: f"{s.n}:{s.text()}")
+def test_lift_is_a_section_of_restriction_on_every_stratum(part):
+    model = tail_model(part.n, part)
+    symbols = [SYM(name) for name in model.presentation.symbols]
+    rng = random.Random(f"{part.n}:{part.text()}")
+    for _ in range(12):
+        g = IntPolynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            term = IntPolynomial.const(rng.randint(-9, 9))
+            for _ in range(rng.randint(0, 3)):
+                term = term * rng.choice(symbols)
+            g = g + term
+        assert model.restrict(lift_from_tail(g)) == g, g
+
+
 def test_restriction_and_lift_read_the_support_once(monkeypatch):
     # substitution finds the names a polynomial uses itself, for restriction
     # and for lifting alike

@@ -1,12 +1,13 @@
 """The benchmark's per-layer trace hooks still find what they wrap, the
 exact-algebra package re-exports nothing that goes unused, no module
 imports a name it never uses, no helper goes unnamed outside its
-definition or lives on tests alone, and README's quick start and command
-lines run as shown."""
+definition or lives on tests alone, every function runs under some
+command, and README's quick start and command lines run as shown."""
 
 import ast
 import importlib
 import io
+import json
 import os
 import re
 import shlex
@@ -207,12 +208,17 @@ def names_and_definitions(folders):
 
 
 def test_every_helper_is_named_outside_its_definition():
-    # A function or class whose name appears only where it is defined is
-    # dead.  A module-level name the package does not export must be named
-    # by the program itself, and so must a method, as ``.name`` or, since
-    # the benchmark's trace wraps methods by name, as a string there: tests
-    # alone do not keep a helper alive.  An override of a base class method
-    # is called by that base.
+    """A function or class whose name appears only where it is defined is
+    dead.  A module-level name the package does not export must be named by
+    the program itself, and so must a method, as ``.name`` or, since the
+    benchmark's trace wraps methods by name, as a string there: tests alone
+    do not keep a helper alive.  An override of a base class method is
+    called by that base.
+
+    The rule matches names, so it cannot tell same-named methods apart: a
+    use of one ``to_json_obj`` keeps every ``to_json_obj`` alive.  The
+    reachability test below runs the commands instead, but it cannot see
+    classes or what the benchmark reaches; this rule covers both."""
     # A name appears as a whole word token, so one pass counts every name; a
     # definition starts its line, so prose such as "the class of" defines
     # nothing.
@@ -234,6 +240,111 @@ def test_every_helper_is_named_outside_its_definition():
         if unused:
             dead.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert dead == []
+
+
+REACH = """
+import io, json, sys
+from ellchow import cli
+
+ran = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        ran.add(frame.f_code)
+
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[1]):
+    cli.run(argv, out=io.StringIO())
+sys.setprofile(None)
+print(json.dumps([[c.co_filename, c.co_firstlineno, c.co_name] for c in ran]))
+"""
+
+# What no command runs, each kept for a reason of its own.
+UNREACHED = [
+    # the console-script entry point; it only hands ``run``'s status to exit
+    "ellchow.cli.main",
+    # the Schubert-class dictionary that acceptance criterion 9 checks
+    "ellchow.corering._schubert_single",
+    "ellchow.corering.schubert_to_ln",
+    # the benchmark's trace wraps it by name
+    "ellchow.exactring.lattice.Echelon.contains",
+    # fifteen tests read it; spelling it out in each would not shrink the code
+    "ellchow.exactring.poly.IntPolynomial.degree",
+    # refuses a polynomial outside the ring, which only a library caller passes
+    "ellchow.exactring.presentation.GradedPresentation._refuse",
+]
+
+
+def defined_functions():
+    """``(path, first line, name, dotted name)`` of every function and method
+    in ``src/ellchow``, nested ones too, dunders aside.  A decorated
+    function's code starts at its first decorator."""
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, path, prefix)
+                continue
+            if not isinstance(child, ast.ClassDef) and not (
+                child.name.startswith("__") and child.name.endswith("__")
+            ):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                yield path, first, child.name, prefix + child.name
+            yield from walk(child, path, prefix + child.name + ".")
+
+    for path in sorted((ROOT / "src" / "ellchow").rglob("*.py")):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield from walk(tree, str(path), module + ".")
+
+
+def test_every_function_runs_under_some_command(tmp_path):
+    # README's commands (verify appendix and getzler among them), the other
+    # verify suites, each input file kind and the paths that only some inputs
+    # take; a function none of them runs is dead unless UNREACHED gives its
+    # reason.
+    space, fixtures = tmp_path / "space.json", tmp_path / "fixtures.json"
+    space.write_text('{"n": 3, "allowed": ["1 2 3"]}')
+    fixtures.write_text('{"2": {"1 2": "24*l^2", "1|2": "24*l^3 + 24*l^2*t{1,2}"}}')
+    commands = [argv for argv, _ in readme_commands()] + [
+        ["verify", target, "--n", "3"] for target in ("relations", "torsion", "duality")
+    ] + [
+        ["verify", "counts", "--format", "json"],
+        ["present", "--n", "3", "--space", f"qfile:{space}"],
+        ["verify", "appendix", "--n", "2", "--fixtures", str(fixtures)],
+        ["class", "--n", "3", "--nod", "1 2|3"],
+        ["restrict", "--n", "3", "--partition", "1 2|3", "--ell", "l + t{1,2}"],
+        ["restrict", "--n", "6", "--partition", "1 2 3 4|5 6", "nu"],
+        # reaches six_marking_extras
+        ["present", "--n", "6", "--space", "lp"],
+        # reaches the degree overflow
+        ["restrict", "--n", "2", "--partition", "1 2", "l^200"],
+    ]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", REACH, json.dumps(commands)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran = {(str(Path(f).resolve()), line, name) for f, line, name in json.loads(proc.stdout)}
+    unreached = sorted(
+        dotted for path, line, name, dotted in defined_functions()
+        if (path, line, name) not in ran
+    )
+    assert unreached == UNREACHED
+
+
+def readme_commands():
+    """The ``ellchow`` lines of README's command-line block: each one's
+    arguments, and the text after its trailing ``# ->``, if any."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command-line interface\n.*?```sh\n(.*?)```", readme, re.S)[1]
+    return [
+        (shlex.split(command)[1:], comment.strip())
+        for command, _, comment in (
+            line.partition("# ->") for line in block.splitlines() if line.startswith("ellchow ")
+        )
+    ]
 
 
 def test_readme_quick_start_shows_what_it_computes():
@@ -259,16 +370,11 @@ def test_readme_quick_start_shows_what_it_computes():
 def test_readme_command_lines_exit_zero_and_print_what_they_show():
     # Every ellchow line of the command-line block exits 0, and a trailing
     # "# -> X" comment is the whole text the line prints.
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command-line interface\n.*?```sh\n(.*?)```", readme, re.S)[1]
     shown = []
-    for line in block.splitlines():
-        if not line.startswith("ellchow "):
-            continue
-        command, _, comment = line.partition("# ->")
+    for argv, comment in readme_commands():
         out = io.StringIO()
-        assert cli.run(shlex.split(command)[1:], out=out) == 0, line
+        assert cli.run(argv, out=out) == 0, argv
         if comment:
-            assert out.getvalue() == comment.strip() + "\n", line
-            shown.append(comment.strip())
+            assert out.getvalue() == comment + "\n", argv
+            shown.append(comment)
     assert shown == ["1 2 1", "24*l^2", "0"]
