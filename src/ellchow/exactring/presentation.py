@@ -48,10 +48,16 @@ itself.  Reduction in a unit-led factor is Z-linear with the factor's ideal
 as kernel, in ``k`` it depends only on the class of its input, and each
 changes only its factor's parts: the result depends only on the class of
 ``f``, which is ``r``'s.  This is Buchberger's first criterion: Groebner
-bases in disjoint variables join to one.  A ring ``renamed`` from another
-keeping the symbol order and degrees keeps every slot: basis positions,
-product rows and kill masks are the other's, so it holds the other's very
-reduced relations and staircases, and its degree map renamed.
+bases in disjoint variables join to one.
+
+A relation list is parsed once, in the ring that owns it, into its kills
+as masks of slots, the slots some relation or kill uses (the others are
+free) and its lowest degree.  A tensor product takes these parts from its
+factors, each mask moved to its own slots.  A ring ``renamed`` from another
+keeping the symbol order and degrees keeps every slot, so it takes the
+other's parts as they are, its very reduced relations, staircases and
+degree map.  Neither walks a relation term: their relation polynomials are
+built when ``relations`` or ``defining_relations()`` is first read.
 
 A *degree map* is a monomial ``m*`` of degree ``t`` and a map ``∫`` on
 monomials such that the degree-``t`` lattice is ``ker ∫``, ``∫(m*) = ±1``
@@ -66,7 +72,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
@@ -82,6 +88,14 @@ from .poly import (
     unit_key,
 )
 
+
+def _moved(mask: int, slots: list[int]) -> int:
+    """A mask of slots with slot ``i`` moved to ``slots[i]``."""
+    out = 0
+    while mask:
+        out |= 1 << slots[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
 
 
 class PresentationError(Exception):
@@ -107,6 +121,32 @@ class GradedPresentation:
     def __init__(self, symbols: Sequence[str], relations: Iterable[IntPolynomial],
                  name: str = "", degree_map: tuple[IntPolynomial, Callable] | None = None
                  ) -> None:
+        # The one walk over relation terms; ``used`` ORs the non-kill keys.
+        self._set_symbols(symbols, name, degree_map)
+        kills, kept, low, used = [], [], MAX_DEGREE + 1, 0
+        for rel in relations:
+            if rel.is_zero():
+                continue
+            if any(m | self._mask != self._mask for m, _ in rel.items()):
+                unknown = rel.symbols_used() - set(self.symbols)
+                raise PresentationError(f"relation uses unknown symbols {sorted(unknown)}")
+            if not rel.is_homogeneous():
+                raise PresentationError(f"relation not homogeneous: {rel.text()}")
+            key, coeff = next(rel.items())
+            low = min(low, key & DEGREE)
+            fields = key_fields(key) if len(rel) == 1 and coeff in (1, -1) else ()
+            if fields and {e for _, e in fields} == {1}:
+                kills.append(sum(1 << self._slot_at[f] for f, _ in fields))
+            else:
+                kept.append(rel)
+                used = reduce(or_, (m for m, _ in rel.items()), used)
+        busy = reduce(or_, kills, 0) | sum(
+            1 << i for i, u in enumerate(self._units) if used & DEGREE << u.bit_length() - 1)
+        self._set_relations(kills, busy, low, lambda: kept)
+
+    def _set_symbols(self, symbols: Iterable[str], name: str,
+                     degree_map: tuple[IntPolynomial, Callable] | None) -> None:
+        """The slot tables, monomial caches and degree map of a ring."""
         given = list(symbols)
         ordered = sorted(set(given), key=symbol_key)
         if len(ordered) != len(given):
@@ -116,87 +156,80 @@ class GradedPresentation:
 
         # A symbol's slot is its index in ``symbols``.  ``_units`` holds each
         # slot's key, ``_slot_at`` each field's slot, ``_mask`` the bits of the
-        # ring's fields and of field 0 and ``_guard`` their spare top bits.  A
-        # kill is kept as its key and as the mask of its slots, by last slot.
+        # ring's fields and of field 0 and ``_guard`` their spare top bits.
         self._units = [unit_key(nm) for nm in ordered]
         shifts = [u.bit_length() - 1 for u in self._units]  # each field's lowest bit
         self._slot_at = {s // FIELD_BITS: i for i, s in enumerate(shifts)}
         self._mask = sum(DEGREE << s for s in [0, *shifts])
         self._guard = sum(MAX_DEGREE + 1 << s for s in [0, *shifts])
-        self._kill_keys: list[int] = []
-        self._kills_at: list[list[int]] = [[] for _ in ordered]
-        covered = 0  # the slots of every kill
-        self.relations: list[IntPolynomial] = []
-        self._rels_by_degree: dict[int, list[IntPolynomial]] = {}
-        used = 0  # the bits of every relation's keys
-
-        for rel in relations:
-            if rel.is_zero():
-                continue
-            if any(m | self._mask != self._mask for m, _ in rel.items()):
-                unknown = rel.symbols_used() - set(ordered)
-                raise PresentationError(f"relation uses unknown symbols {sorted(unknown)}")
-            degrees = {m & DEGREE for m, _ in rel.items()}
-            if len(degrees) > 1:
-                raise PresentationError(f"relation not homogeneous: {rel.text()}")
-            key, coeff = next(rel.items())
-            fields = key_fields(key) if len(rel) == 1 and coeff in (1, -1) else ()
-            if fields and {e for _, e in fields} == {1}:
-                kill = sum(1 << self._slot_at[f] for f, _ in fields)
-                self._kill_keys.append(key)
-                self._kills_at[kill.bit_length() - 1].append(kill)
-                covered |= kill
-            else:
-                self.relations.append(rel)
-                self._rels_by_degree.setdefault(degrees.pop(), []).append(rel)
-                for m, _ in rel.items():
-                    used |= m
-
         self._basis_cache: dict[int, list[int]] = {}
         self._column_cache: dict[int, dict[int, int]] = {}
-        self._lattice_cache: dict[int, Echelon] = {}
-        self._reduced_rels: dict[int, list[list]] = {}
-        self._factors: tuple[GradedPresentation, ...] = ()  # of a tensor product
-        # No relation or kill is below ``_low``; the degree map, its values,
-        # its m* and the degree ``_top`` of m* (see the module docstring).
-        self._low = min([*self._rels_by_degree, *(k & DEGREE for k in self._kill_keys)],
-                        default=MAX_DEGREE + 1)
+        # The degree map, its values, its m* and the degree ``_top`` of m*.
         self._degree_map, self._integrals = degree_map, {}
         self._star = next(degree_map[0].items())[0] if degree_map else None
         self._top = MAX_DEGREE + 1 if self._star is None else self._star & DEGREE
 
-        # The first symbol in no relation and no kill, if any; relations are
-        # fixed from here on, so it is too.
-        self._free: str | None = next((nm for i, nm in enumerate(ordered) if not (
-            used >> shifts[i] & DEGREE or covered >> i & 1)), None)
+    def _set_relations(self, kills: list[int], busy: int, low: int,
+                       relations: Callable[[], list[IntPolynomial]]) -> None:
+        """A ring's parsed parts: its kill masks, the slots some relation or
+        kill uses, their lowest degree and a builder of its other relations."""
+        self._kill_masks, self._busy, self._low = kills, busy, low
+        self._kills_at: list[list[int]] = [[] for _ in self.symbols]  # by last slot
+        for kill in kills:
+            self._kills_at[kill.bit_length() - 1].append(kill)
+        self._free = next((nm for i, nm in enumerate(self.symbols) if not busy >> i & 1), None)
+        self._build_relations = relations
+        self._owner = self  # the ring whose relations fill ``_reduced_rels``
+        self._lattice_cache: dict[int, Echelon] = {}
+        self._reduced_rels: dict[int, list[list]] = {}
+        self._factors: tuple[GradedPresentation, ...] = ()  # of a tensor product
+
+    @cached_property
+    def relations(self) -> list[IntPolynomial]:
+        """The relations other than kills, in input order."""
+        return self._build_relations()
 
     @classmethod
     def tensor_product(cls, factors: Sequence[GradedPresentation],
                        name: str) -> GradedPresentation:
         """The tensor product of rings on disjoint symbols, reduced one factor
         with a relation or a kill at a time (see the module docstring)."""
-        ring = cls([nm for r in factors for nm in r.symbols],
-                   [rel for r in factors for rel in r.defining_relations()], name=name)
-        ring._factors = tuple(r for r in factors if r.relations or r._kill_keys)
+        ring = cls.__new__(cls)
+        ring._set_symbols([nm for r in factors for nm in r.symbols], name, None)
+        slot = {nm: i for i, nm in enumerate(ring.symbols)}
+        moves = [(r, [slot[nm] for nm in r.symbols]) for r in factors]
+        ring._set_relations(
+            [_moved(kill, to) for r, to in moves for kill in r._kill_masks],
+            reduce(or_, (_moved(r._busy, to) for r, to in moves), 0),
+            min((r._low for r in factors), default=MAX_DEGREE + 1),
+            lambda: [rel for r in factors for rel in r.relations])
+        ring._factors = tuple(r for r in factors if r._low <= MAX_DEGREE)
         return ring
 
     def renamed(self, names: Sequence[str], name: str) -> GradedPresentation:
         """This ring with its ``i``-th symbol named ``names[i]``, holding this
-        ring's staircases; a renaming that changes the symbol order or a
-        symbol's degree is refused (see the module docstring)."""
+        ring's parsed parts and staircases; a renaming that changes the
+        symbol order or a symbol's degree is refused (see the module
+        docstring)."""
         names = tuple(names)
+        units = [unit_key(nm) for nm in names]
         if (tuple(sorted(set(names), key=symbol_key)) != names or
-                [unit_key(nm) & DEGREE for nm in names] != [u & DEGREE for u in self._units]):
+                [u & DEGREE for u in units] != [u & DEGREE for u in self._units]):
             raise PresentationError(f"renaming {', '.join(self.symbols)} to {', '.join(names)} "
                                     "changes the symbol order or a degree")
-        images = {old: IntPolynomial.symbol(new) for old, new in zip(self.symbols, names)}
-        back = dict(zip(names, self.symbols))
-        degree_map = self._degree_map and (self._degree_map[0].substitute(images),
-                                           lambda mono: self._degree_map[1](
-                                               [(back[nm], e) for nm, e in mono]))
-        ring = GradedPresentation(names, [rel.substitute(images) for rel in
-                                          self.defining_relations()], name, degree_map)
-        ring._lattice_cache, ring._reduced_rels = self._lattice_cache, self._reduced_rels
+
+        def rename(f: IntPolynomial) -> IntPolynomial:
+            """``f`` with each field moved to the new name of its slot."""
+            return _poly({sum(e * units[self._slot_at[j]] for j, e in key_fields(key)): c
+                          for key, c in f.items()})
+
+        degree_map = self._degree_map and (rename(self._degree_map[0]), self._degree_map[1])
+        ring = GradedPresentation.__new__(GradedPresentation)
+        ring._set_symbols(names, name, degree_map)
+        ring._set_relations(self._kill_masks, self._busy, self._low,
+                            lambda: [rename(rel) for rel in self.relations])
+        ring._owner, ring._lattice_cache, ring._reduced_rels = (
+            self._owner, self._lattice_cache, self._reduced_rels)
         return ring
 
     # -- monomial bookkeeping ------------------------------------------------
@@ -204,7 +237,9 @@ class GradedPresentation:
     def defining_relations(self) -> list[IntPolynomial]:
         """The relations, then each kill as its squarefree monomial, in
         input order: a list that presents the same ring."""
-        return self.relations + [IntPolynomial({key: 1}) for key in self._kill_keys]
+        return self.relations + [
+            IntPolynomial({sum(u for i, u in enumerate(self._units) if kill >> i & 1): 1})
+            for kill in self._kill_masks]
 
     def basis(self, degree: int) -> list[int]:
         """The keys of the pruned monomial basis of the given degree, in
@@ -275,9 +310,10 @@ class GradedPresentation:
     def _reduced_relations(self, delta: int) -> list[list]:
         """The staircase rows of the degree-``delta`` relations (cached)."""
         if delta not in self._reduced_rels:
-            ech = Echelon()
-            for rel in self._rels_by_degree.get(delta, []):
-                ech.insert(self.vector(rel, delta))
+            owner, ech = self._owner, Echelon()
+            for rel in owner.relations:
+                if next(rel.items())[0] & DEGREE == delta:
+                    ech.insert(owner.vector(rel, delta))
             self._reduced_rels[delta] = ech.rows
         return self._reduced_rels[delta]
 
@@ -302,7 +338,7 @@ class GradedPresentation:
         guard = self._guard
 
         earlier: list[tuple[int, int]] = []  # lower degrees' unit leaders
-        for delta in sorted(d for d in self._rels_by_degree if d <= degree):
+        for delta in range(self._low, degree + 1):
             rows, basis = self._reduced_relations(delta), self.basis(delta)
             rel_terms = [[(basis[col], c) for col, c in zip(r[::2], r[1::2])] for r in rows]
             # a multiple of the unit leader of relation j keeps rows 0..j
@@ -419,10 +455,11 @@ class GradedPresentation:
         return _poly({self._star: unit * total} if total else {})
 
     def _integral(self, key: int) -> int:
-        """The degree map on one monomial (cached by key)."""
+        """The degree map on one monomial (cached by key), read on the names
+        of the ring that owns the relations: a renamed ring keeps its map."""
         if key not in self._integrals:
             self._integrals[key] = self._degree_map[1](
-                [(self.symbols[self._slot_at[f]], e) for f, e in key_fields(key)])
+                [(self._owner.symbols[self._slot_at[f]], e) for f, e in key_fields(key)])
         return self._integrals[key]
 
     def smith_invariants(self, degree: int) -> InvariantFactors:

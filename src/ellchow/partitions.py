@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 
@@ -197,6 +197,16 @@ def marking_count(value, what: str) -> int:
     raise ValueError(f"{what} is {json.dumps(value)}, not an integer")
 
 
+def unique_keys(pairs: list[tuple[str, object]], kind: str) -> dict:
+    """One object of a JSON file of the given kind; ``json`` would keep only
+    the last value of a repeated key, and the others would go unread."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"{kind} gives the key {json.dumps(key)} twice")
+    return dict(pairs)
+
+
 @dataclass(frozen=True)
 class QSpec:
     """A modular compactification, named by its allowed singularity types.
@@ -234,7 +244,8 @@ class QSpec:
     @classmethod
     def load(cls, path: str) -> "QSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_obj(json.load(fh))
+            return cls.from_json_obj(json.load(
+                fh, object_pairs_hook=partial(unique_keys, kind="a singularity specification")))
 
 
 def validate_qspec(q: QSpec) -> None:

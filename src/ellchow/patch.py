@@ -29,7 +29,7 @@ the nodal-value identities into the ambient ring.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import combinations
 from typing import Callable
@@ -48,6 +48,7 @@ from .partitions import (
     marking_count,
     partitions_of_length,
     s_max,
+    unique_keys,
 )
 from .strata import (
     ctop_tail,
@@ -256,19 +257,10 @@ def _parse_fixture_json(raw: dict) -> FixtureTable:
     return table
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """One object of a fixture file; ``json`` would keep only the last value
-    of a repeated key, and the others would go unread."""
-    keys = [key for key, _ in pairs]
-    for key in keys:
-        if keys.count(key) > 1:
-            raise ValueError(f"a fixture file gives the key {json.dumps(key)} twice")
-    return dict(pairs)
-
-
 def load_fixture_file(path: str) -> FixtureTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_fixture_json(json.load(fh, object_pairs_hook=_unique_keys))
+        return _parse_fixture_json(
+            json.load(fh, object_pairs_hook=partial(unique_keys, kind="a fixture file")))
 
 
 @lru_cache(maxsize=None)

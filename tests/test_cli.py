@@ -318,6 +318,19 @@ def test_present_qfile_rejects_repeated_marking(tmp_path, capsys):
     )
 
 
+def test_qfile_refuses_a_key_given_twice(tmp_path, capsys):
+    # json keeps the last value of a repeated key: without the check this
+    # file would be read as four markings, and hilbert would print the DM ranks
+    path = tmp_path / "space.json"
+    path.write_text('{"n": 3, "n": 4, "allowed": []}')
+    code, text = invoke("hilbert", "--n", "4", "--space", f"qfile:{path}")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        'error: a singularity specification gives the key "n" twice\n'
+    )
+
+
 @pytest.mark.parametrize("command", ["restrict", "class", "qfile"])
 def test_non_numeric_marking_names_token_and_partition(command, tmp_path, capsys):
     path = tmp_path / "space.json"

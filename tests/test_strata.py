@@ -1,6 +1,10 @@
 """Stratum models: tail/singular restrictions, lifts, and excess classes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +29,7 @@ from ellchow.exactring import subset_name
 from ellchow.strata import banana_partition
 
 
+ROOT = Path(__file__).resolve().parent.parent
 P = IntPolynomial.parse
 SYM = IntPolynomial.symbol
 
@@ -560,6 +565,85 @@ def test_factor_wise_normal_form_is_the_models_own_staircase_residue(seed):
             assert pres.normal_form(f) == expected, (pres.name, f.text())
         total = sum(parts, IntPolynomial.zero())
         assert pres.normal_form(total) == staircase_normal_form(pres, total)
+
+
+# -- parsed parts, shared ----------------------------------------------------------
+
+
+PARSED_MODELS = [
+    (maker, part, n)
+    for n in range(1, 6)
+    for part in enumerate_partitions(n)
+    for maker in (tail_model, ell_model)
+    if maker is tail_model or part != s_max(n)
+] + [
+    (tail_model, SetPartition.parse(text, 6), 6)
+    for text in ("1 2 3 4 5 6", "1 2 3|4 5 6", "1 2 3 4|5 6")
+] + [(tail_model, s_max(6), 6)]
+
+
+def test_models_and_renamed_rings_equal_their_relations_parsed_anew():
+    # A tensor product takes its factors' parsed parts and a renamed ring its
+    # source's, without parsing a relation; parsed anew by a ring of their
+    # own, the relations they present give the same ring through the degree
+    # above the top of its genus-zero factors (the core ring of six markings
+    # has no top, and is read to its dimension)
+    rings = {}
+    for maker, part, n in PARSED_MODELS:
+        pres = maker(n, part).presentation
+        rings[pres.name] = pres, sum(min(ring._top, n) for ring in pres._factors)
+        for ring in pres._factors:
+            if ring._owner is not ring:
+                rings[ring.name] = ring, ring._top
+    # the blocks of three and of four in 1..5 but 1 2 3 and 1 2 3 4, and 4 5 6
+    assert sum(name.startswith("keel") for name in rings) == 9 + 4 + 1
+    for ring, top in rings.values():
+        parsed = GradedPresentation(ring.symbols, ring.defining_relations())
+        assert ring.relations == parsed.relations, ring.name
+        assert ring.defining_relations() == parsed.defining_relations(), ring.name
+        assert (ring._free, ring._low) == (parsed._free, parsed._low), ring.name
+        for d in range(top + 2):
+            assert ring.basis(d) == parsed.basis(d), (ring.name, d)
+        assert ring.hilbert_function(top + 1) == parsed.hilbert_function(top + 1), ring.name
+
+
+MODEL_BUILD = """
+from ellchow import IntPolynomial, enumerate_partitions, tail_model
+from ellchow.exactring import GradedPresentation
+
+parsed, substituted = [], []
+parse, substitute = GradedPresentation.__init__, IntPolynomial.substitute
+
+
+def counting_parse(self, symbols, relations, name="", degree_map=None):
+    parsed.append(name)
+    parse(self, symbols, relations, name, degree_map)
+
+
+def counting_substitute(self, images):
+    substituted.append(self.text())
+    return substitute(self, images)
+
+
+GradedPresentation.__init__ = counting_parse
+IntPolynomial.substitute = counting_substitute
+models = [tail_model(6, part) for part in enumerate_partitions(6)]
+print(len(models), sorted(parsed), substituted)
+"""
+
+
+def test_six_marking_models_parse_only_the_canonical_rings():
+    # In a fresh process, the 203 six-marking tail models parse a relation
+    # list only in the core rings and the genus-zero rings on 1..k, once
+    # each, and substitute no relation: a tensor product takes its factors'
+    # parsed parts, and a renamed ring its source's
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", MODEL_BUILD],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120, check=True,
+    ).stdout
+    canonical = [f"keel({','.join(map(str, range(1, k + 1)))})" for k in range(3, 7)]
+    assert out == f"203 {sorted(canonical + [f'min({k})' for k in range(1, 7)])} []\n"
 
 
 def test_ctop_factors():
