@@ -45,8 +45,9 @@ from .patch import (
     boundary_subsets,
     classes_equal,
     ell_class,
-    nod_class,
+    fundamental_classes,
     restrict_to_tail,
+    singular_target,
     tau,
     tau_monomial,
 )
@@ -92,12 +93,12 @@ def qstable_presentation(n: int, q: QSpec) -> GradedPresentation:
     }
     symbols = [s for s in ambient_symbols(n) if s not in subs]
     relations = [*ambient_relations(n), *_disjoint_family_kills(q)]
-    relations += [
-        ell_class(n, s)
+    relations += fundamental_classes(n, [
+        singular_target("ell", n, s)
         for s in enumerate_partitions(n)
         # the all-singleton class does not exist with six markings
         if s not in q.allowed and not (n == 6 and s == s_max(n))
-    ]
+    ])
     # a contracted divisor is zero, so a relation or a family through it drops
     return GradedPresentation(
         symbols,
@@ -149,7 +150,8 @@ def getzler_check() -> GetzlerReport:
         disc_completion(p, n) for p in ([[1, 2], [3, 4]], [[1, 3], [2, 4]], [[1, 4], [2, 3]])
     ]
     tau22 = sum((tau_monomial(s) for s in pairings), IntPolynomial.zero())
-    nod22 = sum((nod_class(n, s) for s in pairings), IntPolynomial.zero())
+    nods = fundamental_classes(n, [singular_target("nod", n, s) for s in pairings])
+    nod22 = sum(nods, IntPolynomial.zero())
     base = (
         6 * lam**2
         + 6 * lam * tau3

@@ -20,10 +20,17 @@ another, and corrections never disturb the levels already handled, because
 a composite divisor restricts to zero on every other stratum of its own or
 higher level.
 
-``fundamental_class`` runs that loop against a target map, which gives
-the prescribed value on each stratum; ``lift_relation`` is the special
-case of target zero, used to propagate the six-marking core relations and
-the nodal-value identities into the ambient ring.
+``fundamental_classes`` runs that loop for a batch of target maps, each of
+which gives a class's prescribed value on every stratum; ``fundamental_class``
+is a batch of one, and ``lift_relation`` the case of target zero, used to
+propagate the six-marking core relations and nodal identities.
+
+A correction is a function of the stratum and the residual alone (the
+quotient comes back in normal form), so a batch divides each distinct
+nonzero residual on a stratum once: the 52 classes of the five-marking
+Deligne–Mumford space, patched one by one, divide 2,652 times, together 981
+times.  The memo is dropped with its stratum: one kept for the whole process
+raised that presentation's peak memory by 10–23%.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ from .strata import (
 
 LAMBDA = IntPolynomial.symbol("l")
 NU = IntPolynomial.symbol("nu")
+# A class's prescribed value on the tail model of each stratum.
+Target = Callable[[SetPartition], IntPolynomial]
 
 
 @lru_cache(maxsize=None)
@@ -120,57 +129,66 @@ def ambient_relations(n: int) -> tuple[IntPolynomial, ...]:
 
 def _patch(
     n: int,
-    f: IntPolynomial,
-    target: Callable[[SetPartition], IntPolynomial],
+    fs: list[IntPolynomial],
+    targets: list[Target],
     start_length: int,
-) -> IntPolynomial:
+) -> list[IntPolynomial]:
     # Core levels (block counts), from fine to coarse.
     for length in range(start_length, 0, -1):
-        corrections = IntPolynomial.zero()
+        corrections = [IntPolynomial.zero()] * len(fs)
         for s in partitions_of_length(n, length):
-            model = tail_model(n, s)
-            r = restrict_to_tail(n, s, f) - target(s)
-            gbar = model.presentation.divide_in_quotient(r, ctop_tail(n, s))
-            if not gbar.is_zero():
-                corrections = corrections + tau_monomial(s) * lift_from_tail(gbar)
-        f = f - corrections
-    return f
+            done: dict[IntPolynomial, IntPolynomial] = {}  # residual -> correction
+            for i, (f, target) in enumerate(zip(fs, targets)):
+                r = restrict_to_tail(n, s, f) - target(s)
+                if not r:
+                    continue
+                if (correction := done.get(r)) is None:
+                    gbar = tail_model(n, s).presentation.divide_in_quotient(r, ctop_tail(n, s))
+                    correction = done[r] = tau_monomial(s) * lift_from_tail(gbar)
+                corrections[i] += correction
+        fs = [f - c for f, c in zip(fs, corrections)]
+    return fs
 
 
-def fundamental_class(
-    n: int, target: Callable[[SetPartition], IntPolynomial]
-) -> IntPolynomial:
-    """The ambient class restricting to ``target(s)`` on the tail model of
-    every stratum ``s``, built by descending level patching from its value
-    on the all-singleton stratum, whose tail model is the core ring on the
-    ambient generators ``l`` (and ``nu``)."""
-    return _patch(n, target(s_max(n)), target, n - 1)
+def fundamental_classes(n: int, targets: list[Target]) -> list[IntPolynomial]:
+    """For each target map, the ambient class restricting to ``target(s)``
+    on the tail model of every stratum ``s``, built by descending level
+    patching from its value on the all-singleton stratum, whose tail model
+    is the core ring on the ambient generators ``l`` (and ``nu``).  The
+    classes are patched together, so a residual that several of them reach
+    on one stratum is divided once."""
+    return _patch(n, [target(s_max(n)) for target in targets], targets, n - 1)
+
+
+def fundamental_class(n: int, target: Target) -> IntPolynomial:
+    """``fundamental_classes`` of one target map."""
+    return fundamental_classes(n, [target])[0]
 
 
 def lift_relation(n: int, f: IntPolynomial, start_length: int) -> IntPolynomial:
     """Correct ``f`` into a class restricting to zero on every stratum of
     length at most ``start_length``; levels above the start must already
     vanish for the result to be a relation of the ambient ring."""
-    return _patch(n, f, lambda s: IntPolynomial.zero(), start_length)
+    return _patch(n, [f], [lambda s: IntPolynomial.zero()], start_length)[0]
 
 
 # -- named classes ----------------------------------------------------------------
 
 
-def _singular_class(kind: str, n: int, t: SetPartition) -> IntPolynomial:
-    """The closed ``kind`` (``"ell"`` or ``"nod"``) singularity locus with
-    branch partition ``t``."""
+def singular_target(kind: str, n: int, t: SetPartition) -> Target:
+    """The target map of the closed ``kind`` (``"ell"`` or ``"nod"``)
+    singularity locus with branch partition ``t``."""
     if t.n != n:
         raise ValueError("partition is not on the marking set")
-    return fundamental_class(n, lambda p: stratum_value(kind, t, p))
+    return partial(stratum_value, kind, t)
 
 
 def ell_class(n: int, t: SetPartition) -> IntPolynomial:
-    return _singular_class("ell", n, t)
+    return fundamental_class(n, singular_target("ell", n, t))
 
 
 def nod_class(n: int, t: SetPartition) -> IntPolynomial:
-    return _singular_class("nod", n, t)
+    return fundamental_class(n, singular_target("nod", n, t))
 
 
 # -- the ambient presentation -------------------------------------------------------

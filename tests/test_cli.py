@@ -571,6 +571,17 @@ def test_verify_empty_fixtures_fail_every_class(tmp_path):
     assert text.endswith("passed 0/5\n")
 
 
+def test_verify_fails_a_fixture_class_the_core_table_lacks(tmp_path):
+    # the all-singleton class does not exist with six markings: its check
+    # fails, where an error would end the suite with status 2
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"6": {"1|2|3|4|5|6": "l^6"}}))
+    code, text = invoke("verify", "appendix", "--n", "6", "--fixtures", str(path))
+    assert code == 1
+    assert "class:6:1|2|3|4|5|6  fixture   FAIL\n" in text
+    assert text.endswith("passed 0/203\n")
+
+
 def test_verify_empty_fixtures_path_is_unreadable(capsys):
     # an empty path names no file; it does not select the packaged table
     code, text = invoke("verify", "appendix", "--n", "3", "--fixtures", "")
