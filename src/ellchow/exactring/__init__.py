@@ -14,6 +14,7 @@ from .lattice import (
 )
 from .poly import (
     IntPolynomial,
+    Substitution,
     name_elements,
     subset_name,
     symbol_degree,
@@ -33,6 +34,7 @@ __all__ = [
     "smith_invariants_of_rows",
     "xgcd",
     "IntPolynomial",
+    "Substitution",
     "name_elements",
     "subset_name",
     "symbol_degree",

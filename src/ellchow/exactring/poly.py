@@ -23,8 +23,8 @@ point or a product that would overflow raises ``ValueError``.
 A key's value depends on the order in which names were interned, so no
 output may depend on it.  Names enter through ``symbol``, ``monomial`` and
 ``parse``, and leave through ``sorted_terms`` (hence ``text`` and JSON),
-``symbols_used`` and the image lookup of ``substitute``, in the canonical
-symbol order ``l < nu < xi < braced names by (size, elements,
+``symbols_used`` and the plan building of :class:`Substitution`, in the
+canonical symbol order ``l < nu < xi < braced names by (size, elements,
 prefix letter)``.  The canonical text form sorts terms by (degree, exponent vector
 descending-lexicographic), e.g. ``24*l^3 + 24*l^2*t{1,2}``, and round-trips
 through :meth:`IntPolynomial.parse`.  The JSON form is a list of
@@ -321,55 +321,10 @@ class IntPolynomial:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, images: Mapping[str, "IntPolynomial"] | Callable) -> "IntPolynomial":
-        """Ring-homomorphic substitution; names absent from ``images`` map to
-        themselves.  ``images`` may instead be a function giving the image of
-        every name the polynomial uses, or None to keep it, each asked for
-        once.  Symbol images rename.
-
-        A term with a factor whose image is zero meets the mask ``zero`` of
-        those fields and is skipped.  Every other term walks its fields: the
-        power of a one-term image ``(k, v)`` is folded into the key as ``e*k``
-        and into the coefficient, and only images with several terms are
-        multiplied.  A term of degree at most ``MAX_DEGREE`` summed no field
-        past its spare bit, and a larger one raises."""
-        single: dict[int, tuple[int, int]] = {}  # the one-term images by field
-        several_at: dict[int, dict[int, int]] = {}  # the other nonzero images
-        zero = 0
-        image_of = images if callable(images) else images.get
-        for f, _ in key_fields(reduce(or_, self._terms, 0)):
-            image = image_of(_NAMES[f])
-            terms = {_UNITS[_NAMES[f]]: 1} if image is None else image._terms
-            if len(terms) == 1:
-                [single[f]] = terms.items()
-            elif terms:
-                several_at[f] = terms
-            else:
-                zero |= DEGREE << FIELD_BITS * f
-        total: dict[int, int] = {}
-        for m, c in self._terms.items():
-            if m & zero:
-                continue
-            key, coeff, degree, several = 0, c, 0, []
-            for f, e in key_fields(m):
-                if f in several_at:
-                    several.append((_poly(several_at[f]) ** e)._terms)
-                    continue
-                k, v = single[f]
-                key += e * k
-                coeff *= v**e
-                degree += e * (k & DEGREE)
-            if degree > MAX_DEGREE:
-                raise _overflow(degree)
-            if not several:
-                total[key] = total.get(key, 0) + coeff
-                continue
-            term = {key: coeff}
-            for power in several:
-                term = _terms_product(term, power)
-            for k, v in term.items():
-                total[k] = total.get(k, 0) + v
-        return _poly({k: v for k, v in total.items() if v})
+    def substitute(self, images: Mapping[str, "IntPolynomial"]) -> "IntPolynomial":
+        """Ring-homomorphic substitution, compiled for this one call (see
+        :class:`Substitution`); names absent from ``images`` map to themselves."""
+        return Substitution(images.get)(self)
 
     # -- canonical text / JSON forms ----------------------------------------
 
@@ -425,3 +380,82 @@ class IntPolynomial:
             {"coeff": c, "exponents": [[name, e] for name, e in mono]}
             for mono, c in self.sorted_terms()
         ]
+
+
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+class _FieldsOf(dict):
+    """``key_fields`` of each key that substitution or factor-wise reduction
+    walks, decoded once per process; equal pairs are one tuple."""
+
+    def __missing__(self, key: int) -> tuple[tuple[int, int], ...]:
+        fields = self[key] = tuple(_PAIRS.setdefault(p, p) for p in key_fields(key))
+        return fields
+
+
+FIELDS_OF = _FieldsOf()
+
+
+class Substitution:
+    """A ring-homomorphic substitution compiled field by field: ``image_of``
+    gives a name's image, or None to keep it, once per name, on first sight
+    (under a lock, so threads may share a plan).  A field joins the mask ``zero``
+    of zero images, which skips a term by one test, or the one-term images
+    ``(key, coeff, degree)``, folded into a term's key as ``e*key``, or the
+    images with several terms, whose powers are multiplied in (each computed
+    once per call).  A term of degree above ``MAX_DEGREE`` raises."""
+
+    def __init__(self, image_of: Callable[[str], "IntPolynomial | None"]) -> None:
+        self._image_of, self._known, self._zero = image_of, DEGREE, 0
+        self._single, self._several = {}, {}  # field -> (key, coeff, degree), or terms
+        self._lock = threading.Lock()
+
+    def _learn(self, support: int) -> None:
+        """Sort the fields of ``support`` not sorted yet; each is marked known last."""
+        with self._lock:
+            for f, _ in key_fields(support & ~self._known):
+                image = self._image_of(_NAMES[f])
+                terms = {_UNITS[_NAMES[f]]: 1} if image is None else image._terms
+                if len(terms) == 1:
+                    [(k, v)] = terms.items()
+                    self._single[f] = k, v, k & DEGREE
+                elif terms:
+                    self._several[f] = terms
+                else:
+                    self._zero |= DEGREE << FIELD_BITS * f
+                self._known |= DEGREE << FIELD_BITS * f
+
+    def __call__(self, poly: IntPolynomial) -> IntPolynomial:
+        """The image of ``poly``."""
+        if (support := reduce(or_, poly._terms, 0)) & ~self._known:
+            self._learn(support)
+        zero, single, several_at = self._zero, self._single, self._several
+        powers: dict[tuple[int, int], dict[int, int]] = {}
+        total: dict[int, int] = {}
+        for m, c in poly._terms.items():
+            if m & zero:
+                continue
+            key, degree, several = 0, 0, []
+            for pair in FIELDS_OF[m]:
+                f, e = pair
+                entry = single.get(f)
+                if entry is None:  # a power is never zero
+                    several.append(powers.get(pair) or powers.setdefault(
+                        pair, (_poly(several_at[f]) ** e)._terms))
+                    continue
+                k, v, d = entry
+                key += e * k
+                degree += e * d
+                c *= v**e
+            if degree > MAX_DEGREE:
+                raise _overflow(degree)
+            if not several:
+                total[key] = total.get(key, 0) + c
+                continue
+            term = {key: c}
+            for power in several:
+                term = _terms_product(term, power)
+            for k, v in term.items():
+                total[k] = total.get(k, 0) + v
+        return _poly({k: v for k, v in total.items() if v})

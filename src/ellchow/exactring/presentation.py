@@ -80,6 +80,7 @@ from .lattice import Echelon, flat_from_pairs, smith_invariants_of_rows
 from .poly import (
     DEGREE,
     FIELD_BITS,
+    FIELDS_OF,
     MAX_DEGREE,
     IntPolynomial,
     _poly,
@@ -432,7 +433,7 @@ class GradedPresentation:
         for key, c in f.items():
             bits = key & fields  # the part's fields, and then its degree
             part = bits + sum(e * (self._units[self._slot_at[i]] & DEGREE)
-                              for i, e in key_fields(bits))
+                              for i, e in FIELDS_OF[bits])
             groups.setdefault(key - part, {})[part] = c
         terms = {rest + key: c for rest, part in groups.items()
                  for key, c in self.normal_form(_poly(part)).items()}

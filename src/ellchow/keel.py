@@ -103,9 +103,9 @@ def incompatible_products(
     """The products of the divisors of every incomparable pair of
     ``subsets``, in pair order: incompatible boundary divisors do not
     meet."""
+    name = {t: subset_name(prefix, t) for t in subsets}
     return [
-        IntPolynomial.symbol(subset_name(prefix, a))
-        * IntPolynomial.symbol(subset_name(prefix, b))
+        IntPolynomial.monomial(((name[a], 1), (name[b], 1)))
         for a, b in combinations(subsets, 2)
         if incomparable(a, b)
     ]

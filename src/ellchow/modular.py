@@ -26,6 +26,7 @@ from .exactring import (
     GradedPresentation,
     IntPolynomial,
     InvariantFactors,
+    Substitution,
     subset_name,
 )
 from .partitions import (
@@ -100,9 +101,10 @@ def qstable_presentation(n: int, q: QSpec) -> GradedPresentation:
         if s not in q.allowed and not (n == 6 and s == s_max(n))
     ])
     # a contracted divisor is zero, so a relation or a family through it drops
+    contract = Substitution(subs.get)
     return GradedPresentation(
         symbols,
-        [rel.substitute(subs) for rel in relations],
+        [contract(rel) for rel in relations],
         name=f"qstable({n},{qspec_label(q)})",
     )
 

@@ -137,14 +137,15 @@ def _patch(
     for length in range(start_length, 0, -1):
         corrections = [IntPolynomial.zero()] * len(fs)
         for s in partitions_of_length(n, length):
-            done: dict[IntPolynomial, IntPolynomial] = {}  # residual -> correction
+            done: dict[frozenset, IntPolynomial] = {}  # residual terms -> correction
             for i, (f, target) in enumerate(zip(fs, targets)):
                 r = restrict_to_tail(n, s, f) - target(s)
                 if not r:
                     continue
-                if (correction := done.get(r)) is None:
+                key = frozenset(r.items())  # hashed once, for the lookup and the store
+                if (correction := done.get(key)) is None:
                     gbar = tail_model(n, s).presentation.divide_in_quotient(r, ctop_tail(n, s))
-                    correction = done[r] = tau_monomial(s) * lift_from_tail(gbar)
+                    correction = done[key] = tau_monomial(s) * lift_from_tail(gbar)
                 corrections[i] += correction
         fs = [f - c for f, c in zip(fs, corrections)]
     return fs

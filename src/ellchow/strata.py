@@ -21,11 +21,12 @@ as its base; the *elliptic model* of the elliptic-singularity locus takes
   four-two split, and to zero otherwise; it has no defined pullback to
   an elliptic model.
 
-Lifting renames block divisors back to ambient ones; restriction after
-lift is the identity on a tail model.  The restriction of a partition's
-composite divisor ``tau_monomial`` (the product of the pullbacks of its
-whole-block divisors) is the excess class ``ctop`` used to divide
-corrections during patching.
+A model compiles its restriction once, one generator at a time on first
+sight.  Lifting renames block divisors back to ambient ones, by one plan;
+restriction after lift is the identity on a tail model.  The restriction
+of a partition's composite divisor ``tau_monomial`` (the product of the
+pullbacks of its whole-block divisors) is the excess class ``ctop`` that
+divides corrections during patching.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .exactring import (
     GradedPresentation,
     IntPolynomial,
     PresentationError,
+    Substitution,
     name_elements,
     subset_name,
 )
@@ -85,16 +87,11 @@ class StratumModel:
     partition: SetPartition
     presentation: GradedPresentation
     elliptic: bool
-    _images: dict[str, IntPolynomial] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _restriction: Substitution = field(init=False, repr=False, compare=False)
 
-    def image_of(self, name: str) -> IntPolynomial:
-        """Pullback of one ambient generator (kept per model)."""
-        image = self._images.get(name)
-        if image is None:
-            image = self._images[name] = self._pullback(name)
-        return image
+    def __post_init__(self) -> None:
+        # each generator's pullback is compiled on first sight, once per model
+        object.__setattr__(self, "_restriction", Substitution(self._pullback))
 
     def _pullback(self, name: str) -> IntPolynomial:
         if name == "l":
@@ -132,7 +129,7 @@ class StratumModel:
 
     def restrict(self, f: IntPolynomial) -> IntPolynomial:
         """Pullback of an ambient class."""
-        return f.substitute(self.image_of)
+        return self._restriction(f)
 
 
 def _model(n: int, partition: SetPartition, elliptic: bool) -> StratumModel:
@@ -170,10 +167,9 @@ def restrict_to_tail(
 def lift_from_tail(g: IntPolynomial) -> IntPolynomial:
     """Rename block divisors to ambient boundary divisors; a section of the
     restriction map (restricting the lift returns ``g`` exactly)."""
-    return g.substitute(_ambient_image)
+    return _LIFT(g)
 
 
-@lru_cache(maxsize=None)
 def _ambient_image(name: str) -> IntPolynomial:
     """The ambient symbol of a tail-model generator: ``d{B}`` becomes ``t{B}``."""
     if name in ("l", "nu"):
@@ -182,6 +178,9 @@ def _ambient_image(name: str) -> IntPolynomial:
     if elems is None or not name.startswith("d"):
         raise PresentationError(f"not a tail-model generator: {name!r}")
     return IntPolynomial.symbol(subset_name("t", elems))
+
+
+_LIFT = Substitution(_ambient_image)
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from ellchow.keel import (
 )
 from ellchow.exactring import subset_name
 from ellchow.partitions import incomparable
+from ellchow.patch import boundary_subsets, relation_families
 
 
 def d(*t):
@@ -280,3 +281,36 @@ def test_palindromic_counts():
     for m in (4, 5, 6, 7):
         poly = mzero_point_poly(m)
         assert poly == poly[::-1]
+
+
+def products_of_symbols(subsets, prefix):
+    """The incompatible products built as products of two symbols."""
+    return [
+        IntPolynomial.symbol(subset_name(prefix, a)) * IntPolynomial.symbol(subset_name(prefix, b))
+        for a, b in itertools.combinations(subsets, 2)
+        if incomparable(a, b)
+    ]
+
+
+def term_lists(relations):
+    return [list(rel.items()) for rel in relations]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_keel_relations_equal_their_construction_as_symbol_products(k):
+    ms = tuple(range(1, k + 1))
+    subsets = [t for size in range(2, k) for t in itertools.combinations(ms, size)]
+    old = four_point_relations(ms, "d", ms) + products_of_symbols(subsets, "d")
+    assert term_lists(incompatible_products(subsets, "d")) == term_lists(
+        products_of_symbols(subsets, "d"))
+    ring = keel_presentation(ms).presentation
+    parsed = GradedPresentation(ring.symbols, old)
+    assert term_lists(ring.defining_relations()) == term_lists(parsed.defining_relations())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ambient_relation_families_equal_their_construction_as_symbol_products(n):
+    families = relation_families(n)
+    assert term_lists(families["incompatible"]) == term_lists(
+        products_of_symbols(boundary_subsets(n), "t"))
+    assert list(families) == ["four-point", "incompatible", "normal"]

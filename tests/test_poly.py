@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ellchow import GradedPresentation, IntPolynomial
 from ellchow.exactring.poly import (
     MAX_DEGREE,
+    Substitution,
     name_elements,
     subset_name,
     symbol_degree,
@@ -177,8 +178,22 @@ def test_substitute_renames_by_symbol_images():
     d123 = IntPolynomial.symbol("d{1,2,3}")
     g = f.substitute({"t{1,2}": d12, "t{1,2,3}": d123})
     assert g == L * d12 + d123
-    # a function may keep a name by giving None
-    assert f.substitute(lambda nm: None if nm == "l" else d12) == L * d12 + d12
+    # a compiled substitution's function may keep a name by giving None
+    assert Substitution(lambda nm: None if nm == "l" else d12)(f) == L * d12 + d12
+
+
+def test_a_compiled_substitution_asks_each_name_once_and_checks_every_degree():
+    images = {"xi": L**27, "t{1,2}": L + XI, "t{1,3}": IntPolynomial.zero()}
+    asked = []
+    plan = Substitution(lambda name: asked.append(name) or images.get(name))
+    # a several-term power, a zero image and a kept name
+    f = XI**3 * t(1, 2) ** 2 + t(1, 3) * L + 5 * t(1, 2) ** 2 * L
+    expected = L**81 * (L + XI) ** 2 + 5 * (L + XI) ** 2 * L
+    assert plan(f) == plan(f) == expected == substitute_term_by_term(f, images)
+    assert plan(L**100 * XI) == L**127
+    with pytest.raises(ValueError, match="exceeds 127"):
+        plan(L**101 * XI)
+    assert sorted(asked) == ["l", "t{1,2}", "t{1,3}", "xi"]
 
 
 # -- canonical text ---------------------------------------------------------
@@ -312,6 +327,7 @@ def test_the_raw_constructor_keeps_int_keys():
 INTERNING_ORDER = """
 import json, sys
 from ellchow import SetPartition, ell_class, gorenstein_presentation
+from ellchow import lift_from_tail, restrict_to_tail
 from ellchow.exactring import IntPolynomial, subset_name
 from itertools import combinations
 
@@ -324,7 +340,10 @@ for name in (names if sys.argv[1] == "forward" else names[::-1]):
 value = ell_class(4, SetPartition.parse("1 2|3 4", 4))
 pres = gorenstein_presentation(4)
 rest = pres.normal_form(value * IntPolynomial.parse("l + t{1,2}"))
-for f in (value, rest, IntPolynomial.parse("d{2,3}*t{1,2} + xi^2*nu - l")):
+part = SetPartition.parse("1 2 3|4", 4)
+restricted = restrict_to_tail(4, part, value * IntPolynomial.parse("t{1,2,3} + t{2,3}"))
+lifted = lift_from_tail(restricted + IntPolynomial.parse("d{2,3}*l - d{1,3}^2"))
+for f in (value, rest, IntPolynomial.parse("d{2,3}*t{1,2} + xi^2*nu - l"), restricted, lifted):
     print(f.text())
     print(json.dumps(f.to_json_obj()))
 """
@@ -340,7 +359,7 @@ def test_output_does_not_depend_on_the_order_names_are_interned():
         for order in ("forward", "backward")
     ]
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 10
     json.loads(outputs[0].splitlines()[1])
 
 

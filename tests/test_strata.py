@@ -1,5 +1,6 @@
 """Stratum models: tail/singular restrictions, lifts, and excess classes."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from ellchow import (
 )
 from ellchow.corering import min_presentation
 from ellchow.exactring import subset_name
+from ellchow.patch import ambient_relations, ambient_symbols
 from ellchow.strata import banana_partition
 
 
@@ -87,17 +89,17 @@ def test_ell_symbols():
 
 def test_tail_images():
     model = tail_model(5, SetPartition.parse("1 2 3|4 5", 5))
-    assert model.image_of("l") == P("l")
+    assert model._pullback("l") == P("l")
     # a subset strictly inside a block becomes that block's divisor
-    assert model.image_of("t{1,2}") == SYM("d{1,2}")
+    assert model._pullback("t{1,2}") == SYM("d{1,2}")
     # the whole block folds into the Hodge class and the divisors through
     # its two smallest markings
-    assert model.image_of("t{1,2,3}") == -P("l") - SYM("d{1,2}")
+    assert model._pullback("t{1,2,3}") == -P("l") - SYM("d{1,2}")
     # a two-marking whole block has no interior divisors at all
-    assert model.image_of("t{4,5}") == -P("l")
+    assert model._pullback("t{4,5}") == -P("l")
     # subsets meeting two blocks restrict to zero
-    assert model.image_of("t{3,4}") == IntPolynomial.zero()
-    assert model.image_of("t{1,2,3,4,5}") == IntPolynomial.zero()
+    assert model._pullback("t{3,4}") == IntPolynomial.zero()
+    assert model._pullback("t{1,2,3,4,5}") == IntPolynomial.zero()
 
 
 def test_open_stratum_kills_all_boundary_divisors():
@@ -107,12 +109,12 @@ def test_open_stratum_kills_all_boundary_divisors():
 
 def test_ell_images():
     model = ell_model(5, SetPartition.parse("1 2 3|4 5", 5))
-    assert model.image_of("l") == -SYM("xi")
-    assert model.image_of("t{1,2}") == SYM("d{1,2}")
+    assert model._pullback("l") == -SYM("xi")
+    assert model._pullback("t{1,2}") == SYM("d{1,2}")
     # whole blocks and straddling subsets vanish on the singular locus
-    assert model.image_of("t{1,2,3}") == IntPolynomial.zero()
-    assert model.image_of("t{4,5}") == IntPolynomial.zero()
-    assert model.image_of("t{3,4}") == IntPolynomial.zero()
+    assert model._pullback("t{1,2,3}") == IntPolynomial.zero()
+    assert model._pullback("t{4,5}") == IntPolynomial.zero()
+    assert model._pullback("t{3,4}") == IntPolynomial.zero()
 
 
 def test_nu_restriction_on_tails():
@@ -223,6 +225,135 @@ def test_restriction_and_lift_read_the_support_once(monkeypatch):
     assert lift_from_tail(expected) == lifted == P("l^2 + 3*l*t{1,2} + 3*l*t{1,3} + t{1,2}^2")
 
 
+# -- compiled restriction -----------------------------------------------------------
+
+
+def restrict_term_by_term(model, f):
+    """The pullback of ``f`` as the sum over its terms of products of powers
+    of the generator images, without a compiled plan."""
+    total = IntPolynomial.zero()
+    for mono, coeff in f.sorted_terms():
+        term = IntPolynomial.const(coeff)
+        for name, e in mono:
+            term = term * model._pullback(name) ** e
+        total = total + term
+    return total
+
+
+def ambient_polynomials(symbols):
+    """Polynomials of up to four terms in ``symbols``, exponents up to 3."""
+    factor = st.tuples(st.sampled_from(symbols), st.integers(0, 3))
+    term = st.tuples(st.integers(-5, 5), st.lists(factor, max_size=3))
+    return st.lists(term, max_size=4).map(lambda terms: sum(
+        (c * IntPolynomial.monomial(mono) for c, mono in terms), IntPolynomial.zero()))
+
+
+def restriction_models(n):
+    """Every tail and elliptic model on ``n`` markings up to five; on six, the
+    tail models of the four-two split and of the all-singleton partition,
+    whose core rings carry ``nu``."""
+    if n == 6:
+        return [tail_model(6, SetPartition.parse("1 2 3 4|5 6", 6)), tail_model(6, s_max(6))]
+    parts = enumerate_partitions(n)
+    return [tail_model(n, s) for s in parts] + [ell_model(n, s) for s in parts if s != s_max(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_compiled_restriction_is_the_term_by_term_pullback(n, data):
+    f = data.draw(ambient_polynomials(list(ambient_symbols(n))))
+    for model in restriction_models(n):
+        assert model.restrict(f) == restrict_term_by_term(model, f), model.presentation.name
+
+
+def test_compiled_restriction_of_a_several_term_power_a_zero_image_and_the_top_degree():
+    tail = tail_model(5, SetPartition.parse("1 2 3|4 5", 5))
+    ell = ell_model(5, SetPartition.parse("1 2 3|4 5", 5))
+    # t{1,2,3} pulls back to -l - d{1,2} on the tail model and to zero on the
+    # elliptic one, t{3,4} to zero on both; the last two terms have degree 127
+    f = P("2*t{1,2,3}^3*t{4,5}^2 + l*t{3,4} - l^100*t{1,2}^27 + t{1,2,3}^127")
+    for model in (tail, ell):
+        assert model.restrict(f) == restrict_term_by_term(model, f)
+        assert model.restrict(f) == model.restrict(f)  # the plan is reused as compiled
+    assert tail.restrict(P("t{1,2,3}^2")) == P("l^2 + 2*l*d{1,2} + d{1,2}^2")
+    assert ell.restrict(P("l^100*t{1,2}^27")) == P("l^100*d{1,2}^27").substitute({"l": -SYM("xi")})
+    assert tail.restrict(P("l*t{3,4}")) == ell.restrict(P("t{1,2,3}^5")) == 0
+    with pytest.raises(ValueError, match="exceeds"):
+        tail.restrict(P("l^127") * SYM("t{1,2}"))
+
+
+def test_ambient_restrictions_keep_their_digest():
+    # the text of every ambient relation of four and five markings restricted
+    # to every tail and elliptic model, as the per-term substitution gave it
+    digests = {}
+    for n in (4, 5):
+        h = hashlib.sha256()
+        for model in restriction_models(n):
+            for rel in ambient_relations(n):
+                h.update(f"{model.presentation.name} {model.restrict(rel).text()}\n".encode())
+        digests[n] = h.hexdigest()
+    assert digests == {
+        4: "fcd6cc84a6c3600acf91ccaeb29336b2501500a52e060f1c1bcbe6940c68d4df",
+        5: "348acee802197d30af7f72f29fd46f89d863300e0bc34ff5bf90cef33fbfe012",
+    }
+
+
+RACE = """
+import random, sys, threading
+from ellchow import IntPolynomial, ell_model, enumerate_partitions, lift_from_tail, s_max, tail_model
+from ellchow.patch import ambient_symbols
+
+rng = random.Random(5)
+symbols = [IntPolynomial.symbol(name) for name in ambient_symbols(5)]
+fs = [sum((rng.randint(-3, 3) * rng.choice(symbols) * rng.choice(symbols) ** rng.randint(0, 2)
+           for _ in range(4)), IntPolynomial.zero()) for _ in range(12)]
+parts = enumerate_partitions(5)
+# fresh models, built before the threads start: no plan has learned a name
+models = [tail_model(5, s) for s in parts] + [ell_model(5, s) for s in parts if s != s_max(5)]
+
+
+def work(start):
+    out = {}
+    for i in range(len(models)):
+        k = (start + 7 * i) % len(models)
+        for j, f in enumerate(fs):
+            r = models[k].restrict(f)
+            # a tail model's restriction lifts; an elliptic one's carries xi
+            out[k, j] = r.text(), lift_from_tail(r).text() if k < len(parts) else ""
+    return [out[key] for key in sorted(out)]
+
+
+if sys.argv[1] == "threads":
+    sys.setswitchinterval(1e-6)
+    results = [None] * 6
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, work(9 * i)))
+               for i in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(r == results[0] for r in results)
+    print(results[0])
+else:
+    print(work(0))
+"""
+
+
+def test_threads_restricting_and_lifting_on_fresh_models_agree_with_a_serial_run():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    threaded, serial = (
+        subprocess.run(
+            [sys.executable, "-c", RACE, mode],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300, check=True,
+        ).stdout
+        for mode in ("threads", "serial")
+    )
+    assert threaded == serial
+    assert "d{" in serial and "t{" in serial
+
+
 def test_lift_rejects_foreign_symbols():
     from ellchow.exactring import PresentationError
 
@@ -248,7 +379,7 @@ def test_cached_ctop_is_the_product_of_whole_block_images(n):
         model = tail_model(n, part)
         expected = IntPolynomial.one()
         for block in part.nonsingleton_blocks():
-            expected = expected * model.image_of(subset_name("t", block))
+            expected = expected * model._pullback(subset_name("t", block))
         # a repeated call returns the cached class
         assert ctop_tail(n, part) == expected, part.text()
         assert ctop_tail(n, part) == expected, part.text()
