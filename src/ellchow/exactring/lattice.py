@@ -4,12 +4,18 @@ A row is a flat list ``[col0, c0, col1, c1, ...]`` with strictly increasing
 column indices and nonzero integer coefficients.  An :class:`Echelon` keeps
 a basis in *staircase* form: ``pivots`` maps a pivot column to the index of
 the unique basis row leading at that column, and every stored row has
-positive leading coefficient.  No inter-row reduction is performed on the
-stored rows (this is not Hermite form), yet :meth:`Echelon.residue` still
-produces a canonical representative of each residue class: at every pivot
-column the remainder is the floor residue in ``[0, a)``, and an induction
-on the leading column of differences shows two rows in the same coset
-reduce to the same result.
+positive leading coefficient.  A row that claims a new pivot first has its
+tail reduced at every pivot whose leader divides the entry, so a later row
+in the lattice meets few pivot columns on its way to zero; rows stored
+earlier are not revisited, so this is not Hermite form.  The reduction
+subtracts lattice rows, so the span, its pivot columns and their leaders
+(the leader at a column generates the ideal of leading coefficients of the
+lattice's vectors leading there) and its Smith invariants are unchanged.
+:meth:`Echelon.residue` produces a canonical representative of each
+residue class from any staircase basis: at every pivot column the
+remainder is the floor residue in ``[0, a)``, and an induction on the
+leading column of differences shows two rows in the same coset reduce to
+the same result.
 
 Both eliminations, :meth:`Echelon.insert` and :meth:`Echelon.residue`,
 work in one sparse accumulator instead of rebuilding the row at every
@@ -24,10 +30,11 @@ order with the same integer operations as on a flat row, and the residue
 is the same canonical one; the heap is the division trick of Monagan and
 Pearce ("Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  ``insert`` turns the accumulator back into
-a flat row only when it claims a new pivot or meets a pivot that does not
-divide its coefficient, where it merges the two rows by an extended gcd
-and restarts from the merged row; :func:`row_combine` builds each merged
-row by one :func:`flat_from_pairs` call on the scaled entries of both.
+a flat row when it claims a new pivot, once the tail is walked, or when
+it meets a pivot that does not divide its coefficient, where it merges the
+two rows by an extended gcd and restarts from the merged row;
+:func:`row_combine` builds each merged row by one :func:`flat_from_pairs`
+call on the scaled entries of both.
 
 :class:`Echelon` is the one elimination kernel:
 :func:`smith_invariants_of_rows` reads invariant factors off staircases of
@@ -115,46 +122,44 @@ class Echelon:
         """Add ``row`` to the staircase basis, preserving its invariants.
 
         Walks the columns of ``row`` in ascending order in an accumulator
-        (see the module docstring).  An unclaimed column claims a new pivot
-        (sign-normalised).  At a claimed column whose pivot coefficient
-        divides the row's, the pivot row is subtracted.  Otherwise an
-        extended-gcd update replaces the pivot row by one leading with the
-        gcd, and the walk restarts from a row leading further right.
+        (see the module docstring).  At a pivot whose leader divides the
+        row's entry, the pivot row is subtracted.  The first unclaimed
+        column claims a new pivot (sign-normalised) with the rest of the
+        walk as its tail.  Before that, a pivot that does not divide is
+        replaced, by an extended-gcd update, by one leading with the gcd,
+        and the walk restarts from a row leading further right.  Each step
+        adds lattice rows or is unimodular, so the residues and Smith
+        invariants depend only on the rows inserted.
         """
         rows, pivots = self.rows, self.pivots
         while row:
             acc = dict(zip(row[::2], row[1::2]))
             heap = row[::2]  # ascending, hence already a heap
+            row = []  # the new pivot's entry, then the tail's kept entries
             while heap:
                 col = heappop(heap)
                 c = acc[col]
                 if not c:
                     continue
                 j = pivots.get(col)
-                if j is not None:
-                    p = rows[j]
-                    a = p[1]
-                    if c % a == 0:
-                        _subtract_tail(acc, heap, p, c // a)
-                        continue
-                row = [col, c]
-                for k in sorted(heap):
-                    v = acc[k]
-                    if v:
-                        row.append(k)
-                        row.append(v)
-                if j is None:
-                    if c < 0:
-                        row[1::2] = [-v for v in row[1::2]]
-                    pivots[col] = len(rows)
-                    rows.append(row)
-                    return
-                g, x, y = xgcd(a, c)
-                rows[j] = row_combine(p, x, row, y)
-                row = row_combine(row, a // g, p, -(c // g))
-                break
+                if j is not None and c % rows[j][1] == 0:
+                    _subtract_tail(acc, heap, rows[j], c // rows[j][1])
+                elif row or j is None:
+                    row += (col, c)
+                else:
+                    p, a = rows[j], rows[j][1]
+                    row = [col, c, *(x for k in sorted(heap) if acc[k] for x in (k, acc[k]))]
+                    g, x, y = xgcd(a, c)
+                    rows[j] = row_combine(p, x, row, y)
+                    row = row_combine(row, a // g, p, -(c // g))
+                    break
             else:
-                return  # every column cancelled: the row was in the lattice
+                if row:  # else every column cancelled: the row was in the lattice
+                    if row[1] < 0:
+                        row[1::2] = [-v for v in row[1::2]]
+                    pivots[row[0]] = len(rows)
+                    rows.append(row)
+                return
 
     def residue(self, row: list) -> list:
         """Canonical residue of ``row`` modulo the staircase basis.

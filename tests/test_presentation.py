@@ -17,6 +17,7 @@ from ellchow import (
     NotDivisibleError,
     PresentationError,
     dm_space,
+    gorenstein_presentation,
     keel_presentation,
     qstable_presentation,
 )
@@ -177,6 +178,75 @@ def test_basis_and_kill_test_match_brute_force(ring):
         for mono, k in zip(monos, killed):
             column = [] if k else [basis.index(mono), 1]
             assert pres.vector(IntPolynomial.monomial(mono), d) == column
+
+
+MASK_SYMBOLS = ("l", "xi", "t{1,2}", "t{1,3}", "t{2,3}", "t{1,4}", "t{2,4}", "t{3,4}")
+
+
+@st.composite
+def masked_rings(draw):
+    """Three to seven symbols, ``nu`` (of degree 2) among them, kills of one,
+    two and three symbols, and homogeneous relations of degree 1 to 3."""
+    names = ["nu"] + draw(
+        st.lists(st.sampled_from(MASK_SYMBOLS), min_size=2, max_size=6, unique=True)
+    )
+    kills = draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True),
+            max_size=6,
+        )
+    )
+    relations = []
+    for delta in draw(st.lists(st.integers(1, 3), max_size=3)):
+        monos = [
+            m
+            for k in range(1, delta + 1)
+            for m in itertools.combinations_with_replacement(names, k)
+            if sum(symbol_degree(nm) for nm in m) == delta
+        ]
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=4))
+        relations.append(sum(
+            (
+                draw(st.sampled_from((1, -1, 2, -3)))
+                * IntPolynomial.monomial(tuple((nm, 1) for nm in m))
+                for m in chosen
+            ),
+            IntPolynomial.zero(),
+        ))
+    return names, [frozenset(k) for k in kills], relations
+
+
+def exponent_vectors(degrees, d):
+    """Every exponent vector of weighted degree ``d``, descending
+    lexicographically."""
+    if not degrees:
+        if d == 0:
+            yield ()
+        return
+    for e in range(d // degrees[0], -1, -1):
+        for rest in exponent_vectors(degrees[1:], d - e * degrees[0]):
+            yield (e, *rest)
+
+
+@given(masked_rings())
+@settings(max_examples=60, deadline=None)
+def test_basis_equals_a_brute_force_filter_of_every_monomial(ring):
+    # Pair kills prune by their partner masks, the others by a scan: either
+    # way, the basis is every monomial without a kill, in canonical order
+    names, kills, _ = ring
+    pres = GradedPresentation(
+        names, [IntPolynomial.monomial(tuple((nm, 1) for nm in k)) for k in kills]
+    )
+    syms = sorted(names, key=symbol_key)
+    for d in range(6):
+        monos = [
+            tuple((nm, e) for nm, e in zip(syms, exps) if e)
+            for exps in exponent_vectors([symbol_degree(nm) for nm in syms], d)
+        ]
+        kept = [m for m in monos if not any(k <= {nm for nm, _ in m} for k in kills)]
+        assert [IntPolynomial({key: 1}) for key in pres.basis(d)] == [
+            IntPolynomial.monomial(m) for m in kept
+        ], d
 
 
 # -- normal forms and equality ------------------------------------------------
@@ -462,6 +532,62 @@ def test_packed_product_rows_at_the_edge_of_the_field_width():
         pres.basis(MAX_DEGREE + 1)
 
 
+def generation_loop_rows(pres, degree):
+    """The product rows by the loop that looks up every term of every kept
+    relation in the column index, without pair-kill masks: relation degrees
+    ascending, multipliers in basis order, relations in list order."""
+    index = pres._columns(degree)
+    guard = pres._guard
+    earlier = []  # lower degrees' unit leaders
+    out = []
+    for delta in range(pres._low, degree + 1):
+        rows, basis = pres._reduced_relations(delta), pres.basis(delta)
+        rel_terms = [[(basis[col], c) for col, c in zip(r[::2], r[1::2])] for r in rows]
+        cuts = earlier + [
+            (j + 1, terms[0][0]) for j, terms in enumerate(rel_terms) if terms[0][1] == 1
+        ]
+        earlier += [(0, lead) for _, lead in cuts[len(earlier):]]
+        for key in pres.basis(degree - delta) if rows else ():
+            probe = guard | key
+            keep = next(
+                (n for n, lead in cuts if probe - lead & guard == guard), len(rows)
+            )
+            for terms in rel_terms[:keep]:
+                pairs = sorted(
+                    (col, c) for k, c in terms if (col := index.get(key + k)) is not None
+                )
+                if pairs:
+                    out.append([x for pair in pairs for x in pair])
+    return out
+
+
+@pytest.mark.parametrize(
+    "build, top",
+    [(lambda n=n: gorenstein_presentation(n), n) for n in range(1, 6)]
+    + [
+        (lambda: keel_presentation(range(1, 7)).presentation, 3),
+        (lambda: qstable_presentation(5, dm_space(5)), 3),
+    ],
+    ids=[f"gorenstein{n}" for n in range(1, 6)] + ["keel6", "dm5"],
+)
+def test_pair_kill_masks_keep_the_product_rows_and_their_order(build, top):
+    pres = build()
+    for d in range(top + 1):
+        assert list(pres._product_rows(d)) == generation_loop_rows(pres, d), d
+
+
+@given(masked_rings())
+@settings(max_examples=60, deadline=None)
+def test_pair_kill_masks_keep_the_product_rows_of_random_rings(ring):
+    names, kills, relations = ring
+    pres = GradedPresentation(
+        names,
+        relations + [IntPolynomial.monomial(tuple((nm, 1) for nm in k)) for k in kills],
+    )
+    for d in range(6):
+        assert list(pres._product_rows(d)) == generation_loop_rows(pres, d), d
+
+
 def staircase_shape(ech):
     return sorted((row[0], row[1]) for row in ech.rows)
 
@@ -492,7 +618,7 @@ def test_product_criterion_row_counts_on_the_six_marking_genus_zero_ring():
     # 6,501 and 26,206 product rows in degrees 3 and 4 without the criterion
     pres = keel_presentation(range(1, 7)).presentation
     counts = [sum(1 for _ in pres._product_rows(d)) for d in (3, 4)]
-    assert counts == [4586, 16106]
+    assert counts == [4586, 16114]
 
 
 SHARED_REDUCTION = """
