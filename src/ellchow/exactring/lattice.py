@@ -4,15 +4,14 @@ A row is a flat list ``[col0, c0, col1, c1, ...]`` with strictly increasing
 column indices and nonzero integer coefficients.  An :class:`Echelon` keeps
 a basis in *staircase* form: ``pivots`` maps a pivot column to the index of
 the unique basis row leading at that column, and every stored row has
-positive leading coefficient.  A row that claims a new pivot first has its
-tail reduced at every pivot whose leader divides the entry, so a later row
-in the lattice meets few pivot columns on its way to zero; rows stored
-earlier are not revisited, so this is not Hermite form.  The reduction
-subtracts lattice rows, so the span, its pivot columns and their leaders
-(the leader at a column generates the ideal of leading coefficients of the
-lattice's vectors leading there) and its Smith invariants are unchanged.
-:meth:`Echelon.residue` produces a canonical representative of each
-residue class from any staircase basis: at every pivot column the
+positive leading coefficient.  A row claims the first unclaimed column its
+walk reaches, with the rest of the walk as its tail, and the stored rows
+are not reduced against each other (this is not Hermite form).  Reducing
+each claiming row's tail too would let a later row in the lattice reach
+zero past fewer pivots, but the relation-lattice builds skip most such
+rows before insertion, and there the reduced tails cost more than they
+save.  :meth:`Echelon.residue` produces a canonical representative of
+each residue class from any staircase basis: at every pivot column the
 remainder is the floor residue in ``[0, a)``, and an induction on the
 leading column of differences shows two rows in the same coset reduce to
 the same result.
@@ -30,11 +29,10 @@ order with the same integer operations as on a flat row, and the residue
 is the same canonical one; the heap is the division trick of Monagan and
 Pearce ("Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  ``insert`` turns the accumulator back into
-a flat row when it claims a new pivot, once the tail is walked, or when
-it meets a pivot that does not divide its coefficient, where it merges the
-two rows by an extended gcd and restarts from the merged row;
-:func:`row_combine` builds each merged row by one :func:`flat_from_pairs`
-call on the scaled entries of both.
+a flat row only when it claims a new pivot or meets a pivot that does not
+divide its coefficient, where it merges the two rows by an extended gcd
+and restarts from the merged row; :func:`row_combine` builds each merged
+row by one :func:`flat_from_pairs` call on the scaled entries of both.
 
 :class:`Echelon` is the one elimination kernel:
 :func:`smith_invariants_of_rows` reads invariant factors off staircases of
@@ -118,48 +116,59 @@ class Echelon:
         self.rows: list[list] = []
         self.pivots: dict[int, int] = {}
 
-    def insert(self, row: list) -> None:
-        """Add ``row`` to the staircase basis, preserving its invariants.
+    def insert(self, row: list) -> bool:
+        """Add ``row`` to the staircase basis, preserving its invariants, and
+        return whether the lattice grew: False exactly when ``row`` was
+        already in it.
 
         Walks the columns of ``row`` in ascending order in an accumulator
-        (see the module docstring).  At a pivot whose leader divides the
-        row's entry, the pivot row is subtracted.  The first unclaimed
-        column claims a new pivot (sign-normalised) with the rest of the
-        walk as its tail.  Before that, a pivot that does not divide is
-        replaced, by an extended-gcd update, by one leading with the gcd,
-        and the walk restarts from a row leading further right.  Each step
-        adds lattice rows or is unimodular, so the residues and Smith
-        invariants depend only on the rows inserted.
+        (see the module docstring).  An unclaimed column claims a new pivot
+        (sign-normalised).  At a claimed column whose pivot coefficient
+        divides the row's, the pivot row is subtracted.  Otherwise an
+        extended-gcd update replaces the pivot row by one leading with the
+        gcd, and the walk restarts from a row leading further right.  The
+        lattice grew when the row claimed a pivot or merged with one.  A row
+        already in it meets only pivots whose leaders divide its entries
+        (the leader at a column generates the leading coefficients of the
+        lattice's vectors leading there), and cancels.
         """
         rows, pivots = self.rows, self.pivots
+        merged = False
         while row:
             acc = dict(zip(row[::2], row[1::2]))
             heap = row[::2]  # ascending, hence already a heap
-            row = []  # the new pivot's entry, then the tail's kept entries
             while heap:
                 col = heappop(heap)
                 c = acc[col]
                 if not c:
                     continue
                 j = pivots.get(col)
-                if j is not None and c % rows[j][1] == 0:
-                    _subtract_tail(acc, heap, rows[j], c // rows[j][1])
-                elif row or j is None:
-                    row += (col, c)
-                else:
-                    p, a = rows[j], rows[j][1]
-                    row = [col, c, *(x for k in sorted(heap) if acc[k] for x in (k, acc[k]))]
-                    g, x, y = xgcd(a, c)
-                    rows[j] = row_combine(p, x, row, y)
-                    row = row_combine(row, a // g, p, -(c // g))
-                    break
-            else:
-                if row:  # else every column cancelled: the row was in the lattice
-                    if row[1] < 0:
+                if j is not None:
+                    p = rows[j]
+                    a = p[1]
+                    if c % a == 0:
+                        _subtract_tail(acc, heap, p, c // a)
+                        continue
+                row = [col, c]
+                for k in sorted(heap):
+                    v = acc[k]
+                    if v:
+                        row.append(k)
+                        row.append(v)
+                if j is None:
+                    if c < 0:
                         row[1::2] = [-v for v in row[1::2]]
-                    pivots[row[0]] = len(rows)
+                    pivots[col] = len(rows)
                     rows.append(row)
-                return
+                    return True
+                g, x, y = xgcd(a, c)
+                rows[j] = row_combine(p, x, row, y)
+                row = row_combine(row, a // g, p, -(c // g))
+                merged = True
+                break
+            else:
+                return merged  # every column cancelled
+        return merged
 
     def residue(self, row: list) -> list:
         """Canonical residue of ``row`` modulo the staircase basis.

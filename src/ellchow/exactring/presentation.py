@@ -24,16 +24,39 @@ multiplier is killed without looking up its column.  Every other relation,
 ``l^6`` included, is a lattice row; a unit monomial row only reduces its
 column to zero.
 
-A product row ``m * r_j`` is redundant when an earlier relation ``r_i``
-(degree ascending, then list order, each echelon-reduced in its degree)
-has leading coefficient 1 and its leading monomial ``LM(r_i)``, the
-lex-largest term, divides ``m``: with ``m = m' * LM(r_i)``,
-``m*r_j = sum_{t in r_j} c_t (m' t) r_i - sum_{t in tail(r_i)} c_t (m' t) r_j``,
-and each ``m' t`` of the second sum is lex-smaller than ``m``, so by
-induction on ``j`` and then on ``m`` in lex order the kept rows span every
-product (a killed multiplier gives zero rows on both sides).  This is
-Buchberger's product criterion, the Koszul syzygies Faugere's F5 drops
-(ISSAC 2002); over the integers it needs the unit coefficient.
+The relations are echelon-reduced in each degree and numbered by degree
+ascending, then row.  A *pair* ``(m, j)`` of a basis monomial and a
+relation gives the product row ``m * r_j``, killed terms dropped, and has
+the *signature* ``m * LM(r_j)``, the Schreyer monomial, where ``LM`` is
+the lex-largest term: signatures are ordered by that monomial in lex order,
+then by ``j``.  Distinct pairs have distinct signatures, and the order is
+multiplicative: ``x*s < x*s'`` when ``s < s'``.  Let ``S(s)`` be the span
+of the rows of every pair below ``s`` in one degree.  A pair is skipped
+only when its row lies in ``S`` of its signature, and then, by induction
+on the signature order, the kept rows below every ``s`` span ``S(s)``: a
+kept pair brings its own row, and a skipped one's row lies in ``S(s)``,
+spanned by kept rows below ``s``.  So the kept rows span the lattice.  Two
+criteria skip pairs.
+
+* The product criterion: an earlier relation ``r_i`` has leading
+  coefficient 1 and ``LM(r_i)`` divides ``m``.  With ``m = m' * LM(r_i)``,
+  ``m*r_j = sum_{t in r_j} c_t (m' t) r_i - sum_{t in tail(r_i)} c_t (m' t) r_j``.
+  The pairs on the right have signatures ``m t``, below ``m * LM(r_j)``
+  unless ``t = LM(r_j)``, where ``i < j`` breaks the tie, and
+  ``m' t LM(r_j)`` with ``t`` below ``LM(r_i)``: all below (a killed
+  monomial gives zero rows).  These are Buchberger's Koszul syzygies with a
+  unit leader; over the integers the criterion needs the unit.  A multiple
+  of a skipped pair is skipped again.
+* The syzygy criterion, the other half of Faugere's F5 (ISSAC 2002): for a
+  generator ``x`` of degree 1 dividing ``m``, the pair ``(m/x, j)`` was
+  *redundant* one degree down: skipped by this criterion, or its row left
+  the lattice of the rows inserted before it, in signature order,
+  unchanged.  Either way, by induction on the degree, its row lies in
+  ``S(s/x)`` there.  A multiple of a killed monomial is killed, so ``x``
+  times the row of a pair ``(m'', i)`` is the row of ``(x m'', i)``, and
+  multiplicativity puts each such pair below ``s``.  A row that changes
+  nothing is an integer combination of the rows before it, so over the
+  integers the criterion needs no unit.
 
 A *tensor product* of rings on disjoint symbols (``tensor_product``)
 reduces one factor at a time: the terms are grouped by their monomial
@@ -79,8 +102,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
-from typing import Callable, Iterable, Sequence
+from operator import and_, itemgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .lattice import Echelon, flat_from_pairs, smith_invariants_of_rows
 from .poly import (
@@ -94,6 +117,11 @@ from .poly import (
     symbol_key,
     unit_key,
 )
+
+
+# The bits of a relation's row and of a multiplier's column in a signature
+# (see ``_product_rows``).
+_INDEX_BITS = 32
 
 
 def _moved(mask: int, slots: list[int]) -> int:
@@ -169,6 +197,8 @@ class GradedPresentation:
         self._slot_at = {s // FIELD_BITS: i for i, s in enumerate(shifts)}
         self._mask = sum(DEGREE << s for s in [0, *shifts])
         self._guard = sum(MAX_DEGREE + 1 << s for s in [0, *shifts])
+        # the slots of degree 1
+        self._linear = sum(1 << i for i, u in enumerate(self._units) if u & DEGREE == 1)
         self._basis_cache: dict[int, list[int]] = {}
         self._column_cache: dict[int, dict[int, int]] = {}
         # The degree map, its values, its m* and the degree ``_top`` of m*.
@@ -195,6 +225,8 @@ class GradedPresentation:
         self._owner = self  # the ring whose relations fill ``_reduced_rels``
         self._lattice_cache: dict[int, Echelon] = {}
         self._reduced_rels: dict[int, list[list]] = {}
+        # the redundant pairs of a degree's build, kept for the next degree's
+        self._redundant: dict[int, dict[int, dict[int, int]]] = {}
         self._factors: tuple[GradedPresentation, ...] = ()  # of a tensor product
 
     @cached_property
@@ -241,8 +273,8 @@ class GradedPresentation:
         ring._set_symbols(names, name, degree_map)
         ring._set_relations(self._kill_masks, self._busy, self._low,
                             lambda: [rename(rel) for rel in self.relations])
-        ring._owner, ring._lattice_cache, ring._reduced_rels = (
-            self._owner, self._lattice_cache, self._reduced_rels)
+        ring._owner, ring._lattice_cache, ring._reduced_rels, ring._redundant = (
+            self._owner, self._lattice_cache, self._reduced_rels, self._redundant)
         return ring
 
     # -- monomial bookkeeping ------------------------------------------------
@@ -261,25 +293,28 @@ class GradedPresentation:
         cached = self._basis_cache.get(degree)
         if cached is None:
             cached = self._basis_cache.setdefault(
-                degree, [key for key, _, _ in self._enumeration(degree)])
+                degree, [key for key, *_ in self._enumeration(degree, [0] * len(self.symbols))])
         return cached
 
-    def _enumeration(self, degree: int) -> list[tuple[int, int, int]]:
-        """Each basis key of one degree with its slots and the slots their
-        pair-kill partners ban, made afresh for product rows.  Slots are
+    def _enumeration(self, degree: int, slot_keys: list[int]
+                     ) -> list[tuple[int, int, int, int]]:
+        """Each basis key of one degree with its slots, the slots their
+        pair-kill partners ban and the sum of ``slot_keys`` to its exponents
+        (its slot-packed key), made afresh for product rows.  Slots are
         added in ascending order, exponents descending; the next slot is the
         lowest above the last that is not banned, so a monomial holding a
         pair kill is never reached.  A kill of another size lies in the
         support exactly when it does as its last slot is added."""
         if degree > MAX_DEGREE:
             raise ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
-        out: list[tuple[int, int, int]] = []
+        out: list[tuple[int, int, int, int]] = []
         units, kills_at, partners = self._units, self._kills_at, self._partners
         everything = (1 << len(units)) - 1
 
-        def rec(start: int, remaining: int, key: int, support: int, banned: int) -> None:
+        def rec(start: int, remaining: int, key: int, support: int, banned: int,
+                packed: int) -> None:
             if remaining == 0:
-                out.append((key, support, banned))
+                out.append((key, support, banned, packed))
                 return
             slots = ~banned & everything >> start << start
             while slots:
@@ -289,13 +324,14 @@ class GradedPresentation:
                 grown = support | bit
                 if kills_at[i] and any(kill & grown == kill for kill in kills_at[i]):
                     continue
-                u = units[i]
+                u, s = units[i], slot_keys[i]
                 d = u & DEGREE
                 for e in range(remaining // d, 0, -1):
-                    rec(i + 1, remaining - e * d, key + e * u, grown, banned | partners[i])
+                    rec(i + 1, remaining - e * d, key + e * u, grown, banned | partners[i],
+                        packed + e * s)
 
         if degree >= 0:
-            rec(0, degree, 0, 0, 0)
+            rec(0, degree, 0, 0, 0, 0)
         return out
 
     def _columns(self, degree: int) -> dict[int, int]:
@@ -338,14 +374,28 @@ class GradedPresentation:
             self._reduced_rels[delta] = ech.rows
         return self._reduced_rels[delta]
 
-    def _product_rows(self, degree: int) -> Iterable[list]:
-        """The nonzero flat rows ``vector(mono * rel, degree)`` of the
-        echelon-reduced relations: relation degrees ascending, then
-        multipliers ``mono`` in basis order, then relations in list order;
-        but a multiple of the leading monomial of an earlier relation with
-        leading coefficient 1 gives no row (the product criterion, proved in
-        the module docstring from ``m' * LM(r_i) = m' * (r_i - tail(r_i))``).
-        A multiplier scans for the first such ``r_p`` and keeps ``j <= p``.
+    def _product_rows(self, degree: int, below: dict[int, dict[int, int]],
+                      record: dict[int, dict[int, int]]) -> Iterator[tuple[int, list]]:
+        """The signature and nonzero flat row ``vector(mono * r_j, degree)``
+        of each kept pair ``(mono, j)`` of the echelon-reduced relations:
+        relation degrees ascending, then multipliers ``mono`` in basis order,
+        then relations in list order.  Both criteria of the module docstring
+        skip pairs.  The product criterion: a multiple of the leading
+        monomial of an earlier relation with leading coefficient 1 gives no
+        row; a multiplier scans for the first such ``r_p`` and keeps
+        ``j <= p``.  The syzygy criterion: ``(mono, j)`` gives no row when
+        ``below``, the record of the degree below, holds ``(mono / x, j)``
+        for a generator ``x`` of degree 1; the pair is entered in ``record``.
+        A record maps a relation degree to a map from a multiplier's column
+        to the mask of the rows ``j`` of its redundant pairs, so a renamed
+        ring reads it as it is.  With no record below, the rows are those
+        the product criterion keeps, in generation order.
+
+        A signature packs the slot-packed key of ``mono * LM(r_j)`` (slot
+        ``i``'s exponent in field ``n - 1 - i``, fields wide enough for the
+        degree), then ``r_j``'s degree and row, then ``mono``'s column.
+        Pairs have distinct signatures, ascending in the signature order of
+        the module docstring, and the lattice reads the pair back from one.
 
         The column of a product is looked up in the index that ``vector``
         reads, by the sum of its factors' keys.  Distinct relation monomials
@@ -362,28 +412,48 @@ class GradedPresentation:
         terms.  The rows and their order are those of looking up every term.
         """
         index = self._columns(degree)
-        guard = self._guard
+        guard, linear, units = self._guard, self._linear, self._units
+        bits = degree.bit_length()
+        slot_keys = [1 << bits * i for i in reversed(range(len(units)))]
+        shift = FIELD_BITS + 2 * _INDEX_BITS
 
         earlier: list[tuple[int, int]] = []  # lower degrees' unit leaders
         for delta in range(self._low, degree + 1):
             rows = self._reduced_relations(delta)
             if not rows:
                 continue
-            leaves = self._enumeration(delta)
+            leaves = self._enumeration(delta, slot_keys)
             # each term with the slots it bans, each relation with those all its terms ban
             rel_terms = [[(leaves[col][0], c, leaves[col][2]) for col, c in zip(r[::2], r[1::2])]
                          for r in rows]
             rel_bans = [reduce(and_, (b for _, _, b in terms)) for terms in rel_terms]
+            # each relation's part of a signature: its leader, degree and row
+            rel_sigs = [(leaves[r[0]][3] << FIELD_BITS | delta) << 2 * _INDEX_BITS
+                         | j << _INDEX_BITS for j, r in enumerate(rows)]
             # a multiple of the unit leader of relation j keeps rows 0..j
             cuts = earlier + [(j + 1, terms[0][0])
                               for j, terms in enumerate(rel_terms) if terms[0][1] == 1]
             earlier += [(0, lead) for _, lead in cuts[len(earlier):]]
-            for key, support, _ in self._enumeration(degree - delta):
+            lower = below.get(delta)  # the redundant pairs one degree down
+            columns = lower and self._columns(degree - 1 - delta)
+            marks = record.setdefault(delta, {})
+            for place, (key, support, _, packed) in enumerate(
+                    self._enumeration(degree - delta, slot_keys)):
                 probe = guard | key
                 keep = next((n for n, lead in cuts if probe - lead & guard == guard),
                             len(rows))
-                for terms, banned in zip(rel_terms[:keep], rel_bans):
-                    if support & banned:
+                dead = 0  # the rows j whose pair with mono / x is redundant
+                if lower:
+                    slots = support & linear
+                    while slots:
+                        bit = slots & -slots
+                        slots ^= bit
+                        dead |= lower.get(columns[key - units[bit.bit_length() - 1]], 0)
+                    if dead:
+                        marks[place] = dead
+                sig = packed << shift | place
+                for j, (terms, banned) in enumerate(zip(rel_terms[:keep], rel_bans)):
+                    if support & banned or dead >> j & 1:
                         continue
                     pairs = sorted(
                         (col, c)
@@ -391,34 +461,55 @@ class GradedPresentation:
                         if not support & b and (col := index.get(key + k)) is not None
                     )
                     if pairs:
-                        yield [x for pair in pairs for x in pair]
+                        yield rel_sigs[j] + sig, [x for pair in pairs for x in pair]
 
     def lattice(self, degree: int) -> Echelon:
         """The staircase of the degree-``degree`` relation lattice (cached).
 
-        Product rows are inserted by descending leading column, ties by
-        shorter row first (structured elimination, LaMacchia–Odlyzko 1990).
-        On the six-marking genus-zero ring to degree 3 this stores 91% of
-        the entries that generation order stores, and inserts them in a
-        third of the time.  The order cannot change any result, because
+        The degree below is built first, and its record of redundant pairs
+        lets :meth:`_product_rows` skip their multiples (the syzygy
+        criterion of the module docstring).  The kept rows are inserted in
+        signature order, the pairs whose row left the lattice as it was are
+        entered in this degree's record, and the record below is dropped.
+        A ring with a degree map keeps no record from one below its top
+        degree on, where no staircase is built, and builds no degree below
+        for it.  A record that a race of threads dropped only loses pruning.
+
+        Where ``mono * LM(r_j)`` is not killed, the signature order is the
+        descending order of the row's leading column.  On the six-marking
+        genus-zero ring in degree 3 it stores 65% of the entries that
+        generation order stores, and inserts them in 43% of the time; with
+        the syzygy criterion, 2,489 of the 4,586 rows are inserted, in a
+        seventh of the time.  The order cannot change any result, because
         the staircase residue is canonical for the lattice (see the
         ``lattice`` module): the rank, the pivot columns and their leading
         coefficients, residues and normal forms depend only on the span.
-        The rows are sorted ascending and popped from the end, so each is
-        freed once inserted.  Every query on the graded piece reads this
-        staircase: residues, membership, the rank, and the Smith invariants,
-        which diagonalise its rows since they span the same lattice as the
+        The rows are sorted and popped from the end, so each is freed once
+        inserted.  Every query on the graded piece reads this staircase:
+        residues, membership, the rank, and the Smith invariants, which
+        diagonalise its rows since they span the same lattice as the
         product rows.
         """
         cached = self._lattice_cache.get(degree)
         if cached is not None:
             return cached
-        rows = list(self._product_rows(degree))
-        rows.sort(key=lambda r: (r[0], -len(r)))
-        ech = Echelon()
+        if self._low < degree < self._top:
+            self.lattice(degree - 1)
+        keep = self._low <= degree < self._top - 1
+        record: dict[int, dict[int, int]] = {}
+        rows = list(self._product_rows(degree, self._redundant.get(degree - 1, {}), record))
+        rows.sort(key=itemgetter(0), reverse=True)
+        ech, index = Echelon(), (1 << _INDEX_BITS) - 1
         while rows:
-            ech.insert(rows.pop())
-        return self._lattice_cache.setdefault(degree, ech)
+            sig, row = rows.pop()
+            if not ech.insert(row) and keep:
+                marks, col = record[sig >> 2 * _INDEX_BITS & DEGREE], sig & index
+                marks[col] = marks.get(col, 0) | 1 << (sig >> _INDEX_BITS & index)
+        ech = self._lattice_cache.setdefault(degree, ech)
+        if keep and degree + 1 not in self._lattice_cache:
+            self._redundant[degree] = record
+        self._redundant.pop(degree - 1, None)
+        return ech
 
     # -- queries ---------------------------------------------------------------
 

@@ -67,14 +67,16 @@ def test_keel_ring_is_built_once_per_marking_set():
 
 @pytest.mark.parametrize("block", [(2, 4, 5), (2, 4, 5, 7)])
 def test_a_block_ring_is_the_ring_on_one_to_k_renamed(block):
-    # the ring on a block holds the very staircase dicts of the ring on 1..k,
-    # and it is the ring built on the block: the same symbols and relations,
+    # the ring on a block holds the very staircase and record dicts of the
+    # ring on 1..k, and it is the ring built on the block: the same symbols
+    # and relations,
     # and the same normal forms through the degree above its dimension, where
     # its degree map is read on the block's own divisors
     canonical = keel_presentation(range(1, len(block) + 1)).presentation
     pres = keel_presentation(block).presentation
     assert pres._lattice_cache is canonical._lattice_cache
     assert pres._reduced_rels is canonical._reduced_rels
+    assert pres._redundant is canonical._redundant
     subsets = [t for k in range(2, len(block)) for t in itertools.combinations(block, k)]
     built = GradedPresentation(
         [subset_name("d", t) for t in subsets],
@@ -194,7 +196,7 @@ def test_degree_map_vanishes_on_every_top_degree_product_row(size):
     pres, top = keel_presentation(ms).presentation, size - 2
     degrees = [keel_integral(ms, IntPolynomial({key: 1}).sorted_terms()[0][0])
                for key in pres.basis(top)]
-    rows = list(pres._product_rows(top))
+    rows = [row for _, row in pres._product_rows(top, {}, {})]
     assert len(rows) >= len(degrees) - 1
     for row in rows:
         assert sum(degrees[col] * c for col, c in zip(row[::2], row[1::2])) == 0

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellchow import (
     GradedPresentation,
@@ -28,6 +28,7 @@ from ellchow.exactring import (
     symbol_key,
 )
 from ellchow.exactring.poly import MAX_DEGREE
+from ellchow.patch import ambient_relations, ambient_symbols
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -424,7 +425,7 @@ def test_smith_invariants_of_staircase_match_raw_product_rows(build, top):
     # same lattice and must give the same rank and torsion
     pres = build()
     for d in range(top + 1):
-        raw = smith_invariants_of_rows(pres._product_rows(d))
+        raw = smith_invariants_of_rows(criterion_rows(pres, d))
         inv = pres.smith_invariants(d)
         assert inv.rank == len(pres.basis(d)) - len(raw), d
         assert inv.torsion == tuple(x for x in raw if x > 1), d
@@ -440,6 +441,12 @@ def divides(a, b):
     [(mono_b, _)] = IntPolynomial({b: 1}).sorted_terms()
     exps = dict(mono_b)
     return all(exps.get(nm, 0) >= e for nm, e in mono_a)
+
+
+def criterion_rows(pres, d):
+    """The product rows with no record of redundant pairs below: those the
+    product criterion keeps, in generation order."""
+    return [row for _, row in pres._product_rows(d, {}, {})]
 
 
 def reference_product_rows(pres, d, criterion=True):
@@ -510,7 +517,7 @@ def presented_rings(draw):
 
 def assert_rows_match_products(pres):
     for d in range(6):
-        assert list(pres._product_rows(d)) == reference_product_rows(pres, d), d
+        assert criterion_rows(pres, d) == reference_product_rows(pres, d), d
 
 
 @given(presented_rings())
@@ -525,7 +532,7 @@ def test_packed_product_rows_at_the_edge_of_the_field_width():
     # degree more has no keys
     pres = GradedPresentation(sym("l", "xi"), (2 * L - 3 * X, 5 * L**2))
     assert_rows_match_products(pres)
-    rows = list(pres._product_rows(MAX_DEGREE))
+    rows = criterion_rows(pres, MAX_DEGREE)
     assert rows == reference_product_rows(pres, MAX_DEGREE)
     assert pres.vector(5 * L**MAX_DEGREE, MAX_DEGREE) in rows
     with pytest.raises(ValueError, match=f"exceeds {MAX_DEGREE}"):
@@ -573,31 +580,50 @@ def generation_loop_rows(pres, degree):
 def test_pair_kill_masks_keep_the_product_rows_and_their_order(build, top):
     pres = build()
     for d in range(top + 1):
-        assert list(pres._product_rows(d)) == generation_loop_rows(pres, d), d
+        assert criterion_rows(pres, d) == generation_loop_rows(pres, d), d
 
 
-@given(masked_rings())
-@settings(max_examples=60, deadline=None)
-def test_pair_kill_masks_keep_the_product_rows_of_random_rings(ring):
+def masked_presentation(ring):
     names, kills, relations = ring
-    pres = GradedPresentation(
+    return GradedPresentation(
         names,
         relations + [IntPolynomial.monomial(tuple((nm, 1) for nm in k)) for k in kills],
     )
+
+
+@given(masked_rings().map(masked_presentation))
+@settings(max_examples=60, deadline=None)
+def test_pair_kill_masks_keep_the_product_rows_of_random_rings(pres):
     for d in range(6):
-        assert list(pres._product_rows(d)) == generation_loop_rows(pres, d), d
+        assert criterion_rows(pres, d) == generation_loop_rows(pres, d), d
 
 
 def staircase_shape(ech):
     return sorted((row[0], row[1]) for row in ech.rows)
 
 
-@given(presented_rings())
-@settings(max_examples=80, deadline=None)
-def test_product_criterion_keeps_the_relation_lattice(pres):
-    # The kept rows span the lattice of every product row: same pivots and
-    # leading coefficients, and each full product row reduces to zero
-    for d in range(6):
+@given(
+    st.one_of(presented_rings(), masked_rings().map(masked_presentation)),
+    st.permutations(range(6)),
+)
+# multipliers share slots with their relations' leaders: a signature that
+# ORs their slot-packed keys instead of adding them is out of order, and the
+# syzygy criterion then skips a row the lattice needs
+@example(
+    masked_presentation((
+        ["nu", "t{1,2}", "l", "t{1,3}", "xi", "t{2,3}", "t{1,4}"],
+        [],
+        [IntPolynomial.parse(f) for f in ("xi + 2*t{1,2}", "l*xi + nu", "l*t{1,3} + nu")],
+    )),
+    list(range(6)),
+)
+@settings(max_examples=160, deadline=None)
+def test_product_criterion_keeps_the_relation_lattice(pres, order):
+    # The rows both criteria keep span the lattice of every product row, in
+    # whatever order the degrees are asked for: same pivots and leading
+    # coefficients, and each full product row reduces to zero.  The rings
+    # have kills of one, two and three slots and leaders other than 1.
+    for d in order:
         full = Echelon()
         rows = reference_product_rows(pres, d, criterion=False)
         for row in rows:
@@ -614,11 +640,25 @@ def test_product_criterion_skips_only_unit_leading_relations():
     assert pres.smith_invariants(3).torsion == (2, 2)
 
 
+def test_a_degree_keeps_its_record_of_redundant_pairs_until_the_next_is_built():
+    # below the top degree of a degree map only; a missing record only
+    # loses pruning
+    fresh = [GradedPresentation(ambient_symbols(4), ambient_relations(4)) for _ in range(2)]
+    fresh[0].lattice(3)
+    assert sorted(fresh[0]._redundant) == [3]
+    fresh[0]._redundant.clear()
+    assert staircase_shape(fresh[0].lattice(4)) == staircase_shape(fresh[1].lattice(4))
+    assert sorted(fresh[1]._redundant) == [4]
+    keel = keel_presentation(range(1, 6)).presentation  # its degree map is in degree 3
+    keel.lattice(2)
+    assert keel._redundant == {}
+
+
 def test_product_criterion_row_counts_on_the_six_marking_genus_zero_ring():
     # 6,501 and 26,206 product rows in degrees 3 and 4 without the criterion
     pres = keel_presentation(range(1, 7)).presentation
-    counts = [sum(1 for _ in pres._product_rows(d)) for d in (3, 4)]
-    assert counts == [4586, 16114]
+    counts = [len(criterion_rows(pres, d)) for d in (3, 4)]
+    assert counts == [4586, 16106]
 
 
 SHARED_REDUCTION = """
@@ -644,25 +684,29 @@ def ring(factor):
     return GradedPresentation.tensor_product([GradedPresentation(["l"], []), factor], "")
 
 
-factor = GradedPresentation(["t{1,2}", "t{1,3}"], [P("2*t{1,2} + 3*t{1,3}"),
-                                                   P("t{1,2}^2 - 5*t{1,3}^2")])
-first, second = ring(factor), ring(factor.renamed(["d{1,2}", "d{1,3}"], ""))
+# t{2,3} times the first relation is a relation of degree 2: one of the two
+# reduces to zero there, and the multiples of that pair are skipped in degree 3
+factor = GradedPresentation(["t{1,2}", "t{1,3}", "t{2,3}"], [
+    P("2*t{1,2} + 3*t{1,3}"), P("t{1,2}^2 - 5*t{1,3}^2"),
+    P("2*t{1,2}*t{2,3} + 3*t{1,3}*t{2,3}")])
+first, second = ring(factor), ring(factor.renamed(["d{1,2}", "d{1,3}", "d{2,3}"], ""))
 queries = [
-    (first, P("t{1,2}^2 + l*t{1,2}*t{1,3}")),
-    (first, P("t{1,2}^3")),
-    (second, P("d{1,3}^3 + l^2*d{1,2}")),
+    (first, P("t{1,2}^2 + l*t{1,2}*t{2,3}")),
+    (second, P("d{1,3}^3 + l^2*d{2,3}")),
+    (first, P("t{1,2}^3 + t{2,3}^3")),
 ]
 if sys.argv[1] == "second first":
-    queries = queries[2:] + queries[:2]
+    queries = queries[1:] + queries[:1]
 forms = sorted(pres.normal_form(f).text() for pres, f in queries)
 print(inserted, forms)
 """
 
 
 def test_renamed_rings_insert_the_same_rows_in_either_order():
-    # A renamed ring holds its source's reduced relations as well as its
-    # staircases, so the row count does not depend on which of the two
-    # reaches them first
+    # A renamed ring holds its source's reduced relations, staircases and
+    # records of redundant pairs, and a degree is built after the one below,
+    # so the row count does not depend on which of the two reaches them
+    # first, nor on which degree is asked for first
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
     outputs = {
         subprocess.run(
@@ -672,6 +716,60 @@ def test_renamed_rings_insert_the_same_rows_in_either_order():
         for order in ("first first", "second first")
     }
     assert len(outputs) == 1, outputs
+
+
+LATTICE_RACE = """
+import random, sys, threading
+from ellchow import gorenstein_presentation
+from ellchow.exactring import flat_from_pairs
+
+DEGREES = (2, 3, 4, 5)
+ORDERS = [(2, 3, 4, 5), (5, 4, 3, 2), (3, 5, 2, 4), (4, 2, 5, 3), (5, 2, 3, 4), (3, 4, 5, 2)]
+pres = gorenstein_presentation(5)  # fresh: no staircase, record or reduced relation yet
+
+
+def work(order):
+    for d in order:
+        pres.lattice(d)
+    out = []
+    for d in DEGREES:
+        ech, rng, width = pres.lattice(d), random.Random(d), len(pres.basis(d))
+        probes = [flat_from_pairs((c, rng.randint(-6, 6)) for c in rng.sample(range(width), 8))
+                  for _ in range(20)]
+        out.append((sorted((row[0], row[1]) for row in ech.rows),
+                    [ech.residue(probe) for probe in probes]))
+    return out
+
+
+if sys.argv[1] == "threads":
+    sys.setswitchinterval(1e-6)
+    results = [None] * len(ORDERS)
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, work(ORDERS[i])))
+               for i in range(len(ORDERS))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=240)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(r == results[0] for r in results)
+    print(results[0])
+else:
+    print(work(DEGREES))
+"""
+
+
+def test_threads_building_degrees_in_different_orders_agree_with_a_serial_run():
+    # Each build reads the record one degree down, if it is there yet, and
+    # drops it once done: a race may cost pruning, never a pivot or residue
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    threaded, serial = (
+        subprocess.run(
+            [sys.executable, "-c", LATTICE_RACE, mode],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300, check=True,
+        ).stdout
+        for mode in ("threads", "serial")
+    )
+    assert threaded == serial
 
 
 # -- division in the quotient --------------------------------------------------
