@@ -633,6 +633,20 @@ def test_product_criterion_keeps_the_relation_lattice(pres, order):
         assert not [row for row in rows if kept.residue(row)], d
 
 
+@given(st.one_of(presented_rings(), masked_rings().map(masked_presentation)))
+@settings(max_examples=80, deadline=None)
+def test_each_signature_is_distinct_and_names_its_own_pair(pres):
+    # lattice() sorts (signature, row) pairs without comparing rows, and
+    # records a redundant pair by the degree, row and column its signature holds
+    for d in range(6):
+        rows = list(pres._product_rows(d, {}, {}))
+        assert len({sig for sig, _ in rows}) == len(rows), d
+        for (_, delta, j, place), row in rows:
+            rel = pres.from_vector(pres._reduced_relations(delta)[j], delta)
+            mono = IntPolynomial({pres.basis(d - delta)[place]: 1})
+            assert row == pres.vector(mono * rel, d), (d, delta, j, place)
+
+
 def test_product_criterion_skips_only_unit_leading_relations():
     # 2*l leads with 2, so l * (l*xi + xi^2) stays a row; dropping it as if
     # 2 were a unit would add a third Z/2 in degree 3

@@ -173,14 +173,18 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def defined_helpers():
     """``(module, class or None, name)`` of every module-level function,
-    module-level class and class method defined in ``src/ellchow``, dunders
-    aside."""
+    module-level class, module-level assigned name and class method defined
+    in ``src/ellchow``, dunders aside."""
     for path in sorted((ROOT / "src" / "ellchow").rglob("*.py")):
         parts = path.relative_to(ROOT / "src").with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.ClassDef):
                 yield module, None, node.name
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        yield module, None, target.id
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             owner = node.name if isinstance(node, ast.ClassDef) else None
             for fn in members:
@@ -201,19 +205,20 @@ def source_text(*folders):
 
 def names_and_definitions(folders):
     """How often each word appears in the ``*.py`` files of ``folders``, and
-    how often a line there defines it."""
+    how often a line there defines it: as a function, a class or a name
+    assigned at module level."""
     text = source_text(*folders)
-    definitions = re.findall(r"(?m)^\s*(?:def|class) (\w+)", text)
-    return Counter(re.findall(r"\w+", text)), Counter(definitions)
+    definitions = re.findall(r"(?m)^(?:\s*(?:def|class) (\w+)|(\w+)(?: *:[^=\n]*)? *=[^=])", text)
+    return Counter(re.findall(r"\w+", text)), Counter(a or b for a, b in definitions)
 
 
 def test_every_helper_is_named_outside_its_definition():
-    """A function or class whose name appears only where it is defined is
-    dead.  A module-level name the package does not export must be named by
-    the program itself, and so must a method, as ``.name`` or, since the
-    benchmark's trace wraps methods by name, as a string there: tests alone
-    do not keep a helper alive.  An override of a base class method is
-    called by that base.
+    """A function, class or module-level constant whose name appears only
+    where it is defined is dead.  A module-level name the package does not
+    export must be named by the program itself, and so must a method, as
+    ``.name`` or, since the benchmark's trace wraps methods by name, as a
+    string there: tests alone do not keep a helper alive.  An override of a
+    base class method is called by that base.
 
     The rule matches names, so it cannot tell same-named methods apart: a
     use of one ``to_json_obj`` keeps every ``to_json_obj`` alive.  The
