@@ -49,6 +49,9 @@ MAX_DEGREE = DEGREE >> 1
 _MARK = r"(?:0|[1-9]\d*)"
 _NAME_RE = re.compile(rf"^(l|nu|xi)$|^([a-z])\{{({_MARK}(?:,{_MARK})*)\}}$")
 _KEY_CACHE: dict[str, tuple] = {}
+# The patterns of ``parse``; a sign right after "^" belongs to an exponent.
+_SPACE, _TERM = re.compile(r"\s+"), re.compile(r"[+-]?[^+-]+(?:(?<=\^)[+-][^+-]*)*")
+_FACTOR = re.compile(r"(\d+)|([a-z]+(?:\{[\d,]+\})?)(?:\^(-?\d+))?")
 _BASE_ORDER = {"l": 0, "nu": 1, "xi": 2}
 
 # The registry: the name of each field (field 0 is the degree) and the key
@@ -249,15 +252,6 @@ class IntPolynomial:
             out.setdefault(e, {})[m - e * unit] = c
         return {e: _poly(t) for e, t in out.items()}
 
-    @classmethod
-    def from_coefficients_in(cls, name: str, parts: Mapping) -> "IntPolynomial":
-        """The inverse of :meth:`coefficients_in`: the sum over ``e`` of
-        ``name^e`` times ``parts[e]``, each part free of ``name``."""
-        terms: dict[int, int] = {}
-        for e, part in parts.items():
-            terms.update(_terms_product(part._terms, {_monomial_key(((name, e),)): 1}))
-        return _poly(terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
@@ -346,32 +340,38 @@ class IntPolynomial:
 
     @classmethod
     def parse(cls, text: str) -> "IntPolynomial":
-        compact = re.sub(r"\s+", "", text)
+        compact = _SPACE.sub("", text)
         if not compact:
             raise ValueError("empty polynomial text")
         total: dict[int, int] = {}
-        # A sign right after "^" belongs to an exponent, not to a new term.
-        chunks = re.findall(r"[+-]?[^+-]+(?:(?<=\^)[+-][^+-]*)*", compact)
+        chunks = _TERM.findall(compact)
         if "".join(chunks) != compact:
             raise ValueError(f"dangling operator in {text!r}")
+        # Each distinct factor is read once, to a coefficient, a name ("" for none) and
+        # an exponent; a term reads all its factors before it looks up any name.
+        read: dict[str, tuple[int, str, int]] = {}
         for chunk in chunks:
             coeff = -1 if chunk[0] == "-" else 1
             chunk = chunk[1:] if chunk[0] in "+-" else chunk
             if not chunk:
                 raise ValueError(f"dangling sign in {text!r}")
-            mono: list[tuple[str, int]] = []
-            for factor in chunk.split("*"):
-                if re.fullmatch(r"\d+", factor):
-                    coeff *= int(factor)
+            factors = chunk.split("*")
+            for factor in factors:
+                if factor in read:
                     continue
-                m = re.fullmatch(r"([a-z]+(?:\{[\d,]+\})?)(?:\^(-?\d+))?", factor)
-                if m is None:
+                if (m := _FACTOR.fullmatch(factor)) is None:
                     raise ValueError(f"malformed factor {factor!r} in {text!r}")
-                name, e = m.group(1), int(m.group(2) or 1)
+                name, e = m.group(2) or "", int(m.group(3) or 1)
                 if e < 0:
                     raise ValueError(f"negative exponent {e} of {name} in {text!r}")
-                mono.append((name, e))
-            key = _monomial_key(mono)
+                read[factor] = (int(m.group(1)), "", 0) if m.group(1) else (1, name, e)
+            key = degree = 0
+            for factor in factors:
+                c, name, e = read[factor]
+                unit = unit_key(name) if name else 0
+                coeff, key, degree = coeff * c, key + e * unit, degree + e * (unit & DEGREE)
+            if degree > MAX_DEGREE:
+                raise _overflow(degree)
             total[key] = total.get(key, 0) + coeff
         return cls(total)
 

@@ -99,7 +99,6 @@ no staircase is built there.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
@@ -217,6 +216,7 @@ class GradedPresentation:
             else:
                 self._kills_at[kill.bit_length() - 1].append(kill)
         self._free = next((nm for i, nm in enumerate(self.symbols) if not busy >> i & 1), None)
+        self._splits: dict[IntPolynomial, tuple] = {}  # each divisor's terms, split by division
         self._build_relations = relations
         self._owner = self  # the ring whose relations fill ``_reduced_rels``
         self._lattice_cache: dict[int, Echelon] = {}
@@ -514,6 +514,8 @@ class GradedPresentation:
         support = reduce(or_, (key for key, _ in f.items()))
         if support | self._mask != self._mask:
             self._refuse(support)
+        if self._low > MAX_DEGREE:  # no relation and no kill
+            return f
         if self._factors:
             return self._factor_form(f, support)
         parts = [comp if d < self._low else
@@ -595,36 +597,49 @@ class GradedPresentation:
         The divisor must have leading coefficient ``+1`` or ``-1`` in the
         ring's first free symbol ``x``, such as ``l`` in ``ctop_tail``; the
         ring is then free over the ring on its other symbols, on the powers
-        of ``x`` (see the module docstring).  Long division in ``x`` takes
-        each quotient coefficient (the remainder's leading ``x``-coefficient
-        times the sign) to its :meth:`normal_form` before it meets the
-        divisor, so the quotient is reduced as built, and ``g`` is a multiple
-        exactly when every ``x``-coefficient of the remainder reduces to
-        zero.  Any other divisor, or a ring with no free symbol, is outside
-        the contract: it raises :class:`PresentationError`.
+        of ``x`` (see the module docstring), and the quotient is unique.
+        Long division runs on ``g``'s terms by their power of ``x``, with
+        each divisor split once per ring.  Each nonzero quotient coefficient
+        (the remainder's leading ``x``-coefficient times the sign) is reduced
+        before it meets the divisor: reducing only the final quotient and
+        remainder reduced 13 times the terms and ran sweep5 4 times slower;
+        dividing residual monomials one by one, by linearity and a memo,
+        gained nothing there and made lift6's divisions 2.7 times slower.
+        ``g`` is a multiple exactly when the remainder reduces to zero, which
+        one call decides, as reduction keeps powers of ``x`` apart.  Any
+        other divisor, or a ring with no free symbol, is outside the
+        contract: it raises :class:`PresentationError`.
         """
         if c.is_zero():
             raise PresentationError("division by the zero class")
         if not (g.is_homogeneous() and c.is_homogeneous()):
             raise PresentationError("divide_in_quotient expects homogeneous input")
-
-        x = self._free
-        divisor = c.coefficients_in(x) if x is not None else {}
-        top = max(divisor, default=0)
-        lead = divisor.pop(top, IntPolynomial.zero())
-        if len(lead) != 1 or abs(lead.constant()) != 1:
-            raise PresentationError(
-                f"divisor {c.text()} has no leading coefficient +1 or -1 in "
-                f"the first symbol free of the relations"
-            )
-        rem = defaultdict(IntPolynomial, g.coefficients_in(x))
-        quotient: dict[int, IntPolynomial] = {}
+        if (split := self._splits.get(c)) is None:  # the terms of c by their power of x
+            unit = unit_key(self._free) if self._free is not None else 0
+            shift = unit.bit_length() - 1  # the lowest bit of x's field
+            powers = [(key >> shift & DEGREE, key, v) for key, v in c.items()] if unit else []
+            top = max((e for e, _, _ in powers), default=0)
+            lead = [(key, v) for e, key, v in powers if e == top]
+            if lead not in ([(top * unit, 1)], [(top * unit, -1)]):
+                raise PresentationError(f"divisor {c.text()} has no leading coefficient +1 or "
+                                        "-1 in the first symbol free of the relations")
+            split = self._splits.setdefault(c, (lead[0][1], top, unit, shift, tuple(
+                (e, key - e * unit, v) for e, key, v in powers if e < top)))
+        sign, top, unit, shift, tail = split
+        rem: dict[int, dict[int, int]] = {}  # a power of x -> its coefficient's terms
+        for key, v in g.items():
+            rem.setdefault(e := key >> shift & DEGREE, {})[key - e * unit] = v
+        quotient: dict[int, int] = {}
         for k in range(max(rem, default=-1), top - 1, -1):
-            part = quotient[k - top] = self.normal_form(rem[k] * lead.constant())
-            for j, cj in divisor.items() if part else ():
-                rem[k - top + j] -= part * cj
-        rest = {j: self.normal_form(rem[j]) for j in range(top)}
-        if any(rest.values()):
-            text = IntPolynomial.from_coefficients_in(x, rest).text()
-            raise NotDivisibleError(f"remainder {text} does not vanish")
-        return IntPolynomial.from_coefficients_in(x, quotient)
+            terms = {key: sign * v for key, v in rem.pop(k, {}).items() if v}
+            if not terms or not (part := self.normal_form(_poly(terms))):
+                continue
+            quotient.update({key + (k - top) * unit: v for key, v in part.items()})
+            for j, tail_key, d in tail:
+                bucket = rem.setdefault(k - top + j, {})
+                for key, v in part.items():
+                    bucket[key + tail_key] = bucket.get(key + tail_key, 0) - v * d
+        rest = {key + j * unit: v for j, terms in rem.items() for key, v in terms.items() if v}
+        if rest and (left := self.normal_form(_poly(rest))):
+            raise NotDivisibleError(f"remainder {left.text()} does not vanish")
+        return _poly(quotient)

@@ -30,7 +30,9 @@ quotient comes back in normal form), so a batch divides each distinct
 nonzero residual on a stratum once: the 52 classes of the five-marking
 Deligne–Mumford space, patched one by one, divide 2,652 times, together 981
 times.  The memo is dropped with its stratum: one kept for the whole process
-raised that presentation's peak memory by 10–23%.
+raised that presentation's peak memory by 10–23%.  A stratum's ring and
+excess class are read once, and a class sums a level's corrections in one
+dict of terms instead of building a polynomial at every stratum.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ def _patch(
 ) -> list[IntPolynomial]:
     # Core levels (block counts), from fine to coarse.
     for length in range(start_length, 0, -1):
-        corrections = [IntPolynomial.zero()] * len(fs)
+        corrections: list[dict[int, int]] = [{} for _ in fs]  # each class's terms, summed
         for s in partitions_of_length(n, length):
+            ring, excess = tail_model(n, s).presentation, ctop_tail(n, s)
             done: dict[frozenset, IntPolynomial] = {}  # residual terms -> correction
             for i, (f, target) in enumerate(zip(fs, targets)):
                 r = restrict_to_tail(n, s, f) - target(s)
@@ -144,10 +147,11 @@ def _patch(
                     continue
                 key = frozenset(r.items())  # hashed once, for the lookup and the store
                 if (correction := done.get(key)) is None:
-                    gbar = tail_model(n, s).presentation.divide_in_quotient(r, ctop_tail(n, s))
+                    gbar = ring.divide_in_quotient(r, excess)
                     correction = done[key] = tau_monomial(s) * lift_from_tail(gbar)
-                corrections[i] += correction
-        fs = [f - c for f, c in zip(fs, corrections)]
+                for m, c in correction.items():
+                    corrections[i][m] = corrections[i].get(m, 0) + c
+        fs = [f - IntPolynomial(total) for f, total in zip(fs, corrections)]
     return fs
 
 

@@ -286,8 +286,8 @@ def test_degree_at_the_top_of_a_field_fits():
         lambda: IntPolynomial.monomial((("l", 100), ("xi", 28))),
         lambda: IntPolynomial.parse("l^128"),
         lambda: IntPolynomial.monomial((("nu", 64),)),
-        lambda: IntPolynomial.from_coefficients_in("l", {128: IntPolynomial.one()}),
-        lambda: IntPolynomial.from_coefficients_in("l", {100: L**28}),
+        lambda: IntPolynomial.parse("l^100*xi^28"),
+        lambda: IntPolynomial.parse("3*l^64*nu^32"),
         lambda: (L**101 * XI).substitute({"xi": L**27 + XI**27}),
         lambda: (L**101 * XI).substitute({"xi": L**27}),
         lambda: (L**100 * XI).substitute({"xi": NU}) * L**27,
@@ -453,12 +453,6 @@ def test_constant_hashes_as_the_int_it_equals(c):
     assert p == c and hash(p) == hash(c)
     assert c in {p} and p in {c}
     assert len({p, c}) == 1
-
-
-@given(polynomials(), st.sampled_from(["l", "nu", "t{1,2,3}"]))
-@settings(max_examples=60, deadline=None)
-def test_from_coefficients_in_inverts_coefficients_in(poly, name):
-    assert IntPolynomial.from_coefficients_in(name, poly.coefficients_in(name)) == poly
 
 
 @given(polynomials(), polynomials(), polynomials())

@@ -1,6 +1,7 @@
 """Graded quotient presentations over Z: bases, normal forms, invariant
 factors, and exact division in the quotient."""
 
+import functools
 import itertools
 import os
 import random
@@ -28,7 +29,13 @@ from ellchow.exactring import (
     symbol_key,
 )
 from ellchow.exactring.poly import MAX_DEGREE
-from ellchow.patch import ambient_relations, ambient_symbols
+from ellchow.partitions import enumerate_partitions
+from ellchow.patch import (
+    ambient_relations,
+    ambient_symbols,
+    fundamental_classes,
+    singular_target,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -262,6 +269,17 @@ def test_normal_form_idempotent_and_coset_stable():
     # adding any relation multiple must not change the normal form
     assert pres.normal_form(f + 7 * (24 * L**2)) == nf
     assert nf == 6 * L**2 + X**2  # 30 mod 24; l*xi killed
+
+
+def test_normal_form_in_a_ring_with_no_relation_returns_its_input():
+    # at once, as on the tail models whose blocks have at most two markings,
+    # after refusing a foreign symbol
+    tensor = GradedPresentation.tensor_product([free_ring("l"), free_ring("xi")], "")
+    for pres in (free_ring("l", "xi"), tensor):
+        f = 3 * L**2 - L * X + 5
+        assert pres.normal_form(f) is f
+        with pytest.raises(PresentationError, match=r"^unknown symbol 'nu'$"):
+            pres.normal_form(L + NU)
 
 
 def test_reduces_to_zero_on_relations():
@@ -841,7 +859,7 @@ def test_divide_not_divisible():
         NotDivisibleError, match=r"^remainder l\^2 does not vanish$"
     ):
         pres.divide_in_quotient(L**2, X + L)
-    # the remainder is printed in normal form, one power of xi at a time
+    # the remainder is printed in normal form
     rest = 25 * L * X + 30 * L**2
     assert pres.normal_form(rest).text() == "6*l^2 + 25*l*xi"
     with pytest.raises(
@@ -973,3 +991,187 @@ def test_divide_random_products_round_trip():
         assert h == pres.normal_form(h0)
         assert pres.normal_form(h) == h
 
+
+def long_division_reference(pres, g, c):
+    """The quotient by the long division on polynomials that
+    ``divide_in_quotient`` ran before it worked on term dicts: ``g`` and ``c``
+    split into their coefficients in the free ``x``, each quotient
+    coefficient reduced before it meets the divisor, and the remainder
+    reduced one power of ``x`` at a time."""
+    x = pres._free
+    divisor = c.coefficients_in(x)
+    top = max(divisor)
+    lead = divisor.pop(top)
+    assert len(lead) == 1 and abs(lead.constant()) == 1, "a divisor in contract"
+    rem = g.coefficients_in(x)
+    quotient = {}
+    for k in range(max(rem, default=-1), top - 1, -1):
+        part = quotient[k - top] = pres.normal_form(rem.get(k, IntPolynomial.zero())
+                                                    * lead.constant())
+        for j, cj in divisor.items() if part else ():
+            rem[k - top + j] = rem.get(k - top + j, IntPolynomial.zero()) - part * cj
+    rest = {j: pres.normal_form(rem.get(j, IntPolynomial.zero())) for j in range(top)}
+
+    def in_x(parts):
+        return sum((IntPolynomial.symbol(x, e) * p for e, p in parts.items()),
+                   IntPolynomial.zero())
+
+    if any(rest.values()):
+        raise NotDivisibleError(f"remainder {in_x(rest).text()} does not vanish")
+    return in_x(quotient)
+
+
+def division_outcome(divide, *args):
+    """The text of the quotient, or of the error that there is none."""
+    try:
+        return divide(*args).text()
+    except NotDivisibleError as error:
+        return f"NotDivisibleError: {error}"
+
+
+def assert_divides_as_the_reference(pres, g, c):
+    assert division_outcome(pres.divide_in_quotient, g, c) == division_outcome(
+        long_division_reference, pres, g, c), (g.text(), c.text())
+
+
+def combination(draw, monomials, coefficients):
+    """A sum of a few of ``monomials`` (keys) times drawn coefficients."""
+    if not monomials:
+        return IntPolynomial.zero()
+    return IntPolynomial(draw(
+        st.dictionaries(st.sampled_from(monomials), st.sampled_from(coefficients), max_size=4)))
+
+
+@st.composite
+def free_l_divisions(draw):
+    """A ring of the presented or masked family without ``l``, joined by a
+    free ``l`` either as one ring or as ``Z[l]`` tensor it; a divisor with
+    leading term ``+-l^top``; and a numerator ``h*c + r``, which ``r`` may
+    keep from being a multiple."""
+    base = draw(st.one_of(presented_rings(), masked_rings().map(masked_presentation))
+                .filter(lambda ring: "l" not in ring.symbols))
+    if draw(st.booleans()):
+        pres = GradedPresentation.tensor_product([free_ring("l"), base], "")
+    else:
+        pres = GradedPresentation(("l", *base.symbols), base.defining_relations())
+    top = draw(st.integers(0, 3))
+    c = draw(st.sampled_from((1, -1))) * L**top + sum(
+        (L**j * combination(draw, base.basis(top - j), (1, -1, 2, -3)) for j in range(top)),
+        IntPolynomial.zero())
+    low = draw(st.integers(0, 2))
+    h = combination(draw, pres.basis(low), (1, -1, 2, -3, 6))
+    r = combination(draw, pres.basis(low + top), (1, -1, 2)) if draw(st.booleans()) else 0
+    return pres, h * c + r, c
+
+
+@given(free_l_divisions())
+@example((
+    # leaders 2 and -3 in one ring, and a remainder in two powers of l
+    GradedPresentation(sym("l", "xi", "t{1,2}"), (2 * X - 3 * T12, -3 * X**2 + X * T12)),
+    X**3 + L * X * T12 + L**2 * X,
+    L**2 + L * X + X * T12,
+))
+@settings(max_examples=150, deadline=None)
+def test_division_on_term_dicts_matches_the_long_division_reference(case):
+    # the same quotients and the same remainder texts as dividing polynomials
+    assert_divides_as_the_reference(*case)
+
+
+@functools.lru_cache(maxsize=None)
+def four_marking_divisions():
+    """Each ``(ring, residual, excess class)`` that patching the classes of
+    the four-marking Deligne-Mumford space divides."""
+    seen, divide = [], GradedPresentation.divide_in_quotient
+
+    def recording(self, g, c):
+        seen.append((self, g, c))
+        return divide(self, g, c)
+
+    GradedPresentation.divide_in_quotient = recording
+    try:
+        fundamental_classes(4, [singular_target("ell", 4, s) for s in enumerate_partitions(4)])
+    finally:
+        GradedPresentation.divide_in_quotient = divide
+    return tuple(seen)
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_patching_divisions_match_the_long_division_reference(data):
+    # every residual patching divides on four markings, plus a drawn
+    # polynomial of its degree, which mostly leaves a remainder
+    divisions = four_marking_divisions()
+    assert len(divisions) == 119
+    for pres, g, c in divisions:
+        assert_divides_as_the_reference(
+            pres, g + combination(data.draw, pres.basis(g.degree()), (1, -1, 2)), c)
+
+
+DIVISION_RACE = """
+import sys, threading
+from ellchow.exactring import IntPolynomial, NotDivisibleError
+from ellchow.partitions import enumerate_partitions, s_max
+from ellchow.strata import ctop_tail, tail_model
+
+
+def fresh_cases():
+    # fresh tail models, with no divisor split yet (their factors keep their
+    # staircases), and four divisions on each
+    tail_model.cache_clear()
+    ctop_tail.cache_clear()
+    groups = []
+    for s in enumerate_partitions(5):
+        if s == s_max(5):
+            continue
+        ring, c = tail_model(5, s).presentation, ctop_tail(5, s)
+        groups.append([])
+        for d in (1, 2):
+            g = IntPolynomial({m: i % 5 - 2 for i, m in enumerate(ring.basis(d))}) * c
+            groups[-1] += [(ring, g, c), (ring, g + IntPolynomial({ring.basis(g.degree())[-1]: 1}), c)]
+    return groups
+
+
+def work(groups, meet=lambda: None):
+    out = []
+    for group in groups:
+        meet()
+        for ring, g, c in group:
+            try:
+                out.append(ring.divide_in_quotient(g, c).text())
+            except NotDivisibleError as error:
+                out.append(str(error))
+    return out
+
+
+for _ in range(5):
+    groups = fresh_cases()
+    if sys.argv[1] == "serial":
+        print(work(groups))
+        continue
+    sys.setswitchinterval(1e-6)
+    # the threads start each ring's divisions together
+    results, barrier = [None] * 6, threading.Barrier(6, timeout=60)
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, work(groups, barrier.wait)))
+               for i in range(len(results))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=240)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(r == results[0] for r in results)
+    print(results[0])
+"""
+
+
+def test_threads_dividing_on_fresh_tail_models_agree_with_a_serial_run():
+    # Each ring keeps the split of every divisor it divides by, and threads
+    # share it with the ring's staircases
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    threaded, serial = (
+        subprocess.run(
+            [sys.executable, "-c", DIVISION_RACE, mode],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300, check=True,
+        ).stdout
+        for mode in ("threads", "serial")
+    )
+    assert threaded == serial
